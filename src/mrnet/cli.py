@@ -34,6 +34,7 @@ from .models import NetworkShape, ScoreModel, ShapeError
 from .simulation import (
     ExperimentGrid,
     GenSpec,
+    _eval_edges,
     run_grid,
     write_grid_csv,
 )
@@ -152,7 +153,8 @@ def _train_config_from(sec, seed: int, radius_default: float = 20.0
     return tc
 
 
-def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int) -> GenSpec:
+def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int,
+              truncation: float = 20.0) -> GenSpec:
     try:
         return GenSpec(
             model=model,
@@ -160,7 +162,7 @@ def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int) -> GenSpec
             entity_sd=_cfg_float(sec, "entity_sd", 1.0),
             shift_sd=_cfg_float(sec, "shift_sd", 1.0),
             weight_sd=_cfg_float(sec, "weight_sd", 0.5),
-            truncation=_cfg_float(sec, "truncation", 20.0),
+            truncation=_cfg_float(sec, "truncation", truncation),
             seed=seed,
         )
     except ValueError as exc:
@@ -242,7 +244,17 @@ def parse_run_config(path, mode: str, seed_override: Optional[int] = None,
                 radius = _cfg_float(sec, "radius", required=True)
                 cfg.bound_inputs = BoundInputs.from_model(
                     cfg.model, shape, radius, margin=_cfg_float(sec, "margin"))
-                cfg.gen = _gen_from(sec, cfg.model, shape, seed)
+                # truths (and, in _cmd_bounds, fits) stay inside the ball
+                # whose radius the printed bounds assume
+                root_d = float(np.sqrt(max(cfg.model.latent_dim,
+                                           cfg.model.relation_dim)))
+                cfg.gen = _gen_from(sec, cfg.model, shape, seed,
+                                    truncation=radius / root_d)
+                if cfg.gen.truncation > radius / root_d:
+                    raise ConfigError(
+                        f"truncation {cfg.gen.truncation:.9g} implies a "
+                        f"radius of {cfg.gen.radius:.9g}, above radius = "
+                        f"{radius:.9g}")
                 if cfg.replicates > 0:
                     cfg.train_config = _train_config_from(sec, seed)
         except ValueError as exc:
@@ -300,17 +312,8 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
             f"checkpoint holds {params.n_entities} entities / "
             f"{params.n_relations} relations, data has {n} / {k}")
     shape = NetworkShape(n, k)
-    known = set()
-    for ds in splits:
-        known.update((t.head, t.tail, t.rel) for t in ds.positives)
-    if shape.n_edges <= (1 << 24):
-        table = np.zeros((n, n, k), dtype=bool)
-        for h, t, r in known:
-            table[h, t, r] = True
-        truth_filter = table
-    else:
-        truth_filter = known
-    report = rank_report(model, params, test_ds.positives, truth_filter,
+    known = [t for ds in splits for t in ds.positives]
+    report = rank_report(model, params, test_ds.positives, known,
                          shape, cfg.hits_entity, cfg.hits_relation)
     lines = [("mr_e", report.mr_entity), ("mrr_e", report.mrr_entity)]
     lines += [(f"hits_e@{q}", v) for q, v in sorted(report.hits_entity.items())]
@@ -321,7 +324,9 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
         if tmodel != model:
             raise ShapeError("truth checkpoint's model differs from the "
                              "fitted checkpoint's")
-        losses = evaluate_losses(model, params, truth, shape=shape)
+        edges, _ = _eval_edges(shape, cfg.eval_cap, cfg.seed)
+        losses = evaluate_losses(model, params, truth, edges=edges,
+                                 shape=shape)
         lines += [("avg_kl", losses.avg_kl), ("mse_phi", losses.mse_phi),
                   ("link_err", losses.link_err)]
     with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -342,7 +347,8 @@ def _cmd_bounds(cfg: RunConfig) -> int:
             gen=cfg.gen, train=cfg.train_config,
             entity_counts=[cfg.gen.shape.n_entities],
             obs_rates=[cfg.gen.shape.obs_rate],
-            replicates=cfg.replicates, eval_cap=cfg.eval_cap)
+            replicates=cfg.replicates, eval_cap=cfg.eval_cap,
+            fit_radius_from_truth=False)
         rows = run_grid(grid, n_workers=cfg.threads)
         kls = np.array([r.avg_kl for r in rows if r.error is None])
         if len(kls) < cfg.replicates:

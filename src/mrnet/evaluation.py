@@ -123,35 +123,82 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
 Validity = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+# Ranking scores at most about this many candidates per ``scores`` call,
+# so memory stays flat however large the test set is.
+_RANK_BLOCK = 1 << 16
+
 
 def as_validity(truth_labels) -> Validity:
     """Normalize a truth oracle to a vectorized (h, t, r) -> bool map.
 
-    Accepts a callable, a dense boolean array of shape (N, N, K), or a
-    collection of (head, tail, rel) tuples / Triples.
+    A callable passes through unchanged.  A dense boolean array of shape
+    (N, N, K), or a collection of (head, tail, rel) tuples / Triples,
+    becomes one sorted int64 array of known edge keys (h*N + t)*K + r,
+    probed with ``np.searchsorted``, so memory is O(known triples).  A
+    candidate with an index beyond every known triple's is never true.
     """
     if callable(truth_labels):
         return truth_labels
     if isinstance(truth_labels, np.ndarray):
         if truth_labels.ndim != 3:
             raise ShapeError("dense truth table must have shape (N, N, K)")
-        table = truth_labels.astype(bool)
-        return lambda h, t, r: table[h, t, r]
-    pos = set()
-    for item in truth_labels:
-        if isinstance(item, Triple):
-            pos.add((item.head, item.tail, item.rel))
-        else:
-            h, t, r = item
-            pos.add((int(h), int(t), int(r)))
+        nh, nt, nr = truth_labels.shape
+        keys = np.flatnonzero(truth_labels)
+    else:
+        cols = np.array([(it.head, it.tail, it.rel) if isinstance(it, Triple)
+                         else tuple(it) for it in truth_labels],
+                        dtype=np.int64).reshape(-1, 3)
+        if cols.size and cols.min() < 0:
+            raise ValueError("known triples must have non-negative indices")
+        nh, nt, nr = (int(c) for c in cols.max(axis=0, initial=-1) + 1)
+        if nh * nt * nr > np.iinfo(np.int64).max:
+            raise ValueError("known triple indices overflow int64 edge keys")
+        h, t, r = cols.T
+        keys = np.unique((h * nt + t) * nr + r)
+    # a sentinel above every key lets each probe read keys[pos] unguarded
+    keys = np.append(keys, np.iinfo(np.int64).max)
 
     def lookup(h, t, r):
-        h, t, r = (np.atleast_1d(np.asarray(a)) for a in (h, t, r))
-        return np.fromiter(((int(a), int(b), int(c)) in pos
-                            for a, b, c in zip(h, t, r)),
-                           dtype=bool, count=len(h))
+        h, t, r = (np.asarray(a, dtype=np.int64) for a in (h, t, r))
+        key = (h * nt + t) * nr + r
+        inside = ((h >= 0) & (h < nh) & (t >= 0) & (t < nt)
+                  & (r >= 0) & (r < nr))
+        return inside & (keys[np.searchsorted(keys, key)] == key)
 
     return lookup
+
+
+_SLOT_COLUMN = {"head": 0, "tail": 1, "relation": 2}
+
+
+def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
+                    rels, slot: str, valid: Validity,
+                    shape: NetworkShape) -> np.ndarray:
+    """Filtered ranks of a block of test triples in one slot.
+
+    ``heads``/``tails``/``rels`` are parallel int64 arrays, one row per
+    test triple.  All rows' candidates are filtered with one ``valid``
+    call and scored with one ``scores`` call.
+    """
+    if slot not in _SLOT_COLUMN:
+        raise ValueError(f"unknown slot {slot!r}")
+    col = _SLOT_COLUMN[slot]
+    width = shape.n_relations if slot == "relation" else shape.n_entities
+    rows = len(heads)
+    cols = [heads[:, None], tails[:, None], rels[:, None]]
+    pos = cols[col][:, 0]
+    cols[col] = np.arange(width, dtype=np.int64)[None, :]
+    hs, ts, rs = (np.broadcast_to(c, (rows, width)).ravel() for c in cols)
+    is_true = np.asarray(valid(hs, ts, rs), dtype=bool).reshape(rows, width)
+    row = np.arange(rows)
+    if not is_true[row, pos].all():
+        raise ValueError("target triple is not marked true in the filter")
+    s = scores(model, params, hs, ts, rs).reshape(rows, width)
+    target = s[row, pos][:, None]
+    false = ~is_true  # keeps only corruptions that are false; drops target too
+    above = np.count_nonzero((s > target) & false, axis=1)
+    tied = np.count_nonzero((s == target) & false, axis=1)
+    return 1.0 + above + 0.5 * tied
 
 
 def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
@@ -164,34 +211,10 @@ def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
     the number of candidates scoring strictly above the target, plus
     half the number of non-target candidates tying it.
     """
-    valid = as_validity(truth_labels)
-    n, k = shape.n_entities, shape.n_relations
-    if slot == "head":
-        hs = np.arange(n)
-        ts = np.full(n, target.tail)
-        rs = np.full(n, target.rel)
-        pos = target.head
-    elif slot == "tail":
-        hs = np.full(n, target.head)
-        ts = np.arange(n)
-        rs = np.full(n, target.rel)
-        pos = target.tail
-    elif slot == "relation":
-        hs = np.full(k, target.head)
-        ts = np.full(k, target.tail)
-        rs = np.arange(k)
-        pos = target.rel
-    else:
-        raise ValueError(f"unknown slot {slot!r}")
-    is_true = np.asarray(valid(hs, ts, rs), dtype=bool)
-    if not is_true[pos]:
-        raise ValueError("target triple is not marked true in the filter")
-    s = scores(model, params, hs, ts, rs)
-    mask = ~is_true  # keeps only corruptions that are false; drops target too
-    target_score = s[pos]
-    above = int((s[mask] > target_score).sum())
-    tied = int((s[mask] == target_score).sum())
-    return 1.0 + above + 0.5 * tied
+    one = [np.array([v], dtype=np.int64)
+           for v in (target.head, target.tail, target.rel)]
+    return float(_filtered_ranks(model, params, *one, slot,
+                                 as_validity(truth_labels), shape)[0])
 
 
 @dataclasses.dataclass
@@ -216,17 +239,28 @@ def rank_report(model: ScoreModel, params: ModelParams,
                 shape: NetworkShape,
                 entity_hits: Iterable[int] = (10,),
                 relation_hits: Iterable[int] = (1,)) -> RankReport:
-    """Mean rank / mean reciprocal rank / hits@q over a test set."""
+    """Mean rank / mean reciprocal rank / hits@q over a test set.
+
+    Works through the test set in blocks of about ``_RANK_BLOCK``
+    candidates per slot; each rank equals ``rank_edge``'s.
+    """
     test = list(test_triples)
     if not test:
         raise ValueError("empty test set")
     valid = as_validity(truth_labels)
-    ent_ranks = np.empty(2 * len(test))
-    rel_ranks = np.empty(len(test))
-    for i, tr in enumerate(test):
-        ent_ranks[2 * i] = rank_edge(model, params, tr, "head", valid, shape)
-        ent_ranks[2 * i + 1] = rank_edge(model, params, tr, "tail", valid, shape)
-        rel_ranks[i] = rank_edge(model, params, tr, "relation", valid, shape)
+    cols = np.array([(tr.head, tr.tail, tr.rel) for tr in test],
+                    dtype=np.int64).T
+    ranks = {}
+    for slot in _SLOT_COLUMN:
+        width = shape.n_relations if slot == "relation" else shape.n_entities
+        step = max(1, _RANK_BLOCK // width)
+        ranks[slot] = np.concatenate([
+            _filtered_ranks(model, params, *cols[:, i:i + step], slot, valid,
+                            shape)
+            for i in range(0, len(test), step)])
+    # head and tail ranks interleave per triple, as rank_edge would list them
+    ent_ranks = np.stack([ranks["head"], ranks["tail"]], axis=1).ravel()
+    rel_ranks = ranks["relation"]
 
     def summarize(ranks, qs):
         hits = {int(q): float((ranks <= q).mean()) for q in qs}

@@ -39,9 +39,6 @@ __all__ = [
 # stream tags so one user seed fans out into independent sub-streams
 _TAG_TRUTH, _TAG_LABELS, _TAG_MASK, _TAG_TRAIN, _TAG_EVAL = range(5)
 
-# Break the edge universe into chunks of this many slots when scanning.
-_CHUNK = 1 << 18
-
 
 @dataclasses.dataclass(frozen=True)
 class GenSpec:

@@ -232,3 +232,76 @@ def test_threads_flag_gives_same_csv(tmp_path):
     serial = out.read_bytes()
     assert run_cli(["simulate", "--config", cfg, "--threads", "3"]) == 0
     assert out.read_bytes() == serial
+
+
+def test_evaluate_eval_cap_subsamples_truth_slots(tmp_path, monkeypatch):
+    import mrnet.cli
+
+    train_f = triple_file(tmp_path, "train.tsv", seed=3)
+    test_f = triple_file(tmp_path, "test.tsv", seed=4, count=20)
+    ckpt = tmp_path / "model.ckpt"
+    assert run_cli(["train", "--config", write(
+        tmp_path / "t.ini", TRAIN_CONFIG.format(triples=train_f,
+                                                ckpt=ckpt))]) == 0
+    params, _ = load_checkpoint(ckpt)
+    slots = params.n_entities ** 2 * params.n_relations
+
+    evaluated = []
+    real = mrnet.cli.evaluate_losses
+
+    def spy(*args, **kwargs):
+        report = real(*args, **kwargs)
+        evaluated.append(report.n_evaluated)
+        return report
+
+    monkeypatch.setattr(mrnet.cli, "evaluate_losses", spy)
+
+    def evaluate(cap_line, name):
+        out = tmp_path / f"{name}.csv"
+        cfg = write(tmp_path / f"{name}.ini",
+                    EVAL_CONFIG.format(ckpt=ckpt, train=train_f, test=test_f,
+                                       out=out)
+                    + f"truth_checkpoint = {ckpt}\n{cap_line}\n")
+        assert run_cli(["evaluate", "--config", cfg]) == 0
+        return out.read_bytes()
+
+    default = evaluate("", "default")
+    exact = evaluate(f"eval_cap = {slots}", "exact")
+    capped = evaluate("eval_cap = 50", "capped")
+    again = evaluate("eval_cap = 50", "again")
+    assert evaluated == [slots, slots, 50, 50]
+    assert exact == default  # caps at or above N^2 K change nothing
+    assert capped == again  # the subsample is seeded
+    assert b"avg_kl,0\n" in default  # truth is the fit itself
+    assert b"avg_kl,0\n" in capped
+
+
+# the [bounds] example of README.md, verbatim
+README_BOUNDS = """
+[bounds]
+; either give n, m, sup_score, lipschitz, radius directly...
+kind = combined            ; ...or derive them from a model:
+latent_dim = 2
+n_entities = 6
+n_relations = 2
+obs_rate = 1.0
+radius = 2.0
+t_values = 0.5, 1.0
+replicates = 200           ; > 0 fits that many replicates and prints
+                           ; empirical tail frequencies next to the bounds
+epochs = 50                ; replicates take the [simulate] training keys
+"""
+
+
+def test_bounds_truths_and_fits_use_the_bounds_radius(tmp_path, capsys):
+    from mrnet.cli import parse_run_config
+
+    cfg = parse_run_config(write(tmp_path / "b.ini", README_BOUNDS), "bounds")
+    assert cfg.gen.radius == cfg.bound_inputs.radius == 2.0
+    assert cfg.train_config.radius == 2.0
+    # an explicit truncation may shrink the truths' ball, never widen it
+    small = write(tmp_path / "s.ini", README_BOUNDS + "truncation = 0.5\n")
+    assert parse_run_config(small, "bounds").gen.radius == 1.0
+    wide = write(tmp_path / "w.ini", README_BOUNDS + "truncation = 20\n")
+    assert run_cli(["bounds", "--config", wide]) == 2
+    assert "truncation" in capsys.readouterr().err

@@ -1,17 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import mrnet.evaluation as evaluation
 from mrnet.evaluation import (
     KL_CLAMP,
+    as_validity,
     bernoulli_kl,
     evaluate_losses,
     rank_edge,
     rank_report,
 )
 from mrnet.models import (
+    MODEL_KINDS,
     ModelParams,
     NetworkShape,
     ScoreModel,
@@ -262,3 +267,152 @@ def test_validity_forms_agree():
                for v in (valid, dense, fn)]
     for rep in reports[1:]:
         assert rep == reports[0]
+
+
+# ---------------------------------------------------------------------------
+# batched ranking over the sorted known-key filter
+
+FILTER_FORMS = ("tuples", "triples", "dense", "callable")
+
+
+def filter_form(form, known, shape):
+    """``known`` (a set of (h, t, r) tuples) in one of the accepted forms."""
+    if form == "tuples":
+        return set(known)
+    if form == "triples":
+        return [Triple(*tr) for tr in sorted(known)]
+    dense = np.zeros((shape.n_entities, shape.n_entities, shape.n_relations),
+                     dtype=bool)
+    for tr in known:
+        dense[tr] = True
+    if form == "dense":
+        return dense
+    return lambda hs, ts, rs: dense[hs, ts, rs]
+
+
+def expected_report(ranker, model, params, tests, known, shape, ent_q, rel_q):
+    """What rank_report must give, from per-triple oracle ranks."""
+    ent = np.array([ranker(model, params, tr, slot, known, shape)
+                    for tr in tests for slot in ("head", "tail")])
+    rel = np.array([ranker(model, params, tr, "relation", known, shape)
+                    for tr in tests])
+    return (float(ent.mean()), float((1.0 / ent).mean()),
+            {q: float((ent <= q).mean()) for q in ent_q},
+            float(rel.mean()), float((1.0 / rel).mean()),
+            {q: float((rel <= q).mean()) for q in rel_q}, len(tests))
+
+
+def report_fields(rep):
+    return (rep.mr_entity, rep.mrr_entity, rep.hits_entity, rep.mr_relation,
+            rep.mrr_relation, rep.hits_relation, rep.n_triples)
+
+
+@st.composite
+def ranking_cases(draw):
+    model = ScoreModel(draw(st.sampled_from(MODEL_KINDS)),
+                       draw(st.integers(1, 3)))
+    n, k = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    # coordinates in {-1, 0, 1} make exact score ties common
+    coords = lambda size: np.array(draw(st.lists(
+        st.integers(-1, 1), min_size=size, max_size=size)), dtype=float)
+    params = ModelParams(coords(n * model.latent_dim).reshape(n, -1),
+                         coords(k * model.relation_dim).reshape(k, -1), 50.0)
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(0, k - 1))
+    known = draw(st.sets(edge, min_size=1, max_size=n * n * k))
+    tests = [Triple(*tr) for tr in draw(st.lists(
+        st.sampled_from(sorted(known)), min_size=1, max_size=25))]
+    block = draw(st.integers(1, 3 * n))  # 1 to 3 rows per entity block
+    return (model, NetworkShape(n, k), params, known, tests,
+            draw(st.sampled_from(FILTER_FORMS)), block)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ranking_cases())
+def test_batched_rank_report_matches_per_triple_oracle(case):
+    model, shape, params, known, tests, form, block = case
+    ent_q = tuple(range(1, shape.n_entities + 1))
+    rel_q = tuple(range(1, shape.n_relations + 1))
+    with mock.patch.object(evaluation, "_RANK_BLOCK", block):
+        got = rank_report(model, params, tests,
+                          filter_form(form, known, shape), shape,
+                          entity_hits=ent_q, relation_hits=rel_q)
+    want = expected_report(brute_rank, model, params, tests, known, shape,
+                           ent_q, rel_q)
+    assert report_fields(got) == want
+
+
+def pool_rank(model, params, target, slot, known, shape):
+    """Per-triple oracle: one ``scores`` call per pool, a Python-set filter."""
+    width = shape.n_relations if slot == "relation" else shape.n_entities
+    col = {"head": 0, "tail": 1, "relation": 2}[slot]
+    mine = (target.head, target.tail, target.rel)
+    pool = [mine[:col] + (i,) + mine[col + 1:] for i in range(width)]
+    s = scores(model, params, *np.array(pool).T)
+    rank = 1.0
+    for tr, v in zip(pool, s):
+        if tr not in known:
+            rank += (v > s[mine[col]]) + 0.5 * (v == s[mine[col]])
+    return rank
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rank_report_spans_default_blocks(kind):
+    rng = np.random.default_rng(11)
+    n, k = 700, 2
+    model = ScoreModel(kind, 3)
+    shape = NetworkShape(n, k)
+    params = make_params(model, n, k, rng)
+    lin = rng.choice(n * n * k, size=3000, replace=False)
+    known = {(int(x // k // n), int(x // k % n), int(x % k)) for x in lin}
+    tests = [Triple(*tr) for tr in sorted(known)[::12]]
+    # more test triples than one block of entity candidates holds
+    assert len(tests) > evaluation._RANK_BLOCK // n
+    got = rank_report(model, params, tests, known, shape,
+                      entity_hits=(1, 10, 100), relation_hits=(1,))
+    want = expected_report(pool_rank, model, params, tests, known, shape,
+                           (1, 10, 100), (1,))
+    assert report_fields(got) == want
+
+
+@pytest.mark.parametrize("form", FILTER_FORMS)
+def test_unfiltered_target_raises_inside_a_block(form):
+    model, shape, params, valid = random_kb(12)
+    known = sorted(valid)
+    outside = next((h, t, r) for h in range(shape.n_entities)
+                   for t in range(shape.n_entities)
+                   for r in range(shape.n_relations)
+                   if (h, t, r) not in valid)
+    tests = [Triple(*tr) for tr in known[:6] + [outside] + known[6:10]]
+    # four rows per entity block: the bad triple is row 3 of block 2
+    with mock.patch.object(evaluation, "_RANK_BLOCK", 4 * shape.n_entities):
+        with pytest.raises(ValueError, match="not marked true"):
+            rank_report(model, params, tests,
+                        filter_form(form, valid, shape), shape)
+
+
+def test_as_validity_passes_callables_through():
+    fn = lambda hs, ts, rs: np.ones(len(hs), dtype=bool)
+    assert as_validity(fn) is fn
+
+
+@pytest.mark.parametrize("form", ("tuples", "triples", "dense"))
+def test_as_validity_exact_beyond_known_indices(form):
+    # with keys (h*2 + t)*2 + r over the known ranges (2, 2, 2), the
+    # out-of-range candidates (0, 3, 1) and (0, 0, 2) share the keys of
+    # the known (1, 1, 1) and (0, 1, 0); only a range check tells them apart
+    known = {(1, 1, 1), (0, 1, 0)}
+    lookup = as_validity(filter_form(form, known, NetworkShape(2, 2)))
+    cands = [(h, t, r) for h in range(5) for t in range(5) for r in range(9)]
+    hs, ts, rs = (np.array(c) for c in zip(*cands))
+    got = lookup(hs, ts, rs)
+    assert got.dtype == bool
+    assert got.tolist() == [c in known for c in cands]
+
+
+def test_as_validity_rejects_negative_known_indices():
+    with pytest.raises(ValueError):
+        as_validity({(0, -1, 0)})
+    # an empty filter marks nothing true
+    empty = as_validity(set())
+    assert not empty(np.arange(3), np.arange(3), np.zeros(3, int)).any()
