@@ -13,27 +13,34 @@ import numpy as np
 from mrnet import (ExperimentGrid, GenSpec, NetworkShape, ScoreModel,
                    TrainConfig, run_grid, write_grid_csv)
 
-model = ScoreModel("combined", 4)
-gen = GenSpec(model, NetworkShape(50, 4), seed=3)
-config = TrainConfig(epochs=80, learning_rate=0.5, batch_size=256)
 
-grid = ExperimentGrid(gen, config,
-                      entity_counts=(50, 100, 200, 400),
-                      obs_rates=(0.05,),
-                      replicates=3,
-                      eval_cap=1_000_000)
+def main():
+    model = ScoreModel("combined", 4)
+    gen = GenSpec(model, NetworkShape(50, 4), seed=3)
+    config = TrainConfig(epochs=80, learning_rate=0.5, batch_size=256)
 
-# rows come back in deterministic order; every replicate reseeds from the
-# master seed, so rerunning this script reproduces the numbers exactly
-rows = run_grid(grid, n_workers=4)
+    grid = ExperimentGrid(gen, config,
+                          entity_counts=(50, 100, 200, 400),
+                          obs_rates=(0.05,),
+                          replicates=3,
+                          eval_cap=1_000_000)
 
-print(f"{'N':>5s} {'avg KL':>10s} {'mse':>10s} {'link err':>10s}")
-for n in grid.entity_counts:
-    cell = [r for r in rows if r.n_entities == n]
-    print(f"{n:5d} {np.mean([r.avg_kl for r in cell]):10.4f} "
-          f"{np.mean([r.mse_phi for r in cell]):10.4f} "
-          f"{np.mean([r.link_err for r in cell]):10.4f}")
+    # rows come back in deterministic order; every replicate reseeds from
+    # the master seed, so rerunning this script reproduces the numbers
+    # exactly
+    rows = run_grid(grid, n_workers=4)
 
-write_grid_csv(rows, "sweep.csv")
-print("\nper-replicate table written to sweep.csv")
-print("equivalent command line:  mrnet simulate --config sweep.ini")
+    print(f"{'N':>5s} {'avg KL':>10s} {'mse':>10s} {'link err':>10s}")
+    for n in grid.entity_counts:
+        cell = [r for r in rows if r.n_entities == n]
+        print(f"{n:5d} {np.mean([r.avg_kl for r in cell]):10.4f} "
+              f"{np.mean([r.mse_phi for r in cell]):10.4f} "
+              f"{np.mean([r.link_err for r in cell]):10.4f}")
+
+    write_grid_csv(rows, "sweep.csv")
+    print("\nper-replicate table written to sweep.csv")
+    print("equivalent command line:  mrnet simulate --config sweep.ini")
+
+
+if __name__ == "__main__":  # run_grid spawns workers that re-import this file
+    main()

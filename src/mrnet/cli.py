@@ -387,7 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--columns", choices=sorted(COLUMN_ORDERS),
                        help="triple file column order")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid cells")
+                       help="grid replicates run at once, each in a "
+                            "worker process; output is identical for any "
+                            "count")
     return parser
 
 

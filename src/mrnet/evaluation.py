@@ -16,7 +16,6 @@ import dataclasses
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .models import (
     ModelParams,
@@ -46,6 +45,15 @@ KL_CLAMP = 1e-12
 _CHUNK = 1 << 18
 
 
+def _rel_entr(x, y):
+    """Elementwise x*log(x/y), 0 where x == 0 (scipy.special.rel_entr).
+
+    NaN in gives NaN out, and x > 0 with y == 0 gives +inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(x / y))
+
+
 def bernoulli_kl(p, q):
     """KL divergence between Bernoulli(p) and Bernoulli(q), elementwise.
 
@@ -58,7 +66,7 @@ def bernoulli_kl(p, q):
     if p.size and (p.min() < 0 or p.max() > 1):
         raise ValueError("reference probabilities must lie in [0, 1]")
     qc = np.clip(q, KL_CLAMP, 1.0 - KL_CLAMP)
-    out = rel_entr(p, qc) + rel_entr(1.0 - p, 1.0 - qc)
+    out = _rel_entr(p, qc) + _rel_entr(1.0 - p, 1.0 - qc)
     return float(out) if scalar else out
 
 

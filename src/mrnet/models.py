@@ -171,15 +171,13 @@ class ModelParams:
 def sigmoid(x):
     """Overflow-safe logistic, clamped strictly inside (0, 1)."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # one exp per element: e = exp(-|x|) never overflows, and the two
+    # branches 1/(1+e) and e/(1+e) are the usual stable forms
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e)
+    out /= 1.0 + e
     np.clip(out, _P_LO, _P_HI, out=out)
-    return float(out[0]) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _check_indices(shape_n, shape_k, heads, tails, rels):

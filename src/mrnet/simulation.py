@@ -284,6 +284,17 @@ def run_replicate(grid: ExperimentGrid, n_entities: int, obs_rate: float,
                    n_evaluated=report.n_evaluated, eval_exact=exact)
 
 
+def _run_job(job) -> GridRow:
+    """One grid replicate; an exception becomes a NaN row with its text."""
+    grid, ci, n, rate, rep = job
+    try:
+        return run_replicate(grid, n, rate, ci, rep)
+    except Exception as exc:  # noqa: BLE001 - record and continue
+        return GridRow(n, rate, rep, float("nan"), float("nan"),
+                       float("nan"), float("nan"),
+                       error=f"{type(exc).__name__}: {exc}")
+
+
 def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     """Run every (cell, replicate); failures become NaN rows, not raises.
 
@@ -291,25 +302,27 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     grid settings (replicate seeds derive from the master seed, the
     cell index, and the replicate index), so reruns reproduce the same
     table regardless of which cells fail or how many workers run them.
+
+    With ``n_workers > 1`` replicates run in that many spawned worker
+    processes (never more than there are replicates), so a script that
+    calls this must guard its entry point with
+    ``if __name__ == "__main__":``.  A worker process that dies raises
+    ``BrokenProcessPool``; it is not a failed cell.
     """
-    jobs = [(ci, n, rate, rep)
+    jobs = [(grid, ci, n, rate, rep)
             for ci, (n, rate) in enumerate(grid.cells())
             for rep in range(grid.replicates)]
-
-    def run_one(job):
-        ci, n, rate, rep = job
-        try:
-            return run_replicate(grid, n, rate, ci, rep)
-        except Exception as exc:  # noqa: BLE001 - record and continue
-            return GridRow(n, rate, rep, float("nan"), float("nan"),
-                           float("nan"), float("nan"),
-                           error=f"{type(exc).__name__}: {exc}")
-
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(run_one, jobs))
-    return [run_one(job) for job in jobs]
+    workers = min(n_workers, len(jobs))
+    if workers <= 1:
+        return [_run_job(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # a few messages per worker, not one per replicate
+    chunksize = -(-len(jobs) // (4 * workers))
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_run_job, jobs, chunksize=chunksize))
 
 
 GRID_CSV_HEADER = "n_entities,obs_rate,replicate,avg_kl,mse_phi,link_err,seconds"

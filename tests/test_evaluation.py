@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import rel_entr
 
 import mrnet.evaluation as evaluation
 from mrnet.evaluation import (
@@ -64,6 +68,41 @@ def test_bernoulli_kl_vectorized_and_nonnegative():
     assert v.shape == (500,)
     assert np.all(v >= 0)
     assert v[3] == bernoulli_kl(float(p[3]), float(q[3]))
+
+
+def test_rel_entr_matches_scipy():
+    rng = np.random.default_rng(11)
+    p = rng.random(20_000)
+    p[::7] = 0.0
+    p[3::7] = 1.0
+    p[5::97] = np.nan
+    q = rng.random(20_000)
+    q[::11] = 0.0
+    q[4::11] = 1.0
+    qc = np.clip(q, KL_CLAMP, 1.0 - KL_CLAMP)  # as bernoulli_kl clamps it
+    eps = np.finfo(float).eps
+    for x, y in ((p, qc), (1.0 - p, 1.0 - qc)):
+        ours, want = evaluation._rel_entr(x, y), rel_entr(x, y)
+        assert np.array_equal(np.isnan(ours), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.all(np.abs(ours[ok] - want[ok])
+                      <= 4 * eps * (np.abs(want[ok]) + x[ok]))
+    # the boundary cases: 0 log 0 = 0, and x > 0 against y = 0 is +inf
+    edge_x, edge_y = np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.5, 0.0])
+    assert_allclose(evaluation._rel_entr(edge_x, edge_y),
+                    rel_entr(edge_x, edge_y))
+    assert evaluation._rel_entr(edge_x, edge_y)[2] == np.inf
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    code = ("import sys, mrnet, mrnet.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_evaluate_losses_matches_brute_force():

@@ -155,6 +155,28 @@ def test_sigmoid_values_and_range():
     assert_allclose(vals + sigmoid(-grid), 1.0, atol=1e-15)
 
 
+def test_sigmoid_matches_two_branch_form():
+    def two_branch(x):  # the masked form sigmoid replaced
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(arr)
+        pos = arr >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+        ex = np.exp(arr[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0, 30, 100_000),
+                        [np.nan, np.inf, -np.inf, 0.0, -0.0,
+                         710.0, -710.0, 746.0, -746.0]])
+    assert np.array_equal(sigmoid(x), two_branch(x), equal_nan=True)
+    assert np.array_equal(sigmoid(x.reshape(-1, 1)),
+                          two_branch(x).reshape(-1, 1), equal_nan=True)
+    for v in (-746.0, -1.5, -0.0, 0.0, 2.0, 710.0):
+        out = sigmoid(v)
+        assert type(out) is float and out == two_branch(v)[0]
+
+
 def test_edge_probability_matches_sigmoid_of_score():
     rng = np.random.default_rng(2)
     model = ScoreModel("combined", 2)

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -203,20 +207,41 @@ def test_run_grid_rows_and_determinism():
 def test_run_grid_parallel_matches_serial():
     grid = grid_for_test()
     serial = run_grid(grid, n_workers=1)
-    parallel = run_grid(grid, n_workers=3)
-    for a, b in zip(serial, parallel):
-        assert (a.n_entities, a.replicate, a.avg_kl, a.mse_phi) == \
-            (b.n_entities, b.replicate, b.avg_kl, b.mse_phi)
+
+    def fields(row):
+        return {k: v for k, v in dataclasses.asdict(row).items()
+                if k != "seconds"}
+
+    # 5 workers is more than the 4 jobs
+    for n_workers in (2, 5):
+        parallel = run_grid(grid, n_workers=n_workers)
+        assert [fields(r) for r in parallel] == [fields(r) for r in serial]
+
+
+class _ExitOnUnpickle:
+    """Unpickles as a call that ends the process doing the unpickling."""
+
+    def __reduce__(self):
+        return os._exit, (70,)
 
 
 def test_run_grid_marks_failed_cells():
     # a zero observation rate gives an empty training set -> failure row
     grid = grid_for_test(obs_rates=(0.0,), replicates=1)
-    rows = run_grid(grid)
-    assert len(rows) == 2
-    for r in rows:
+    serial = run_grid(grid)
+    assert len(serial) == 2
+    for r in serial:
         assert r.error is not None
         assert np.isnan(r.avg_kl)
+    # error rows come back from worker processes with the same text
+    parallel = run_grid(grid, n_workers=2)
+    assert [r.error for r in parallel] == [r.error for r in serial]
+    assert all(np.isnan(r.avg_kl) for r in parallel)
+    # a worker process that dies is not a failed cell: the pool error
+    # propagates instead of becoming NaN rows
+    poisoned = grid_for_test(replicates=1, eval_cap=_ExitOnUnpickle())
+    with pytest.raises(BrokenProcessPool):
+        run_grid(poisoned, n_workers=2)
 
 
 def test_run_grid_eval_subsample():
