@@ -68,12 +68,16 @@ class ObservationSet:
         if validate:
             self._validate()
 
-    def _validate(self):
+    def _check_indices(self) -> None:
+        """Raise ValueError unless every index lies inside the shape."""
         n, k = self.shape.n_entities, self.shape.n_relations
         for name, idx, hi in (("head", self.heads, n), ("tail", self.tails, n),
                               ("relation", self.rels, k)):
             if idx.size and (idx.min() < 0 or idx.max() >= hi):
                 raise ValueError(f"{name} index out of range [0, {hi})")
+
+    def _validate(self):
+        self._check_indices()
         if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be 0 or 1")
         lin = self.linear_indices()
@@ -279,6 +283,29 @@ def _nnz(params: ModelParams) -> int:
                + np.count_nonzero(params.relations))
 
 
+def _numpy_epoch(model: ScoreModel, shape: NetworkShape, params: ModelParams,
+                 g2_ent: np.ndarray, g2_rel: np.ndarray, obs: ObservationSet,
+                 perm: np.ndarray, config: TrainConfig) -> None:
+    """One epoch of AdaGrad steps in numpy, in place: the reference the
+    compiled kernel in ``_epoch.c`` is tested against, and the fallback
+    when no kernel can be built."""
+    n_obs = len(obs)
+    lr, eps = config.learning_rate, config.adagrad_eps
+    for start in range(0, n_obs, config.batch_size):
+        idx = perm[start:start + config.batch_size]
+        batch = ObservationSet(shape, obs.heads[idx], obs.tails[idx],
+                               obs.rels[idx], obs.labels[idx], validate=False)
+        grad = objective_gradient(model, params, batch, config.rho1,
+                                  config.rho2, batch_scale=n_obs / len(idx))
+        for rows, g, block, g2 in (
+            (grad.entity_rows, grad.entity_grad, params.entities, g2_ent),
+            (grad.relation_rows, grad.relation_grad, params.relations, g2_rel),
+        ):
+            g2[rows] += g * g
+            block[rows] += lr * g / (np.sqrt(g2[rows]) + eps)
+            _scale_rows(block, rows, config.radius)
+
+
 def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
           config: TrainConfig) -> TrainResult:
     """Projected AdaGrad ascent on the penalized log-likelihood.
@@ -287,6 +314,12 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     touched rows after every step (projection is idempotent, so
     untouched rows stay feasible); the sparsity cap, if any, is
     re-imposed once per epoch and at the end.
+
+    Each epoch runs in the compiled kernel (``_kernel.load()``), or in
+    the numpy loop if no kernel could be built; the two agree to
+    rounding.  Raises ValueError for an index outside ``shape`` and
+    for an objective that is not finite, rather than fit on a wrapped
+    index or return a NaN fit.
     """
     config.validate()
     if len(obs) == 0:
@@ -294,39 +327,40 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     if obs.shape.n_entities != shape.n_entities or \
             obs.shape.n_relations != shape.n_relations:
         raise ShapeError("observation set does not match the network shape")
+    obs._check_indices()
     cap = config.sparsity_cap
     if cap is not None and cap > model.param_count(shape):
         raise ValueError("sparsity_cap exceeds the total parameter count")
 
+    from . import _kernel  # builds the C kernel on first use
+    kernel = _kernel.load()
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2_ent = np.zeros_like(params.entities)
     g2_rel = np.zeros_like(params.relations)
-    n_obs = len(obs)
-    lr, eps = config.learning_rate, config.adagrad_eps
 
-    objective = [penalized_objective(model, params, obs, config.rho1, config.rho2)]
+    def objective(epoch: int) -> float:
+        if kernel is None:
+            value = penalized_objective(model, params, obs, config.rho1,
+                                        config.rho2)
+        else:
+            value = kernel.log_likelihood(model, params, obs) \
+                - _penalty(params, config.rho1, config.rho2)
+        if not np.isfinite(value):
+            raise ValueError(f"objective is {value} after {epoch} epochs")
+        return value
+
+    trace = [objective(0)]
     nnz = [_nnz(params)]
-
-    for _ in range(config.epochs):
-        perm = rng.permutation(n_obs)
-        for start in range(0, n_obs, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            batch = ObservationSet(shape, obs.heads[idx], obs.tails[idx],
-                                   obs.rels[idx], obs.labels[idx], validate=False)
-            grad = objective_gradient(model, params, batch, config.rho1,
-                                      config.rho2, batch_scale=n_obs / len(idx))
-            for rows, g, block, g2 in (
-                (grad.entity_rows, grad.entity_grad, params.entities, g2_ent),
-                (grad.relation_rows, grad.relation_grad, params.relations, g2_rel),
-            ):
-                g2[rows] += g * g
-                block[rows] += lr * g / (np.sqrt(g2[rows]) + eps)
-                _scale_rows(block, rows, config.radius)
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(len(obs))
+        if kernel is None:
+            _numpy_epoch(model, shape, params, g2_ent, g2_rel, obs, perm, config)
+        else:
+            kernel.epoch(model, params, g2_ent, g2_rel, obs, perm, config)
         if cap is not None:
             params = project_l0(params, cap)
-        objective.append(
-            penalized_objective(model, params, obs, config.rho1, config.rho2))
+        trace.append(objective(epoch))
         nnz.append(_nnz(params))
 
-    return TrainResult(params, np.asarray(objective), np.asarray(nnz, dtype=np.int64))
+    return TrainResult(params, np.asarray(trace), np.asarray(nnz, dtype=np.int64))

@@ -369,6 +369,11 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
              f"{ckpt_same}, round-trip identical: {roundtrip}")
 
 
+def test_criterion_09_on_numpy_loop(numpy_loop, tmp_path):
+    """Criterion 09 again, with training on the numpy fallback."""
+    test_criterion_09_determinism_and_persistence(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # 10. trained ranking beats untrained and random baselines on a planted KB
 

@@ -307,3 +307,59 @@ def test_train_l1_penalty_shrinks_parameters():
     def l1(p):
         return np.abs(p.entities).sum() + np.abs(p.relations).sum()
     assert l1(shrunk.params) < l1(free.params)
+
+
+def test_train_rejects_out_of_range_indices():
+    # unvalidated sets reach train; numpy would wrap -1 to the last row
+    model, shape, obs = small_problem(seed=9)
+    n, k = shape.n_entities, shape.n_relations
+    config = TrainConfig(epochs=1, radius=5.0)
+    for column, bad in (("heads", -1), ("tails", n), ("rels", k),
+                        ("rels", -1)):
+        cols = {c: getattr(obs, c).copy() for c in ("heads", "tails", "rels")}
+        cols[column][len(obs) // 2] = bad
+        broken = ObservationSet(shape, cols["heads"], cols["tails"],
+                                cols["rels"], obs.labels, validate=False)
+        with pytest.raises(ValueError, match="index out of range"):
+            train(model, shape, broken, config)
+
+
+def test_train_raises_on_non_finite_objective():
+    from mrnet.simulation import ExperimentGrid, GenSpec, run_grid
+
+    model, shape, obs = small_problem(seed=10)
+    with np.errstate(all="ignore"):
+        # non-finite at the initial point ...
+        with pytest.raises(ValueError, match="objective is nan after 0 epochs"):
+            train(model, shape, obs, TrainConfig(
+                epochs=2, radius=math.inf, init_scale=1e300))
+        # ... and after a step that leaves the representable range
+        with pytest.raises(ValueError, match="after 1 epochs"):
+            train(model, shape, obs, TrainConfig(
+                epochs=2, radius=math.inf, learning_rate=1e200))
+        # a grid cell still records the failure instead of raising
+        grid = ExperimentGrid(
+            gen=GenSpec(model, NetworkShape(6, 2), seed=3),
+            train=TrainConfig(epochs=2, radius=math.inf, init_scale=1e300),
+            entity_counts=(6,), obs_rates=(1.0,), fit_radius_from_truth=False)
+        (row,) = run_grid(grid)
+    assert row.error == "ValueError: objective is nan after 0 epochs"
+    assert math.isnan(row.avg_kl)
+
+
+TRAIN_TESTS = [
+    test_train_improves_objective_and_respects_radius,
+    test_train_trace_starts_at_init_objective,
+    test_train_deterministic_per_seed,
+    test_train_sparsity_cap_enforced,
+    test_train_rejects_bad_inputs,
+    test_train_l1_penalty_shrinks_parameters,
+    test_train_rejects_out_of_range_indices,
+    test_train_raises_on_non_finite_objective,
+]
+
+
+@pytest.mark.parametrize("check", TRAIN_TESTS, ids=lambda f: f.__name__[5:])
+def test_numpy_loop(numpy_loop, check):
+    """The train tests above, on the numpy fallback instead of the kernel."""
+    check()
