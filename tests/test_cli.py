@@ -91,13 +91,13 @@ def test_train_writes_checkpoint(tmp_path, capsys):
     assert ckpt.read_bytes() != first
 
 
-
 @pytest.mark.parametrize("check", [test_simulate_writes_csv_deterministically,
                                    test_train_writes_checkpoint],
                          ids=lambda f: f.__name__[5:])
 def test_numpy_loop(numpy_loop, check, tmp_path, capsys):
     """The determinism tests above, on the numpy training fallback."""
     check(tmp_path, capsys)
+
 
 EVAL_CONFIG = """
 [evaluate]

@@ -1,5 +1,6 @@
 """The compiled epoch kernel against the numpy reference, and its loader."""
 
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -34,21 +35,6 @@ def kernel():
     return loaded
 
 
-@pytest.fixture
-def fresh_cache(tmp_path, monkeypatch):
-    """An empty build cache and no kernel loaded yet in this process."""
-    monkeypatch.setattr(_kernel, "_CACHE", tmp_path)
-    monkeypatch.setattr(_kernel, "_loaded", _kernel._UNSET)
-    return tmp_path
-
-
-def train_both_ways(kernel, monkeypatch, *args):
-    monkeypatch.setattr(_kernel, "_loaded", kernel)
-    fast = train(*args)
-    monkeypatch.setattr(_kernel, "_loaded", None)
-    return fast, train(*args)
-
-
 VARIANTS = {"plain": {}, "rho1": {"rho1": 0.3}, "rho2": {"rho2": 0.5},
             "sparsity_cap": {"sparsity_cap": 20}}
 
@@ -62,12 +48,19 @@ def test_kernel_trajectory_matches_numpy_loop(kernel, monkeypatch, kind,
     # 288 observations in batches of 50: the last batch is short
     assert len(obs) % 50
     config = TrainConfig(epochs=20, learning_rate=0.3, batch_size=50,
-                         radius=5.0, seed=4, **VARIANTS[variant])
-    fast, ref = train_both_ways(kernel, monkeypatch, model, shape, obs, config)
+                         radius=0.5, seed=4, **VARIANTS[variant])
+    monkeypatch.setattr(_kernel, "_loaded", kernel)
+    fast = train(model, shape, obs, config)
+    monkeypatch.setattr(_kernel, "_loaded", None)
+    ref = train(model, shape, obs, config)
     assert_allclose(fast.params.entities, ref.params.entities, RTOL, ATOL)
     assert_allclose(fast.params.relations, ref.params.relations, RTOL, ATOL)
     assert_allclose(fast.objective_trace, ref.objective_trace, RTOL, ATOL)
     assert_array_equal(fast.nnz_trace, ref.nnz_trace)
+    # the radius binds, so the ball projection shaped the trajectory
+    monkeypatch.setattr(_kernel, "_loaded", kernel)
+    free = train(model, shape, obs, dataclasses.replace(config, radius=50.0))
+    assert not np.allclose(free.params.entities, fast.params.entities)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -98,11 +91,13 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
-def test_failing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch,
+def test_failing_compiler_falls_back_with_one_warning(tmp_path, monkeypatch,
                                                       compiler):
-    command = {"missing": [str(fresh_cache / "no-such-cc")],
+    command = {"missing": [str(tmp_path / "no-such-cc")],
                "failing": [sys.executable, "-c", "raise SystemExit(1)"]}
     monkeypatch.setattr(_kernel, "_compiler", lambda: command[compiler])
+    monkeypatch.setattr(_kernel, "_CACHE", tmp_path)  # empty: nothing built
+    monkeypatch.setattr(_kernel, "_loaded", _kernel._UNSET)
     model, shape, obs = small_problem(seed=2)
     config = TrainConfig(epochs=2, learning_rate=0.3, batch_size=64,
                          radius=5.0, seed=1)
@@ -114,7 +109,7 @@ def test_failing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch,
     assert "numpy loop" in str(caught[0].message)
     assert _kernel._loaded is None
     assert_array_equal(first.params.entities, second.params.entities)
-    assert os.listdir(fresh_cache) == []  # no library, no temporary file
+    assert os.listdir(tmp_path) == []  # no library, no temporary file
 
 
 BUILD_AND_USE = """
