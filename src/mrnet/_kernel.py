@@ -8,6 +8,9 @@ source, the compile command and the extension suffix, so an edited
 source or another interpreter gets a build of its own.  A build writes
 a unique temporary file and moves it into place with ``os.replace``, so
 processes that build at the same moment each load a complete library.
+Where ``__pycache__`` cannot be written (a read-only install), each
+process builds into a fresh directory of its own from
+``tempfile.mkdtemp`` and deletes it once the library is loaded.
 
 If the compiler is missing or fails, ``load()`` warns once and returns
 ``None``, and ``estimation.train`` runs its numpy loop instead.  Only
@@ -20,6 +23,7 @@ import ctypes
 import hashlib
 import os
 import shlex
+import shutil
 import subprocess
 import sysconfig
 import tempfile
@@ -50,18 +54,36 @@ def _library_path() -> Path:
     return _CACHE / f"{_SOURCE.stem}.{key.hexdigest()[:16]}{_SUFFIX}"
 
 
-def _build(path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
-                               dir=path.parent)
+def _build(path: Path) -> Path:
+    """Compile the library to ``path``, or privately if that cannot be.
+
+    When ``path``'s directory cannot be written (a read-only install),
+    the build goes to a fresh directory that only this process created
+    and that the caller removes after loading.  Returns where it built.
+    """
+    private = False
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                                   dir=path.parent)
+    except OSError:
+        # never a shared directory: a library planted there would be loaded
+        private = True
+        path = Path(tempfile.mkdtemp(prefix="mrnet-kernel-")) / path.name
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
         subprocess.run([*_compiler(), *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
                        check=True, capture_output=True, text=True, timeout=300)
         os.replace(tmp, path)
+    except BaseException:
+        if private:
+            shutil.rmtree(path.parent, ignore_errors=True)
+        raise
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    return path
 
 
 def _addr(arr: np.ndarray, dtype) -> int:
@@ -129,8 +151,12 @@ def load():
         try:
             path = _library_path()
             if not path.exists():
-                _build(path)
-            _loaded = EpochKernel(ctypes.CDLL(str(path)))
+                path = _build(path)
+            try:
+                _loaded = EpochKernel(ctypes.CDLL(str(path)))
+            finally:
+                if path.parent != _CACHE:  # a loaded library needs no file
+                    shutil.rmtree(path.parent, ignore_errors=True)
         except (OSError, subprocess.SubprocessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
             warnings.warn(f"mrnet: no compiled training kernel ({detail}); "

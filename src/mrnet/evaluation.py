@@ -78,11 +78,23 @@ class EvalReport:
     n_evaluated: int
 
 
-def _decode(linear: np.ndarray, shape: NetworkShape):
+def _universe_blocks(shape: NetworkShape):
+    """Every edge slot, ``_CHUNK`` linear indices (h*N + t)*K + r at a time.
+
+    Yields broadcastable index grids (heads, 1, 1), (1, N, 1), (1, 1, K)
+    over the head range that covers the chunk, and the chunk's cut of
+    their C-order ravel.
+    """
     n, k = shape.n_entities, shape.n_relations
-    rels = linear % k
-    pair = linear // k
-    return pair // n, pair % n, rels
+    per_head = n * k
+    tails = np.arange(n, dtype=np.int64)[None, :, None]
+    rels = np.arange(k, dtype=np.int64)[None, None, :]
+    total = shape.n_edges
+    for s in range(0, total, _CHUNK):
+        e = min(s + _CHUNK, total)
+        h0, h1 = s // per_head, (e - 1) // per_head + 1
+        heads = np.arange(h0, h1, dtype=np.int64)[:, None, None]
+        yield heads, tails, rels, slice(s - h0 * per_head, e - h0 * per_head)
 
 
 def evaluate_losses(model: ScoreModel, fitted: ModelParams,
@@ -92,40 +104,41 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
     ``None`` with a ``shape`` to scan every slot of the edge universe
-    (chunked, so memory stays bounded).  The link prediction for a slot
-    is "present" iff the fitted probability is >= 1/2, and the link
+    (chunked, so memory stays bounded; each chunk is scored as a
+    broadcast head x tail x relation grid).  The link prediction for a
+    slot is "present" iff the fitted probability is >= 1/2, and the link
     error is the fraction of slots where that disagrees with the truth.
+    Non-finite parameters raise ``ValueError``.
     """
     fitted.check_model(model)
     truth.check_model(model)
     if fitted.entities.shape != truth.entities.shape or \
             fitted.relations.shape != truth.relations.shape:
         raise ShapeError("fitted and truth parameter shapes differ")
+    fitted.check_finite("fitted")
+    truth.check_finite("truth")
     if edges is None:
         if shape is None:
             raise ValueError("need a network shape to scan all edges")
-        total = shape.n_edges
-        blocks = (
-            _decode(np.arange(s, min(s + _CHUNK, total), dtype=np.int64), shape)
-            for s in range(0, total, _CHUNK))
+        blocks = _universe_blocks(shape)
     else:
         heads, tails, rels = (np.asarray(a) for a in edges)
         if not len(heads):
             raise ValueError("no edges to evaluate")
-        blocks = ((heads, tails, rels),)
+        blocks = ((heads, tails, rels, slice(None)),)
 
     kl_sum = mse_sum = err_sum = 0.0
     count = 0
-    for hs, ts, rs in blocks:
-        phi_true = scores(model, truth, hs, ts, rs)
-        phi_fit = scores(model, fitted, hs, ts, rs)
+    for hs, ts, rs, cut in blocks:
+        phi_true = scores(model, truth, hs, ts, rs).ravel()[cut]
+        phi_fit = scores(model, fitted, hs, ts, rs).ravel()[cut]
         m_true = sigmoid(phi_true)
         m_fit = sigmoid(phi_fit)
         kl_sum += bernoulli_kl(m_true, m_fit).sum()
         diff = phi_fit - phi_true
         mse_sum += (diff * diff).sum()
         err_sum += np.count_nonzero((m_fit >= 0.5) != (m_true >= 0.5))
-        count += len(hs)
+        count += len(phi_true)
     return EvalReport(kl_sum / count, mse_sum / count, err_sum / count, count)
 
 
@@ -186,7 +199,8 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
 
     ``heads``/``tails``/``rels`` are parallel int64 arrays, one row per
     test triple.  All rows' candidates are filtered with one ``valid``
-    call and scored with one ``scores`` call.
+    call on flat index arrays and scored with one broadcast ``scores``
+    call on the (rows, 1) / (1, width) columns.
     """
     if slot not in _SLOT_COLUMN:
         raise ValueError(f"unknown slot {slot!r}")
@@ -201,7 +215,7 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     row = np.arange(rows)
     if not is_true[row, pos].all():
         raise ValueError("target triple is not marked true in the filter")
-    s = scores(model, params, hs, ts, rs).reshape(rows, width)
+    s = scores(model, params, *cols)  # (rows, width) by broadcasting
     target = s[row, pos][:, None]
     false = ~is_true  # keeps only corruptions that are false; drops target too
     above = np.count_nonzero((s > target) & false, axis=1)
@@ -217,8 +231,10 @@ def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
     the target itself plus every corruption of that slot that is NOT a
     true triple (true corruptions are filtered out).  Rank is 1 plus
     the number of candidates scoring strictly above the target, plus
-    half the number of non-target candidates tying it.
+    half the number of non-target candidates tying it.  Parameters
+    holding NaN or inf raise ``ValueError``.
     """
+    params.check_finite()
     one = [np.array([v], dtype=np.int64)
            for v in (target.head, target.tail, target.rel)]
     return float(_filtered_ranks(model, params, *one, slot,
@@ -250,11 +266,14 @@ def rank_report(model: ScoreModel, params: ModelParams,
     """Mean rank / mean reciprocal rank / hits@q over a test set.
 
     Works through the test set in blocks of about ``_RANK_BLOCK``
-    candidates per slot; each rank equals ``rank_edge``'s.
+    candidates per slot; each rank equals ``rank_edge``'s.  Parameters
+    holding NaN or inf raise ``ValueError``, as in ``rank_edge``: a NaN
+    score compares false with everything, so it would still get a rank.
     """
     test = list(test_triples)
     if not test:
         raise ValueError("empty test set")
+    params.check_finite()
     valid = as_validity(truth_labels)
     cols = np.array([(tr.head, tr.tail, tr.rel) for tr in test],
                     dtype=np.int64).T

@@ -19,6 +19,7 @@ import numpy as np
 from ._rng import derive_seed
 from .estimation import Observation
 from .models import ModelParams, ScoreModel, NetworkShape, Triple
+from .simulation import _decode
 
 __all__ = [
     "TripleParseError",
@@ -188,11 +189,8 @@ def sample_negatives(dataset: TripleDataset, ratio: float,
             if len(distinct) >= count:
                 chosen = np.sort(distinct[:count])
                 break
-    n, k = shape.n_entities, shape.n_relations
-    rels = chosen % k
-    pair = chosen // k
     return [Observation(Triple(int(h), int(t), int(r)), 0)
-            for h, t, r in zip(pair // n, pair % n, rels)]
+            for h, t, r in zip(*_decode(chosen, shape))]
 
 
 def save_checkpoint(params: ModelParams, model: ScoreModel, path) -> None:

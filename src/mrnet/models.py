@@ -152,14 +152,19 @@ class ModelParams:
                 f"relation dim {self.relations.shape[1]} != expected {model.relation_dim}"
             )
 
+    def check_finite(self, label: str = "params") -> None:
+        """Raise ``ValueError`` naming the array if any entry is NaN or inf."""
+        for name, arr in (("entities", self.entities), ("relations", self.relations)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{label} {name} hold NaN or inf")
+
     def validate(self) -> None:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        self.check_finite()
         for name, arr in (("entities", self.entities), ("relations", self.relations)):
             if arr.ndim != 2:
                 raise ShapeError(f"{name} must be a 2-d array")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
             norms = np.linalg.norm(arr, axis=1)
             # tiny tolerance: projection scaling can overshoot by an ulp
             if norms.size and norms.max() > self.radius * (1 + 1e-12) + 1e-12:
@@ -189,7 +194,16 @@ def _check_indices(shape_n, shape_k, heads, tails, rels):
 
 
 def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.ndarray:
-    """Vectorized edge scores for parallel index arrays."""
+    """Vectorized edge scores for index arrays that broadcast together.
+
+    The result has the broadcast shape of ``heads``, ``tails`` and
+    ``rels``: parallel 1-d arrays give one score per edge, while e.g.
+    ``(rows, 1)``, ``(1, N)`` and ``(rows, 1)`` score every row against
+    all N tails without building the (rows, N) index arrays.  Rows are
+    gathered at the unbroadcast shapes and each score is summed along
+    the latent axis exactly as for 1-d input, so every score is
+    bit-identical to the one the parallel 1-d call gives for that edge.
+    """
     params.check_model(model)
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
@@ -199,12 +213,12 @@ def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.nda
     w = params.relations[rels]
     d = model.latent_dim
     if model.kind == "distance":
-        v = th + w[:, :d] - tt
-        return w[:, d] - np.einsum("ij,ij->i", v, v)
+        v = th + w[..., :d] - tt
+        return w[..., d] - np.einsum("...j,...j->...", v, v)
     if model.kind == "bilinear":
-        return np.einsum("ij,ij,ij->i", th, w, tt)
-    v = th + w[:, :d] - tt
-    return np.einsum("ij,ij,ij->i", w[:, d:], v, v)
+        return np.einsum("...j,...j,...j->...", th, w, tt)
+    v = th + w[..., :d] - tt
+    return np.einsum("...j,...j,...j->...", w[..., d:], v, v)
 
 
 def score(model: ScoreModel, params: ModelParams, edge: Triple) -> float:

@@ -455,3 +455,87 @@ def test_as_validity_rejects_negative_known_indices():
     # an empty filter marks nothing true
     empty = as_validity(set())
     assert not empty(np.arange(3), np.arange(3), np.zeros(3, int)).any()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_duplicate_entities_tie_exactly_in_rank_report(kind):
+    # entity N-1 is a copy of entity 0 with non-integer coordinates, so a
+    # target at entity 0 ties that candidate exactly and must get half
+    # credit for it.  Scoring the two columns by different summation
+    # paths (as a blocked BLAS matmul does) breaks such ties.
+    rng = np.random.default_rng(14)
+    n, k = 1001, 2
+    model = ScoreModel(kind, 4)
+    shape = NetworkShape(n, k)
+    params = make_params(model, n, k, rng)
+    params.entities[n - 1] = params.entities[0]
+    inner = rng.integers(1, n - 1, size=(200, 2))  # never 0 or N-1
+    rels = rng.integers(0, k, size=200)
+    tests = [Triple(0, int(t), int(r))
+             for (_, t), r in zip(inner[:100], rels[:100])]
+    tests += [Triple(int(h), 0, int(r))
+              for (h, _), r in zip(inner[100:], rels[100:])]
+    known = {(tr.head, tr.tail, tr.rel) for tr in tests}
+    for tr in tests[:100]:
+        assert pool_rank(model, params, tr, "head", known, shape) % 1 == 0.5
+    for tr in tests[100:]:
+        assert pool_rank(model, params, tr, "tail", known, shape) % 1 == 0.5
+    got = rank_report(model, params, tests, known, shape,
+                      entity_hits=(1, 10, 100), relation_hits=(1,))
+    want = expected_report(pool_rank, model, params, tests, known, shape,
+                           (1, 10, 100), (1,))
+    assert report_fields(got) == want
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_full_scan_matches_decoded_scan(kind):
+    rng = np.random.default_rng(15)
+    n, k = 5, 3
+    model = ScoreModel(kind, 2)
+    shape = NetworkShape(n, k)
+    truth = make_params(model, n, k, rng)
+    fitted = make_params(model, n, k, rng)
+    # 7-slot chunks against 15 slots per head: chunks start and end
+    # inside a head's block
+    with mock.patch.object(evaluation, "_CHUNK", 7):
+        got = evaluate_losses(model, fitted, truth, shape=shape)
+    kl_sum = mse_sum = err_sum = 0.0
+    total = n * n * k
+    for s in range(0, total, 7):
+        lin = np.arange(s, min(s + 7, total))
+        hs, ts, rs = lin // k // n, lin // k % n, lin % k
+        phi_true = scores(model, truth, hs, ts, rs)
+        phi_fit = scores(model, fitted, hs, ts, rs)
+        m_true, m_fit = sigmoid(phi_true), sigmoid(phi_fit)
+        kl_sum += bernoulli_kl(m_true, m_fit).sum()
+        mse_sum += ((phi_fit - phi_true) ** 2).sum()
+        err_sum += np.count_nonzero((m_fit >= 0.5) != (m_true >= 0.5))
+    assert got == evaluation.EvalReport(kl_sum / total, mse_sum / total,
+                                        err_sum / total, total)
+
+
+@pytest.mark.parametrize("array", ["entities", "relations"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ranking_rejects_non_finite_params(array, bad):
+    model, shape, params, valid = random_kb(16)
+    getattr(params, array)[1, 0] = bad
+    target = Triple(*sorted(valid)[0])
+    with pytest.raises(ValueError, match=f"params {array} hold NaN or inf"):
+        rank_report(model, params, [target], valid, shape)
+    with pytest.raises(ValueError, match=f"params {array} hold NaN or inf"):
+        rank_edge(model, params, target, "tail", valid, shape)
+
+
+@pytest.mark.parametrize("which", ["fitted", "truth"])
+@pytest.mark.parametrize("array", ["entities", "relations"])
+def test_evaluate_losses_rejects_non_finite_params(which, array):
+    rng = np.random.default_rng(17)
+    model = ScoreModel("distance", 2)
+    params = {"fitted": make_params(model, 4, 2, rng),
+              "truth": make_params(model, 4, 2, rng)}
+    getattr(params[which], array)[0, 1] = np.nan
+    edges = (np.array([0, 1]), np.array([2, 3]), np.array([0, 1]))
+    for kwargs in ({"shape": NetworkShape(4, 2)}, {"edges": edges}):
+        with pytest.raises(ValueError, match=f"{which} {array} hold NaN"):
+            evaluate_losses(model, params["fitted"], params["truth"],
+                            **kwargs)

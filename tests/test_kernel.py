@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -110,6 +111,36 @@ def test_failing_compiler_falls_back_with_one_warning(tmp_path, monkeypatch,
     assert _kernel._loaded is None
     assert_array_equal(first.params.entities, second.params.entities)
     assert os.listdir(tmp_path) == []  # no library, no temporary file
+
+
+def test_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
+    if shutil.which(_kernel._compiler()[0]) is None:
+        pytest.skip("no C compiler")
+    # a cache path below a regular file cannot be created, even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(_kernel, "_CACHE", blocker / "__pycache__")
+    monkeypatch.setattr(_kernel, "_loaded", _kernel._UNSET)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    made, mkdtemp = [], tempfile.mkdtemp
+
+    def recording_mkdtemp(**kwargs):
+        made.append(mkdtemp(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = _kernel.load()
+    assert kernel is not None
+    assert len(made) == 1  # one fresh directory, made by this process
+    assert os.listdir(scratch) == []  # and removed once the library loaded
+    obs = ObservationSet(NetworkShape(2, 1), [0, 1], [1, 0], [0, 0], [1, 0])
+    params = ModelParams(np.zeros((2, 2)), np.zeros((1, 2)), 1.0)
+    got = kernel.log_likelihood(ScoreModel("bilinear", 2), params, obs)
+    assert got == pytest.approx(-2 * np.log(2.0), rel=1e-15)
 
 
 BUILD_AND_USE = """

@@ -98,6 +98,55 @@ def test_scalar_matches_vectorized_bitwise():
         assert_array_equal(vec, np.array(one))
 
 
+def gathered_scores(model, params, heads, tails, rels):
+    """The 1-d scoring formula as it stood before broadcasting."""
+    th, tt = params.entities[heads], params.entities[tails]
+    w = params.relations[rels]
+    d = model.latent_dim
+    if model.kind == "distance":
+        v = th + w[:, :d] - tt
+        return w[:, d] - np.einsum("ij,ij->i", v, v)
+    if model.kind == "bilinear":
+        return np.einsum("ij,ij,ij->i", th, w, tt)
+    v = th + w[:, :d] - tt
+    return np.einsum("ij,ij,ij->i", w[:, d:], v, v)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_scores_matches_gathered_formula_bitwise(kind, dim):
+    rng = np.random.default_rng(12)
+    model = ScoreModel(kind, dim)
+    params = random_params(model, 50, 4, rng)
+    hs, ts, rs = (rng.integers(0, m, size=500) for m in (50, 50, 4))
+    assert_array_equal(scores(model, params, hs, ts, rs),
+                       gathered_scores(model, params, hs, ts, rs))
+
+
+@pytest.mark.parametrize("slot", ["head", "tail", "relation", "universe"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_broadcast_scores_match_stacked_1d_calls(kind, slot):
+    rng = np.random.default_rng(13)
+    n, k, rows = 301, 5, 23
+    model = ScoreModel(kind, 7)
+    params = random_params(model, n, k, rng)
+    hs, ts, rs = (rng.integers(0, m, size=(rows, 1)) for m in (n, n, k))
+    cols = {"head": (np.arange(n)[None, :], ts, rs),
+            "tail": (hs, np.arange(n)[None, :], rs),
+            "relation": (hs, ts, np.arange(k)[None, :]),
+            "universe": (np.arange(4, 9)[:, None, None],
+                         np.arange(n)[None, :, None],
+                         np.arange(k)[None, None, :])}[slot]
+    got = scores(model, params, *cols)
+    full = np.broadcast_arrays(*cols)
+    assert got.shape == full[0].shape
+    # one 1-d call per row of the last axis
+    flat = [c.reshape(-1, c.shape[-1]) for c in full]
+    want = np.stack([scores(model, params, *(f[i] for f in flat))
+                     for i in range(len(flat[0]))]).reshape(got.shape)
+    assert_array_equal(got, want)
+
+
 def test_distance_translation_invariance():
     # shifting every entity by the same vector leaves all scores unchanged
     rng = np.random.default_rng(5)
