@@ -12,10 +12,9 @@ import tempfile
 
 import numpy as np
 
-from mrnet import (NetworkShape, ScoreModel, TrainConfig, Triple,
+from mrnet import (NetworkShape, ObservationSet, ScoreModel, TrainConfig,
                    load_triples, rank_report, sample_negatives,
                    load_checkpoint, save_checkpoint, train)
-from mrnet.estimation import Observation, ObservationSet
 
 # --- a small synthetic KB: family-style relations over two clans -----------
 rng = np.random.default_rng(4)
@@ -33,6 +32,7 @@ with open(path, "w", encoding="utf-8") as fh:
     fh.write("\n".join(sorted(lines)) + "\n")
 
 dataset = load_triples(path)          # columns default to head, relation, tail
+# dataset.positives is an (n, 3) int64 array of (head, tail, relation) rows
 n, k = len(dataset.entity_vocab), len(dataset.relation_vocab)
 print(f"loaded {len(dataset.positives)} triples, "
       f"{n} entities, {k} relations")
@@ -40,19 +40,19 @@ print(f"loaded {len(dataset.positives)} triples, "
 # --- train on positives plus uniformly sampled non-edges -------------------
 shape = NetworkShape(n, k)
 holdout = dataset.positives[::10]           # every tenth triple held out
-train_pos = [tr for i, tr in enumerate(dataset.positives) if i % 10]
+train_pos = np.delete(dataset.positives, np.s_[::10], axis=0)
 negatives = sample_negatives(dataset, ratio=1.0, shape=shape, seed=9)
 
-observations = ObservationSet.from_observations(
-    shape, [Observation(tr, 1) for tr in train_pos] + negatives)
+edges = np.concatenate([train_pos, negatives])
+labels = np.repeat(np.int8([1, 0]), [len(train_pos), len(negatives)])
+observations = ObservationSet(shape, *edges.T, labels)
 model = ScoreModel("distance", 8)
 fitted = train(model, shape, observations,
                TrainConfig(epochs=150, learning_rate=0.5, batch_size=64,
                            radius=6.0, seed=2)).params
 
 # --- filtered ranking: corruptions that are real triples do not count ------
-known = set(dataset.positives)
-report = rank_report(model, fitted, holdout, known, shape,
+report = rank_report(model, fitted, holdout, dataset.positives, shape,
                      entity_hits=(1, 10), relation_hits=(1,))
 print(f"entity   MR {report.mr_entity:6.2f}   MRR {report.mrr_entity:.3f}   "
       f"Hits@10 {report.hits_entity[10]:.3f}")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import BoundInputs, risk_bound, tail_bound
-from .estimation import Observation, ObservationSet, TrainConfig, train
+from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses, rank_report
 from .io import (
     COLUMN_ORDERS,
@@ -203,6 +204,9 @@ def parse_run_config(path, mode: str, seed_override: Optional[int] = None,
         cfg.model = _model_from(sec)
         cfg.train_path = _cfg_str(sec, "triples", required=True)
         cfg.negative_ratio = _cfg_float(sec, "negative_ratio", 1.0)
+        if not (math.isfinite(cfg.negative_ratio) and cfg.negative_ratio >= 0):
+            raise ConfigError(f"key 'negative_ratio' must be finite and >= 0, "
+                              f"got {cfg.negative_ratio!r}")
         cfg.checkpoint = checkpoint or _cfg_str(sec, "checkpoint", required=True)
         cfg.train_config = _train_config_from(sec, seed)
     elif mode == "evaluate":
@@ -288,8 +292,9 @@ def _cmd_train(cfg: RunConfig) -> int:
     n, k = ds.n_entities, ds.n_relations
     shape = NetworkShape(n, k, min(1.0, n_obs / (n * n * k)))
     negatives = sample_negatives(ds, cfg.negative_ratio, shape, cfg.seed)
-    observations = [Observation(t, 1) for t in ds.positives] + negatives
-    obs = ObservationSet.from_observations(shape, observations)
+    heads, tails, rels = np.concatenate([ds.positives, negatives]).T
+    labels = np.repeat(np.int8([1, 0]), [len(ds.positives), len(negatives)])
+    obs = ObservationSet(shape, heads, tails, rels, labels)
     result = train(cfg.model, shape, obs, cfg.train_config)
     save_checkpoint(result.params, cfg.model, cfg.checkpoint)
     print(f"final_objective {result.objective_trace[-1]:.9g}")
@@ -312,7 +317,7 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
             f"checkpoint holds {params.n_entities} entities / "
             f"{params.n_relations} relations, data has {n} / {k}")
     shape = NetworkShape(n, k)
-    known = [t for ds in splits for t in ds.positives]
+    known = np.concatenate([ds.positives for ds in splits])
     report = rank_report(model, params, test_ds.positives, known,
                          shape, cfg.hits_entity, cfg.hits_relation)
     lines = [("mr_e", report.mr_entity), ("mrr_e", report.mrr_entity)]

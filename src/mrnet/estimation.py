@@ -14,6 +14,7 @@ by a minibatch are updated, so cost per step is independent of N.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .models import (
     ScoreModel,
     ShapeError,
     Triple,
+    edge_key,
     score_gradients,
     scores,
     sigmoid,
@@ -80,7 +82,8 @@ class ObservationSet:
         self._check_indices()
         if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be 0 or 1")
-        lin = self.linear_indices()
+        n, k = self.shape.n_entities, self.shape.n_relations
+        lin = edge_key(self.heads, self.tails, self.rels, n, k)
         if len(np.unique(lin)) != len(lin):
             raise ValueError("observations contain duplicate edges")
 
@@ -92,10 +95,6 @@ class ObservationSet:
         rels = [o.edge.rel for o in obs]
         labels = [o.label for o in obs]
         return cls(shape, heads, tails, rels, labels)
-
-    def linear_indices(self) -> np.ndarray:
-        n, k = self.shape.n_entities, self.shape.n_relations
-        return (self.heads * n + self.tails) * k + self.rels
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -131,14 +130,18 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0 or self.adagrad_eps <= 0:
-            raise ValueError("learning_rate and adagrad_eps must be positive")
+        for name in ("learning_rate", "adagrad_eps", "radius", "init_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
+        for name in ("rho1", "rho2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError("penalty weights must be nonnegative")
-        if self.radius <= 0 or self.init_scale <= 0:
-            raise ValueError("radius and init_scale must be positive")
         if self.sparsity_cap is not None and self.sparsity_cap < 0:
             raise ValueError("sparsity_cap must be nonnegative")
 

@@ -13,7 +13,7 @@ Two evaluation regimes:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .models import (
     ScoreModel,
     ShapeError,
     Triple,
+    edge_key,
     scores,
     sigmoid,
 )
@@ -148,48 +149,113 @@ Validity = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 # so memory stays flat however large the test set is.
 _RANK_BLOCK = 1 << 16
 
+_SLOT_COLUMN = {"head": 0, "tail": 1, "relation": 2}
+
+
+def _triple_columns(triples) -> np.ndarray:
+    """(n, 3) int64 (head, tail, relation) rows of an (n, 3) array or of
+    a collection of (head, tail, rel) tuples / Triples."""
+    if isinstance(triples, np.ndarray):
+        if triples.ndim != 2 or triples.shape[1] != 3:
+            raise ShapeError("triple arrays must have shape (n, 3)")
+        return triples.astype(np.int64, copy=False)
+    return np.array([(it.head, it.tail, it.rel) if isinstance(it, Triple)
+                     else tuple(it) for it in triples],
+                    dtype=np.int64).reshape(-1, 3)
+
+
+def _grid_slot(cols) -> Optional[int]:
+    """The slot whose (1, width) row 0..width-1 meets (rows, 1) columns
+    in the other two slots, or None for any other argument shapes."""
+    if any(c.ndim != 2 for c in cols):
+        return None
+    for slot, c in enumerate(cols):
+        others = [o for i, o in enumerate(cols) if i != slot]
+        if c.shape[0] == 1 and all(o.shape[1] == 1 for o in others) and \
+                np.array_equal(c[0], np.arange(c.shape[1])):
+            return slot
+    return None
+
 
 def as_validity(truth_labels) -> Validity:
     """Normalize a truth oracle to a vectorized (h, t, r) -> bool map.
 
-    A callable passes through unchanged.  A dense boolean array of shape
-    (N, N, K), or a collection of (head, tail, rel) tuples / Triples,
-    becomes one sorted int64 array of known edge keys (h*N + t)*K + r,
-    probed with ``np.searchsorted``, so memory is O(known triples).  A
-    candidate with an index beyond every known triple's is never true.
+    A callable passes through unchanged and is probed with flat index
+    arrays.  A dense boolean array of shape (N, N, K), an (n, 3) array
+    of (head, tail, relation) rows, or a collection of (head, tail, rel)
+    tuples / Triples becomes a lookup over sorted int64 keys of the
+    known triples, one array per slot, with that slot's index as the
+    least significant digit: (h*K + r)*N + t for tails, (t*K + r)*N + h
+    for heads, (h*N + t)*K + r for relations.  Memory is O(known
+    triples).  The lookup takes index arrays that broadcast together
+    and returns their broadcast shape.  Given (rows, 1) columns and a
+    (1, width) row 0..width-1 in one slot, each row's true corruptions
+    are one run of that slot's keys, found by two ``searchsorted``
+    calls; any other shapes are probed key by key.  A candidate with an
+    index beyond every known triple's is never true.
     """
     if callable(truth_labels):
         return truth_labels
-    if isinstance(truth_labels, np.ndarray):
-        if truth_labels.ndim != 3:
-            raise ShapeError("dense truth table must have shape (N, N, K)")
-        nh, nt, nr = truth_labels.shape
-        keys = np.flatnonzero(truth_labels)
+    if isinstance(truth_labels, np.ndarray) and truth_labels.ndim == 3:
+        sizes = truth_labels.shape
+        known = np.argwhere(truth_labels)
     else:
-        cols = np.array([(it.head, it.tail, it.rel) if isinstance(it, Triple)
-                         else tuple(it) for it in truth_labels],
-                        dtype=np.int64).reshape(-1, 3)
-        if cols.size and cols.min() < 0:
+        # a copy: the keys are built from it on first use
+        known = _triple_columns(truth_labels).copy()
+        if known.size and known.min() < 0:
             raise ValueError("known triples must have non-negative indices")
-        nh, nt, nr = (int(c) for c in cols.max(axis=0, initial=-1) + 1)
-        if nh * nt * nr > np.iinfo(np.int64).max:
-            raise ValueError("known triple indices overflow int64 edge keys")
-        h, t, r = cols.T
-        keys = np.unique((h * nt + t) * nr + r)
-    # a sentinel above every key lets each probe read keys[pos] unguarded
-    keys = np.append(keys, np.iinfo(np.int64).max)
+        sizes = tuple(int(c) for c in known.max(axis=0, initial=-1) + 1)
+    if sizes[0] * sizes[1] * sizes[2] > np.iinfo(np.int64).max:
+        raise ValueError("known triple indices overflow int64 edge keys")
+    # slot -> the other two slots, in key order
+    prefix = {s: tuple(i for i in range(3) if i != s) for s in range(3)}
+    keys = {}  # slot -> its sorted keys, built on first use
+
+    def slot_keys(s):
+        if s not in keys:
+            a, b = prefix[s]
+            # a sentinel above every key lets a probe read keys[pos] unguarded
+            keys[s] = np.append(
+                np.unique(edge_key(known[:, a], known[:, b], known[:, s],
+                                   sizes[b], sizes[s])),
+                np.iinfo(np.int64).max)
+        return keys[s]
+
+    def ranges(slot, cols):
+        a, b = np.broadcast_arrays(*(cols[i][:, 0] for i in prefix[slot]))
+        (na, nb), ns = (sizes[i] for i in prefix[slot]), sizes[slot]
+        rows, width = len(a), cols[slot].shape[1]
+        first = edge_key(a, b, 0, nb, ns)  # the row's smallest key
+        inside = (a >= 0) & (a < na) & (b >= 0) & (b < nb)
+        sorted_keys = slot_keys(slot)
+        lo = np.searchsorted(sorted_keys, first)
+        hi = np.where(inside, np.searchsorted(sorted_keys, first + ns), lo)
+        run = hi - lo
+        row = np.repeat(np.arange(rows), run)
+        # position of each true key in sorted_keys: lo of its row plus
+        # its place within the row's run
+        at = np.arange(len(row)) + np.repeat(lo - (np.cumsum(run) - run), run)
+        digit = sorted_keys[at] - first[row]
+        keep = digit < width
+        mask = np.zeros((rows, width), dtype=bool)
+        mask[row[keep], digit[keep]] = True
+        return mask
 
     def lookup(h, t, r):
-        h, t, r = (np.asarray(a, dtype=np.int64) for a in (h, t, r))
-        key = (h * nt + t) * nr + r
-        inside = ((h >= 0) & (h < nh) & (t >= 0) & (t < nt)
-                  & (r >= 0) & (r < nr))
-        return inside & (keys[np.searchsorted(keys, key)] == key)
+        cols = [np.asarray(a, dtype=np.int64) for a in (h, t, r)]
+        slot = _grid_slot(cols)
+        if slot is not None:
+            return ranges(slot, cols)
+        h, t, r = cols
+        key = edge_key(h, t, r, sizes[1], sizes[2])
+        inside = ((h >= 0) & (h < sizes[0]) & (t >= 0) & (t < sizes[1])
+                  & (r >= 0) & (r < sizes[2]))
+        sorted_keys = slot_keys(2)
+        return inside & (sorted_keys[np.searchsorted(sorted_keys, key)] == key)
 
+    # functools.wraps copies this flag, so a wrapper keeps the grid call
+    lookup.takes_grid = True
     return lookup
-
-
-_SLOT_COLUMN = {"head": 0, "tail": 1, "relation": 2}
 
 
 def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
@@ -198,9 +264,11 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     """Filtered ranks of a block of test triples in one slot.
 
     ``heads``/``tails``/``rels`` are parallel int64 arrays, one row per
-    test triple.  All rows' candidates are filtered with one ``valid``
-    call on flat index arrays and scored with one broadcast ``scores``
-    call on the (rows, 1) / (1, width) columns.
+    test triple.  All rows' candidates are scored with one broadcast
+    ``scores`` call on the (rows, 1) / (1, width) columns and filtered
+    with one ``valid`` call: on those same columns for an
+    ``as_validity`` lookup, on flat (rows * width) index arrays for any
+    other callable.
     """
     if slot not in _SLOT_COLUMN:
         raise ValueError(f"unknown slot {slot!r}")
@@ -210,8 +278,11 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     cols = [heads[:, None], tails[:, None], rels[:, None]]
     pos = cols[col][:, 0]
     cols[col] = np.arange(width, dtype=np.int64)[None, :]
-    hs, ts, rs = (np.broadcast_to(c, (rows, width)).ravel() for c in cols)
-    is_true = np.asarray(valid(hs, ts, rs), dtype=bool).reshape(rows, width)
+    if getattr(valid, "takes_grid", False):
+        is_true = np.asarray(valid(*cols), dtype=bool)
+    else:
+        hs, ts, rs = (np.broadcast_to(c, (rows, width)).ravel() for c in cols)
+        is_true = np.asarray(valid(hs, ts, rs), dtype=bool).reshape(rows, width)
     row = np.arange(rows)
     if not is_true[row, pos].all():
         raise ValueError("target triple is not marked true in the filter")
@@ -258,25 +329,26 @@ class RankReport:
     n_triples: int
 
 
-def rank_report(model: ScoreModel, params: ModelParams,
-                test_triples: Sequence[Triple], truth_labels,
-                shape: NetworkShape,
+def rank_report(model: ScoreModel, params: ModelParams, test_triples,
+                truth_labels, shape: NetworkShape,
                 entity_hits: Iterable[int] = (10,),
                 relation_hits: Iterable[int] = (1,)) -> RankReport:
     """Mean rank / mean reciprocal rank / hits@q over a test set.
 
-    Works through the test set in blocks of about ``_RANK_BLOCK``
-    candidates per slot; each rank equals ``rank_edge``'s.  Parameters
-    holding NaN or inf raise ``ValueError``, as in ``rank_edge``: a NaN
-    score compares false with everything, so it would still get a rank.
+    ``test_triples`` is an (n, 3) int64 array of (head, tail, relation)
+    rows or a sequence of Triples; ``truth_labels`` takes any form
+    ``as_validity`` accepts.  Works through the test set in blocks of
+    about ``_RANK_BLOCK`` candidates per slot; each rank equals
+    ``rank_edge``'s.  Parameters holding NaN or inf raise
+    ``ValueError``, as in ``rank_edge``: a NaN score compares false
+    with everything, so it would still get a rank.
     """
-    test = list(test_triples)
-    if not test:
+    cols = _triple_columns(test_triples).T
+    n_test = cols.shape[1]
+    if not n_test:
         raise ValueError("empty test set")
     params.check_finite()
     valid = as_validity(truth_labels)
-    cols = np.array([(tr.head, tr.tail, tr.rel) for tr in test],
-                    dtype=np.int64).T
     ranks = {}
     for slot in _SLOT_COLUMN:
         width = shape.n_relations if slot == "relation" else shape.n_entities
@@ -284,7 +356,7 @@ def rank_report(model: ScoreModel, params: ModelParams,
         ranks[slot] = np.concatenate([
             _filtered_ranks(model, params, *cols[:, i:i + step], slot, valid,
                             shape)
-            for i in range(0, len(test), step)])
+            for i in range(0, n_test, step)])
     # head and tail ranks interleave per triple, as rank_edge would list them
     ent_ranks = np.stack([ranks["head"], ranks["tail"]], axis=1).ravel()
     rel_ranks = ranks["relation"]
@@ -295,4 +367,4 @@ def rank_report(model: ScoreModel, params: ModelParams,
 
     mr_e, mrr_e, hits_e = summarize(ent_ranks, entity_hits)
     mr_r, mrr_r, hits_r = summarize(rel_ranks, relation_hits)
-    return RankReport(mr_e, mrr_e, hits_e, mr_r, mrr_r, hits_r, len(test))
+    return RankReport(mr_e, mrr_e, hits_e, mr_r, mrr_r, hits_r, n_test)

@@ -12,14 +12,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ._rng import derive_seed
-from .estimation import Observation
-from .models import ModelParams, ScoreModel, NetworkShape, Triple
-from .simulation import _decode
+from .models import ModelParams, ScoreModel, NetworkShape, edge_key
+from .simulation import _decode, _distinct_uniform
 
 __all__ = [
     "TripleParseError",
@@ -62,14 +61,15 @@ class ConfigError(ValueError):
 class TripleDataset:
     """Named triples mapped onto dense indices.
 
-    ``duplicates`` counts input lines dropped because an identical
-    triple appeared earlier in the same file.
+    ``positives`` is an (n, 3) int64 array of (head, tail, relation)
+    index rows in file order, duplicates removed; ``duplicates`` counts
+    the input lines dropped because an identical triple appeared
+    earlier in the same file.
     """
 
     entity_vocab: Dict[str, int]
     relation_vocab: Dict[str, int]
-    positives: List[Triple]
-    negatives: Optional[List[Triple]] = None
+    positives: np.ndarray
     duplicates: int = 0
 
     @property
@@ -81,35 +81,51 @@ class TripleDataset:
         return len(self.relation_vocab)
 
 
+def _indices(names: List[str], vocab: Dict[str, int]) -> np.ndarray:
+    """Vocabulary indices of ``names``; unseen names join the vocabulary
+    in order of first appearance."""
+    for name in dict.fromkeys(names):
+        vocab.setdefault(name, len(vocab))
+    return np.fromiter(map(vocab.__getitem__, names), dtype=np.int64,
+                       count=len(names))
+
+
 def _parse_lines(path, order: Sequence[str], evocab: Dict[str, int],
-                 rvocab: Dict[str, int]) -> Tuple[List[Triple], int]:
+                 rvocab: Dict[str, int]) -> Tuple[np.ndarray, int]:
     order = tuple(order)
     if sorted(order) != ["head", "relation", "tail"]:
         raise ValueError(f"column_order must permute head/relation/tail, got {order}")
-    triples: List[Triple] = []
-    seen = set()
-    duplicates = 0
+    # text mode reads "\r\n" and a lone "\r" as "\n", as iterating the
+    # file line by line would
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TripleParseError(
-                    f"{path}: line {lineno}: expected 3 tab-separated "
-                    f"fields, got {len(fields)}")
-            named = dict(zip(order, fields))
-            h = evocab.setdefault(named["head"], len(evocab))
-            t = evocab.setdefault(named["tail"], len(evocab))
-            r = rvocab.setdefault(named["relation"], len(rvocab))
-            key = (h, t, r)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            triples.append(Triple(h, t, r))
-    return triples, duplicates
+        lines = fh.read().split("\n")
+    kept = [i for i, line in enumerate(lines) if line.strip()]
+    if not kept:
+        return np.empty((0, 3), dtype=np.int64), 0
+    lines = [lines[i] for i in kept]
+    tabs = np.fromiter(map(str.count, lines, ["\t"] * len(lines)),
+                       dtype=np.int64, count=len(lines))
+    bad = np.flatnonzero(tabs != 2)
+    if len(bad):
+        raise TripleParseError(
+            f"{path}: line {kept[bad[0]] + 1}: expected 3 tab-separated "
+            f"fields, got {tabs[bad[0]] + 1}")
+    fields = "\t".join(lines).split("\t")
+    named = {name: fields[i::3] for i, name in enumerate(order)}
+    # entities are numbered head before tail within a line
+    ents = [""] * (2 * len(lines))
+    ents[0::2], ents[1::2] = named["head"], named["tail"]
+    ht = _indices(ents, evocab).reshape(-1, 2)
+    rels = _indices(named["relation"], rvocab)
+    triples = np.column_stack([ht, rels])
+    # keep each triple's first line
+    n, k = len(evocab), len(rvocab)
+    if n * n * k <= np.iinfo(np.int64).max:
+        _, first = np.unique(edge_key(*triples.T, n, k), return_index=True)
+    else:  # edge keys would overflow int64
+        _, first = np.unique(triples, axis=0, return_index=True)
+    first.sort()
+    return triples[first], len(triples) - len(first)
 
 
 def load_triples(path, column_order: Sequence[str] = COLUMN_ORDERS["hrt"]
@@ -122,7 +138,7 @@ def load_triples(path, column_order: Sequence[str] = COLUMN_ORDERS["hrt"]
     evocab: Dict[str, int] = {}
     rvocab: Dict[str, int] = {}
     triples, dups = _parse_lines(path, column_order, evocab, rvocab)
-    if not triples:
+    if not len(triples):
         raise ValueError(f"{path}: no triples found")
     return TripleDataset(evocab, rvocab, triples, duplicates=dups)
 
@@ -140,57 +156,36 @@ def load_triple_split(paths: Sequence, column_order: Sequence[str] =
     out = []
     for path in paths:
         triples, dups = _parse_lines(path, column_order, evocab, rvocab)
-        if not triples:
+        if not len(triples):
             raise ValueError(f"{path}: no triples found")
         out.append(TripleDataset(evocab, rvocab, triples, duplicates=dups))
     return out
 
 
-def _linearize(triples: Sequence[Triple], shape: NetworkShape) -> np.ndarray:
-    n, k = shape.n_entities, shape.n_relations
-    return np.asarray([(tr.head * n + tr.tail) * k + tr.rel for tr in triples],
-                      dtype=np.int64)
-
-
 def sample_negatives(dataset: TripleDataset, ratio: float,
-                     shape: NetworkShape, seed: int) -> List[Observation]:
-    """Draw ceil(ratio * |positives|) label-0 edges avoiding positives.
+                     shape: NetworkShape, seed: int) -> np.ndarray:
+    """Draw ceil(ratio * |positives|) edges avoiding positives, to be
+    labelled 0.
 
     Uniform over the non-positive part of the edge universe, without
-    replacement, deterministic per seed.
+    replacement, deterministic per seed.  Returns an (m, 3) int64 array
+    of (head, tail, relation) rows in linear-index order.  A ratio that
+    is negative or not finite raises ``ValueError``.
     """
-    if ratio < 0:
-        raise ValueError("ratio must be nonnegative")
+    if not (math.isfinite(ratio) and ratio >= 0):
+        raise ValueError(f"ratio must be finite and nonnegative, got {ratio!r}")
     count = math.ceil(ratio * len(dataset.positives))
     if count == 0:
-        return []
-    total = shape.n_edges
-    pos = np.unique(_linearize(dataset.positives, shape))
-    if count > total - len(pos):
+        return np.empty((0, 3), dtype=np.int64)
+    n, k = shape.n_entities, shape.n_relations
+    pos = np.unique(edge_key(*dataset.positives.T, n, k))
+    if count > shape.n_edges - len(pos):
         raise ValueError(
-            f"cannot draw {count} negatives: only {total - len(pos)} "
+            f"cannot draw {count} negatives: only {shape.n_edges - len(pos)} "
             "non-positive edges exist")
     rng = np.random.default_rng(derive_seed(seed, _TAG_NEGATIVES))
-    if total <= (1 << 22):
-        pool = np.setdiff1d(np.arange(total, dtype=np.int64), pos,
-                            assume_unique=True)
-        chosen = np.sort(rng.permutation(pool)[:count])
-    else:
-        # rejection sampling in draw order; collisions with positives or
-        # earlier draws are simply redrawn
-        draws = np.empty(0, dtype=np.int64)
-        while True:
-            need = count + 4 * (count * count // total + 1) + 64
-            draws = np.concatenate([draws, rng.integers(0, total, size=need)])
-            _, first = np.unique(draws, return_index=True)
-            first.sort()
-            distinct = draws[first]
-            distinct = distinct[~np.isin(distinct, pos)]
-            if len(distinct) >= count:
-                chosen = np.sort(distinct[:count])
-                break
-    return [Observation(Triple(int(h), int(t), int(r)), 0)
-            for h, t, r in zip(*_decode(chosen, shape))]
+    chosen = _distinct_uniform(rng, shape.n_edges, count, avoid=pos)
+    return np.column_stack(_decode(chosen, shape))
 
 
 def save_checkpoint(params: ModelParams, model: ScoreModel, path) -> None:

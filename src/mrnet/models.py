@@ -29,6 +29,7 @@ __all__ = [
     "ShapeError",
     "Triple",
     "NetworkShape",
+    "edge_key",
     "ScoreModel",
     "ModelParams",
     "sigmoid",
@@ -84,6 +85,19 @@ class NetworkShape:
     @property
     def expected_observations(self) -> float:
         return self.obs_rate * self.n_edges
+
+
+def edge_key(a, b, c, nb: int, nc: int) -> np.ndarray:
+    """Mixed-radix int64 key (a*nb + b)*nc + c of three index arrays.
+
+    ``edge_key(heads, tails, rels, N, K)`` is an edge's linear index
+    (h*N + t)*K + r, the order in which ``simulation._decode`` reads it
+    back.  Keys sort by ``a``, then ``b``, then ``c``; the ranking
+    filter puts the corrupted slot in ``c`` so that each test row's
+    true corruptions form one contiguous run of its sorted keys.
+    """
+    return (np.asarray(a, dtype=np.int64) * nb
+            + np.asarray(b, dtype=np.int64)) * nc + np.asarray(c, dtype=np.int64)
 
 
 @dataclasses.dataclass(frozen=True)

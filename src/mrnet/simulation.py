@@ -21,7 +21,7 @@ from ._rng import counter_uniforms, derive_seed
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import EvalReport, evaluate_losses
 from .models import ModelParams, NetworkShape, ScoreModel, Triple, \
-    edge_probabilities, scores
+    edge_key, edge_probabilities, scores
 
 __all__ = [
     "GenSpec",
@@ -120,17 +120,12 @@ class LabelSampler:
         self.shape = shape
         self._key = derive_seed(seed, _TAG_LABELS)
 
-    def linear_index(self, heads, tails, rels) -> np.ndarray:
-        n, k = self.shape.n_entities, self.shape.n_relations
-        return (np.asarray(heads, dtype=np.int64) * n
-                + np.asarray(tails, dtype=np.int64)) * k \
-            + np.asarray(rels, dtype=np.int64)
-
     def probabilities(self, heads, tails, rels) -> np.ndarray:
         return edge_probabilities(self.model, self.truth, heads, tails, rels)
 
     def labels(self, heads, tails, rels) -> np.ndarray:
-        u = counter_uniforms(self._key, self.linear_index(heads, tails, rels))
+        n, k = self.shape.n_entities, self.shape.n_relations
+        u = counter_uniforms(self._key, edge_key(heads, tails, rels, n, k))
         return (u < self.probabilities(heads, tails, rels)).astype(np.int8)
 
     def label(self, edge: Triple) -> int:
@@ -150,25 +145,40 @@ def _decode(linear: np.ndarray, shape: NetworkShape):
     return pair // n, pair % n, rels
 
 
-def _distinct_uniform(rng: np.random.Generator, total: int,
-                      count: int) -> np.ndarray:
-    """``count`` distinct integers from [0, total), uniform over subsets."""
-    if count > total:
+def _distinct_uniform(rng: np.random.Generator, total: int, count: int,
+                      avoid: Optional[np.ndarray] = None) -> np.ndarray:
+    """``count`` distinct integers from [0, total), sorted, uniform over
+    subsets; with ``avoid`` (a sorted array of distinct integers in that
+    range) the subsets exclude its values.
+
+    Up to 2^22 (and, without ``avoid``, for dense draws) it takes the
+    first ``count`` of a permutation of the allowed values; beyond, it
+    draws with rejection.
+    """
+    free = total if avoid is None else total - len(avoid)
+    if count > free:
         raise ValueError("count exceeds population size")
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    if total <= (1 << 22) or 3 * count >= total:
+    if avoid is None and (total <= (1 << 22) or 3 * count >= total):
         return np.sort(rng.permutation(total)[:count].astype(np.int64))
+    if total <= (1 << 22):
+        pool = np.setdiff1d(np.arange(total, dtype=np.int64), avoid,
+                            assume_unique=True)
+        return np.sort(rng.permutation(pool)[:count])
     # Rejection sampling, vectorized: keep the first `count` distinct
-    # values in draw order, which matches drawing one at a time.
+    # allowed values in draw order, which matches drawing one at a time.
     draws = np.empty(0, dtype=np.int64)
     while True:
         need = count + 4 * (count * count // total + 1) + 64
         draws = np.concatenate([draws, rng.integers(0, total, size=need)])
         _, first = np.unique(draws, return_index=True)
-        if len(first) >= count:
-            first.sort()  # chronological order of first occurrences
-            return np.sort(draws[first[:count]])
+        first.sort()  # chronological order of first occurrences
+        distinct = draws[first]
+        if avoid is not None:
+            distinct = distinct[~np.isin(distinct, avoid, assume_unique=True)]
+        if len(distinct) >= count:
+            return np.sort(distinct[:count])
 
 
 def sample_observations(shape: NetworkShape, labels: LabelSampler, seed: int,

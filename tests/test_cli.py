@@ -228,6 +228,59 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert run_cli(["train", "--config", cfg2]) == 3
 
 
+def train_config_with(tmp_path, key, value):
+    """TRAIN_CONFIG with ``key`` set to ``value`` (replacing any line)."""
+    ckpt = tmp_path / "model.ckpt"
+    text = TRAIN_CONFIG.format(triples=triple_file(tmp_path, "train.tsv"),
+                               ckpt=ckpt)
+    lines = [ln for ln in text.splitlines() if not ln.startswith(key + " ")]
+    return write(tmp_path / "t.ini", "\n".join(lines + [f"{key} = {value}"])
+                 + "\n"), ckpt
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_bad_negative_ratio_exits_2(tmp_path, capsys, value):
+    cfg, ckpt = train_config_with(tmp_path, "negative_ratio", value)
+    assert run_cli(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'negative_ratio' must be finite")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["learning_rate", "adagrad_eps", "rho1",
+                                 "rho2", "radius", "init_scale"])
+def test_non_finite_train_setting_exits_2(tmp_path, capsys, key, value):
+    cfg, ckpt = train_config_with(tmp_path, key, value)
+    assert run_cli(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be "
+                                              "finite")
+    assert not ckpt.exists()
+
+
+def test_train_labels_positives_then_negatives(tmp_path, capsys, monkeypatch):
+    # mrnet train hands train() the file's triples labelled 1, then the
+    # sampled negatives labelled 0, in that order
+    import mrnet.cli
+    from mrnet.io import load_triples, sample_negatives
+    from mrnet.models import NetworkShape
+
+    seen = []
+    real_train = mrnet.cli.train
+    monkeypatch.setattr(mrnet.cli, "train",
+                        lambda *a: seen.append(a[2]) or real_train(*a))
+    cfg, _ = train_config_with(tmp_path, "negative_ratio", "1.5")
+    assert run_cli(["train", "--config", cfg]) == 0
+    (obs,) = seen
+    ds = load_triples(tmp_path / "train.tsv")
+    negs = sample_negatives(ds, 1.5, obs.shape, seed=1)
+    assert obs.shape == NetworkShape(12, 2, 150 / 288)
+    assert len(negs) == 90
+    edges = np.column_stack([obs.heads, obs.tails, obs.rels])
+    assert edges.tolist() == ds.positives.tolist() + negs.tolist()
+    assert obs.labels.tolist() == [1] * 60 + [0] * 90
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     assert run_cli(["simulate", "--config", "x", "--bogus"]) == 2
     assert run_cli(["frobnicate"]) == 2

@@ -296,6 +296,14 @@ def test_train_rejects_bad_inputs():
         TrainConfig(epochs=1, radius=-1.0).validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["learning_rate", "adagrad_eps", "rho1", "rho2",
+                                 "radius", "init_scale"])
+def test_train_config_rejects_non_finite_values(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        TrainConfig(epochs=1, **{key: value}).validate()
+
+
 def test_train_l1_penalty_shrinks_parameters():
     model, shape, obs = small_problem(seed=8)
     free = train(model, shape, obs,
@@ -328,19 +336,23 @@ def test_train_raises_on_non_finite_objective():
     from mrnet.simulation import ExperimentGrid, GenSpec, run_grid
 
     model, shape, obs = small_problem(seed=10)
+    # a finite radius no row reaches: coordinates of about 1e150 (or steps
+    # of 1e140) stay inside it, while scores, products of three such
+    # coordinates, overflow
+    huge = 1e300
     with np.errstate(all="ignore"):
         # non-finite at the initial point ...
         with pytest.raises(ValueError, match="objective is nan after 0 epochs"):
             train(model, shape, obs, TrainConfig(
-                epochs=2, radius=math.inf, init_scale=1e300))
+                epochs=2, radius=huge, init_scale=1e150))
         # ... and after a step that leaves the representable range
         with pytest.raises(ValueError, match="after 1 epochs"):
             train(model, shape, obs, TrainConfig(
-                epochs=2, radius=math.inf, learning_rate=1e200))
+                epochs=2, radius=huge, learning_rate=1e140))
         # a grid cell still records the failure instead of raising
         grid = ExperimentGrid(
             gen=GenSpec(model, NetworkShape(6, 2), seed=3),
-            train=TrainConfig(epochs=2, radius=math.inf, init_scale=1e300),
+            train=TrainConfig(epochs=2, radius=huge, init_scale=1e150),
             entity_counts=(6,), obs_rates=(1.0,), fit_radius_from_truth=False)
         (row,) = run_grid(grid)
     assert row.error == "ValueError: objective is nan after 0 epochs"

@@ -539,3 +539,131 @@ def test_evaluate_losses_rejects_non_finite_params(which, array):
         with pytest.raises(ValueError, match=f"{which} {array} hold NaN"):
             evaluate_losses(model, params["fitted"], params["truth"],
                             **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the per-slot key ranges behind as_validity's grid call
+
+
+def grid_call(lookup, slot, fixed, width):
+    """``lookup`` on (rows, 1) columns with a (1, width) 0..width-1 row."""
+    cols = [np.array(c, dtype=np.int64)[:, None] for c in fixed]
+    cols.insert(slot, np.arange(width, dtype=np.int64)[None, :])
+    return lookup(*cols)
+
+
+@pytest.mark.parametrize("form", ("tuples", "array", "dense"))
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_grid_lookup_has_no_key_aliasing(form, slot):
+    # known ranges (3, 2, 2): tail keys (h*2 + r)*2 + t, so a row (h, r=2)
+    # would start where row (h+1, r=0) does if rows beyond a known range
+    # were not dropped; a width of 1 cuts known triples off the row
+    known = {(1, 0, 0), (0, 1, 1), (2, 1, 0), (2, 0, 1)}
+    if form == "array":
+        truth = np.array(sorted(known))
+    elif form == "dense":
+        truth = np.zeros((3, 2, 2), dtype=bool)
+        for tr in known:
+            truth[tr] = True
+    else:
+        truth = set(known)
+    lookup = as_validity(truth)
+    span = range(-1, 6)  # past every known index, and negative
+    fixed = [(a, b) for a in span for b in span]
+    for width in (1, 2, 3, 7):
+        got = grid_call(lookup, slot, list(zip(*fixed)), width)
+        assert got.shape == (len(fixed), width) and got.dtype == bool
+        for (a, b), row in zip(fixed, got):
+            want = []
+            for i in range(width):
+                tr = [a, b]
+                tr.insert(slot, i)
+                want.append(tuple(tr) in known)
+            assert row.tolist() == want, (a, b, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                         st.integers(0, 3)), max_size=40),
+       st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7),
+                          st.integers(-1, 5)), min_size=1, max_size=12),
+       st.integers(0, 2), st.integers(1, 9))
+def test_grid_lookup_matches_flat_probe(known, rows, slot, width):
+    lookup = as_validity(known)
+    fixed = [[row[i] for row in rows] for i in range(3) if i != slot]
+    got = grid_call(lookup, slot, fixed, width)
+    cols = [np.repeat(np.array(c), width) for c in fixed]
+    cols.insert(slot, np.tile(np.arange(width), len(rows)))
+    flat = lookup(*cols)  # 1-d arrays: probed key by key
+    assert flat.tolist() == [tr in known for tr in zip(*map(list, cols))]
+    assert got.tolist() == flat.reshape(len(rows), width).tolist()
+
+
+def test_rank_report_row_whose_every_corruption_is_true():
+    model, shape, params, valid = random_kb(18)
+    n, k = shape.n_entities, shape.n_relations
+    valid |= {(2, t, 1) for t in range(n)}  # every tail of (2, ., 1)
+    valid |= {(h, 4, 0) for h in range(n)}  # every head of (., 4, 0)
+    valid |= {(5, 3, r) for r in range(k)}  # every relation of (5, 3, .)
+    tests = [Triple(2, 6, 1), Triple(1, 4, 0), Triple(5, 3, 2)]
+    assert rank_edge(model, params, tests[0], "tail", valid, shape) == 1.0
+    assert rank_edge(model, params, tests[1], "head", valid, shape) == 1.0
+    assert rank_edge(model, params, tests[2], "relation", valid, shape) == 1.0
+    got = rank_report(model, params, tests, valid, shape,
+                      entity_hits=(1, 3), relation_hits=(1,))
+    want = expected_report(brute_rank, model, params, tests, valid, shape,
+                           (1, 3), (1,))
+    assert report_fields(got) == want
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rank_report_takes_triple_arrays(kind):
+    rng = np.random.default_rng(19)
+    n, k = 40, 3
+    model = ScoreModel(kind, 3)
+    shape = NetworkShape(n, k)
+    params = make_params(model, n, k, rng)
+    lin = rng.choice(n * n * k, size=900, replace=False)
+    known = np.column_stack([lin // k // n, lin // k % n, lin % k])
+    tests = known[::7]
+    as_triples = [Triple(*map(int, tr)) for tr in tests]
+    want = rank_report(model, params, as_triples, set(map(tuple, known.tolist())),
+                       shape, entity_hits=(1, 10), relation_hits=(1,))
+    for test_form in (tests, tests.astype(np.int32), as_triples):
+        for known_form in (known, [Triple(*map(int, tr)) for tr in known]):
+            got = rank_report(model, params, test_form, known_form, shape,
+                              entity_hits=(1, 10), relation_hits=(1,))
+            assert got == want
+    with pytest.raises(ShapeError):
+        rank_report(model, params, tests[:, :2], known, shape)
+    with pytest.raises(ValueError, match="empty"):
+        rank_report(model, params, tests[:0], known, shape)
+
+
+def test_wrapped_lookup_keeps_the_grid_call():
+    # a functools.wraps wrapper (as a tracer installs) still receives the
+    # (rows, 1) / (1, width) columns and gives the same ranks
+    import functools
+
+    model, shape, params, valid = random_kb(20)
+    tests = [Triple(*tr) for tr in sorted(valid)[::3]]
+    shapes = []
+    real = evaluation.as_validity
+
+    def as_validity_wrapped(truth):
+        lookup = real(truth)
+
+        @functools.wraps(lookup)
+        def wrapper(h, t, r):
+            shapes.append(np.broadcast_shapes(np.shape(h), np.shape(t),
+                                              np.shape(r)))
+            return lookup(h, t, r)
+
+        return wrapper
+
+    want = rank_report(model, params, tests, valid, shape)
+    with mock.patch.object(evaluation, "as_validity", as_validity_wrapped):
+        got = rank_report(model, params, tests, valid, shape)
+    assert got == want
+    n, k = shape.n_entities, shape.n_relations
+    assert shapes == [(len(tests), n), (len(tests), n), (len(tests), k)]

@@ -1,7 +1,13 @@
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
+from mrnet._rng import derive_seed
 from mrnet.io import (
     COLUMN_ORDERS,
     CheckpointError,
@@ -15,6 +21,7 @@ from mrnet.io import (
     save_checkpoint,
 )
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple
+from mrnet.simulation import _decode
 
 
 def write(tmp_path, name, text):
@@ -30,8 +37,8 @@ def test_load_triples_default_order(tmp_path):
     assert ds.n_relations == 1
     assert ds.entity_vocab == {"a": 0, "b": 1}
     assert ds.relation_vocab == {"r1": 0}
-    tr = ds.positives[0]
-    assert (tr.head, tr.tail, tr.rel) == (0, 1, 0)
+    assert ds.positives.dtype == np.int64
+    assert ds.positives.tolist() == [[0, 1, 0]]  # (head, tail, relation)
     assert ds.duplicates == 0
 
 
@@ -41,8 +48,7 @@ def test_load_triples_head_tail_relation_order(tmp_path):
     ds = load_triples(path, COLUMN_ORDERS["htr"])
     assert ds.entity_vocab == {"a": 0, "r1": 1}
     assert ds.relation_vocab == {"b": 0}
-    tr = ds.positives[0]
-    assert (tr.head, tr.tail, tr.rel) == (0, 1, 0)
+    assert ds.positives.tolist() == [[0, 1, 0]]
 
 
 def test_load_triples_vocab_first_appearance_order(tmp_path):
@@ -53,7 +59,7 @@ def test_load_triples_vocab_first_appearance_order(tmp_path):
     assert list(ds.relation_vocab) == ["is_a", "part_of"]
     ds2 = load_triples(path)
     assert ds2.entity_vocab == ds.entity_vocab
-    assert ds2.positives == ds.positives
+    assert_array_equal(ds2.positives, ds.positives)
 
 
 def test_load_triples_duplicates_counted(tmp_path):
@@ -67,6 +73,12 @@ def test_load_triples_blank_lines_skipped(tmp_path):
     path = write(tmp_path, "t.tsv", "a\tr\tb\n\n  \nb\tr\tc\n")
     ds = load_triples(path)
     assert len(ds.positives) == 2
+    # CRLF line ends, a blank CRLF line and a duplicate
+    path = write(tmp_path, "crlf.tsv", "a\tr\tb\r\n\r\nb\tr\tc\na\tr\tb\r\n")
+    ds = load_triples(path)
+    assert ds.entity_vocab == {"a": 0, "b": 1, "c": 2}
+    assert ds.positives.tolist() == [[0, 1, 0], [1, 2, 0]]
+    assert ds.duplicates == 1
 
 
 def test_load_triples_malformed_line(tmp_path):
@@ -76,6 +88,12 @@ def test_load_triples_malformed_line(tmp_path):
     path2 = write(tmp_path, "t2.tsv", "a\tr\tb\tc\n")
     with pytest.raises(TripleParseError, match="expected 3"):
         load_triples(path2)
+    # blank and CRLF lines count; the first of two bad lines is reported
+    path3 = write(tmp_path, "t3.tsv", "a\tr\tb\r\n\r\n \t \nb\tr\ta\n"
+                  "only\ttwo\nx\ty\tz\tw\n")
+    with pytest.raises(TripleParseError,
+                       match="line 5: expected 3 tab-separated fields, got 2"):
+        load_triples(path3)
 
 
 def test_load_triples_empty_file(tmp_path):
@@ -97,13 +115,13 @@ def test_load_triple_split_shares_vocab(tmp_path):
     assert list(te.entity_vocab) == ["a", "b", "c", "d"]
     assert list(te.relation_vocab) == ["r", "r2"]
     # test triples use the shared indices
-    assert (te.positives[0].head, te.positives[0].tail) == (2, 0)
+    assert te.positives[0, :2].tolist() == [2, 0]
 
 
 def dataset_for_negatives():
     vocab_e = {chr(97 + i): i for i in range(5)}
     vocab_r = {"r0": 0, "r1": 1}
-    positives = [Triple(0, 1, 0), Triple(1, 2, 1), Triple(3, 4, 0)]
+    positives = np.array([[0, 1, 0], [1, 2, 1], [3, 4, 0]])
     from mrnet.io import TripleDataset
     return TripleDataset(vocab_e, vocab_r, positives)
 
@@ -113,15 +131,15 @@ def test_sample_negatives_contract():
     shape = NetworkShape(5, 2)
     negs = sample_negatives(ds, 2.0, shape, seed=3)
     assert len(negs) == 6  # ceil(2.0 * 3)
-    pos = {(t.head, t.tail, t.rel) for t in ds.positives}
-    drawn = [(o.edge.head, o.edge.tail, o.edge.rel) for o in negs]
+    assert negs.dtype == np.int64 and negs.shape == (6, 3)
+    pos = set(map(tuple, ds.positives.tolist()))
+    drawn = list(map(tuple, negs.tolist()))
     assert len(set(drawn)) == len(drawn)
     assert not pos.intersection(drawn)
-    assert all(o.label == 0 for o in negs)
     again = sample_negatives(ds, 2.0, shape, seed=3)
-    assert negs == again
-    assert sample_negatives(ds, 2.0, shape, seed=4) != negs
-    assert sample_negatives(ds, 0.0, shape, seed=3) == []
+    assert_array_equal(negs, again)
+    assert not np.array_equal(sample_negatives(ds, 2.0, shape, seed=4), negs)
+    assert sample_negatives(ds, 0.0, shape, seed=3).shape == (0, 3)
 
 
 def test_sample_negatives_fractional_ratio_rounds_up():
@@ -132,11 +150,190 @@ def test_sample_negatives_fractional_ratio_rounds_up():
 
 def test_sample_negatives_exhaustion():
     from mrnet.io import TripleDataset
-    ds = TripleDataset({"a": 0}, {"r": 0}, [Triple(0, 0, 0)])
+    ds = TripleDataset({"a": 0}, {"r": 0}, np.array([[0, 0, 0]]))
     with pytest.raises(ValueError, match="non-positive"):
         sample_negatives(ds, 1.0, NetworkShape(1, 1), seed=0)
     with pytest.raises(ValueError):
         sample_negatives(ds, -0.5, NetworkShape(1, 1), seed=0)
+
+
+def old_sample_negatives(positives, ratio, shape, seed):
+    """The draw loop ``sample_negatives`` used before it called
+    ``simulation._distinct_uniform``, kept as the oracle."""
+    count = math.ceil(ratio * len(positives))
+    n, k = shape.n_entities, shape.n_relations
+    total = shape.n_edges
+    pos = np.unique(np.asarray([(h * n + t) * k + r for h, t, r in positives],
+                               dtype=np.int64))
+    rng = np.random.default_rng(derive_seed(seed, 5))
+    if total <= (1 << 22):
+        pool = np.setdiff1d(np.arange(total, dtype=np.int64), pos,
+                            assume_unique=True)
+        chosen = np.sort(rng.permutation(pool)[:count])
+    else:
+        draws = np.empty(0, dtype=np.int64)
+        while True:
+            need = count + 4 * (count * count // total + 1) + 64
+            draws = np.concatenate([draws, rng.integers(0, total, size=need)])
+            _, first = np.unique(draws, return_index=True)
+            first.sort()
+            distinct = draws[first]
+            distinct = distinct[~np.isin(distinct, pos)]
+            if len(distinct) >= count:
+                chosen = np.sort(distinct[:count])
+                break
+    return np.column_stack(_decode(chosen, shape))
+
+
+@pytest.mark.parametrize("n, k, n_pos, ratio", [
+    (30, 4, 500, 1.5),      # 3,600 slots: a permutation of the free pool
+    (40, 3, 4000, 0.2),     # every free slot of a dense universe
+    (2100, 1, 3000, 2.0),   # 4.41M slots, above 2^22: rejection draws
+    (1500, 3, 50, 40.0),    # 6.75M slots, more negatives than positives
+])
+def test_sample_negatives_draws_match_old_loop(n, k, n_pos, ratio):
+    from mrnet.io import TripleDataset
+    shape = NetworkShape(n, k)
+    rng = np.random.default_rng(n_pos)
+    lin = rng.choice(shape.n_edges, size=n_pos, replace=False)
+    positives = np.column_stack(_decode(lin, shape))
+    ds = TripleDataset({}, {}, positives)
+    for seed in (0, 7):
+        got = sample_negatives(ds, ratio, shape, seed)
+        want = old_sample_negatives(positives.tolist(), ratio, shape, seed)
+        assert got.dtype == np.int64
+        assert_array_equal(got, want)
+
+
+@st.composite
+def negative_cases(draw):
+    # small universes take the permutation branch, N >= 2049 with K = 1
+    # the rejection branch
+    n = draw(st.one_of(st.integers(1, 6), st.integers(2049, 2100)))
+    k = 1 if n > 6 else draw(st.integers(1, 3))
+    shape = NetworkShape(n, k)
+    lin = draw(st.sets(st.integers(0, shape.n_edges - 1), min_size=1,
+                       max_size=min(shape.n_edges, 40)))
+    positives = np.column_stack(_decode(np.array(sorted(lin)), shape))
+    ratio = draw(st.floats(0.0, 3.0))
+    return shape, positives, ratio, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_cases())
+def test_negatives_are_distinct_and_never_positive(case):
+    from mrnet.io import TripleDataset
+    shape, positives, ratio, seed = case
+    count = math.ceil(ratio * len(positives))
+    free = shape.n_edges - len(positives)
+    ds = TripleDataset({}, {}, positives)
+    if count > free:
+        with pytest.raises(ValueError, match="non-positive"):
+            sample_negatives(ds, ratio, shape, seed)
+        return
+    negs = sample_negatives(ds, ratio, shape, seed)
+    assert negs.shape == (count, 3)
+    drawn = list(map(tuple, negs.tolist()))
+    assert len(set(drawn)) == count
+    assert not set(drawn) & set(map(tuple, positives.tolist()))
+    assert negs.min(initial=0) >= 0
+    assert (negs[:, :2] < shape.n_entities).all()
+    assert (negs[:, 2] < shape.n_relations).all()
+
+
+@pytest.mark.parametrize("ratio", [math.inf, math.nan, -1.0])
+def test_sample_negatives_rejects_bad_ratio(ratio):
+    with pytest.raises(ValueError, match="ratio must be finite"):
+        sample_negatives(dataset_for_negatives(), ratio, NetworkShape(5, 2),
+                         seed=0)
+
+
+def old_parse_lines(path, order, evocab, rvocab):
+    """The per-line parser ``_parse_lines`` replaced, kept as the oracle."""
+    triples = []
+    seen = set()
+    duplicates = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise TripleParseError(
+                    f"{path}: line {lineno}: expected 3 tab-separated "
+                    f"fields, got {len(fields)}")
+            named = dict(zip(order, fields))
+            h = evocab.setdefault(named["head"], len(evocab))
+            t = evocab.setdefault(named["tail"], len(evocab))
+            r = rvocab.setdefault(named["relation"], len(rvocab))
+            key = (h, t, r)
+            if key in seen:
+                duplicates += 1
+                continue
+            seen.add(key)
+            triples.append(Triple(h, t, r))
+    return triples, duplicates
+
+
+# a few names, so duplicates and names shared across files are common;
+# "\x0b" and "\u2028" are whitespace to str.strip but no line break to
+# the file reader
+_NAME = st.sampled_from(["a", "b", "c d", "é", " ", "\x0b", "x\u2028y"])
+_BLANK = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\u2028"])
+_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def triple_file_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["triple"] * 6 + ["blank", "bad"]))
+        if kind == "triple":
+            body = "\t".join(draw(st.lists(_NAME, min_size=3, max_size=3)))
+        elif kind == "blank":
+            body = draw(_BLANK)
+        else:
+            body = "\t".join(draw(st.lists(
+                _NAME, min_size=1, max_size=5).filter(lambda f: len(f) != 3)))
+        lines.append(body + draw(_END))
+    text = "".join(lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]  # no line break after the last line
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(triple_file_text(), min_size=1, max_size=3),
+       st.sampled_from(sorted(COLUMN_ORDERS)))
+def test_parser_matches_per_line_oracle(texts, order):
+    columns = COLUMN_ORDERS[order]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(os.path.join(tmp, f"split{i}.tsv"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        evocab, rvocab, want = {}, {}, []
+        try:
+            for path in paths:
+                triples, dups = old_parse_lines(path, columns, evocab, rvocab)
+                if not triples:
+                    raise ValueError(f"{path}: no triples found")
+                want.append((triples, dups))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_triple_split(paths, columns)
+            assert str(got.value) == str(exc)
+            return
+        got = load_triple_split(paths, columns)
+    assert list(got[0].entity_vocab.items()) == list(evocab.items())
+    assert list(got[0].relation_vocab.items()) == list(rvocab.items())
+    for ds, (triples, dups) in zip(got, want):
+        assert ds.positives.dtype == np.int64
+        assert ds.positives.tolist() == [[t.head, t.tail, t.rel]
+                                         for t in triples]
+        assert ds.duplicates == dups
 
 
 @pytest.mark.parametrize("kind", ["distance", "bilinear", "combined"])
