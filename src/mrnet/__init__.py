@@ -19,7 +19,6 @@ from .bounds import (
     tail_bound,
 )
 from .estimation import (
-    Observation,
     ObservationSet,
     SparseGradient,
     TrainConfig,

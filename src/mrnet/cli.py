@@ -88,6 +88,13 @@ def _cfg_int(sec, key, default=None, required=False):
     return _get(sec, key, int, default, required, "an integer")
 
 
+def _cfg_at_least(sec, key, default, low):
+    value = _cfg_int(sec, key, default)
+    if value < low:
+        raise ConfigError(f"key '{key}' must be >= {low}, got {value}")
+    return value
+
+
 def _cfg_float(sec, key, default=None, required=False):
     return _get(sec, key, float, default, required, "a number")
 
@@ -189,8 +196,8 @@ def parse_run_config(path, mode: str, seed_override: Optional[int] = None,
         cfg.model = _model_from(sec)
         cfg.entity_counts = _cfg_ints(sec, "entity_counts", required=True)
         cfg.obs_rates = _cfg_floats(sec, "obs_rates", required=True)
-        cfg.replicates = _cfg_int(sec, "replicates", 1)
-        cfg.eval_cap = _cfg_int(sec, "eval_cap", 1_000_000)
+        cfg.replicates = _cfg_at_least(sec, "replicates", 1, 1)
+        cfg.eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
         cfg.timing = _cfg_bool(sec, "timing", False)
         cfg.output = _cfg_str(sec, "output", required=True)
         n_rel = _cfg_int(sec, "n_relations", required=True)
@@ -217,13 +224,13 @@ def parse_run_config(path, mode: str, seed_override: Optional[int] = None,
         cfg.hits_entity = _cfg_ints(sec, "hits_entity", (10,))
         cfg.hits_relation = _cfg_ints(sec, "hits_relation", (1,))
         cfg.truth_checkpoint = _cfg_str(sec, "truth_checkpoint")
-        cfg.eval_cap = _cfg_int(sec, "eval_cap", 1_000_000)
+        cfg.eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
         cfg.output = _cfg_str(sec, "output", required=True)
     elif mode == "bounds":
         direct = all(sec.get(k) for k in ("n", "m", "sup_score", "lipschitz",
                                           "radius"))
         cfg.t_values = _cfg_floats(sec, "t_values", (0.5, 1.0))
-        cfg.replicates = _cfg_int(sec, "replicates", 0)
+        cfg.replicates = _cfg_at_least(sec, "replicates", 0, 0)
         try:
             if direct:
                 cfg.bound_inputs = BoundInputs(

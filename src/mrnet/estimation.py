@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .models import (
     NetworkShape,
     ScoreModel,
     ShapeError,
-    Triple,
     edge_key,
     score_gradients,
     scores,
@@ -32,7 +31,6 @@ from .models import (
 )
 
 __all__ = [
-    "Observation",
     "ObservationSet",
     "TrainConfig",
     "TrainResult",
@@ -44,14 +42,6 @@ __all__ = [
     "project_l0",
     "train",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class Observation:
-    """One labeled edge: was the edge present (1) or absent (0)?"""
-
-    edge: Triple
-    label: int
 
 
 class ObservationSet:
@@ -87,21 +77,8 @@ class ObservationSet:
         if len(np.unique(lin)) != len(lin):
             raise ValueError("observations contain duplicate edges")
 
-    @classmethod
-    def from_observations(cls, shape: NetworkShape,
-                          obs: Sequence[Observation]) -> "ObservationSet":
-        heads = [o.edge.head for o in obs]
-        tails = [o.edge.tail for o in obs]
-        rels = [o.edge.rel for o in obs]
-        labels = [o.label for o in obs]
-        return cls(shape, heads, tails, rels, labels)
-
     def __len__(self) -> int:
         return len(self.heads)
-
-    def __iter__(self) -> Iterator[Observation]:
-        for h, t, r, y in zip(self.heads, self.tails, self.rels, self.labels):
-            yield Observation(Triple(int(h), int(t), int(r)), int(y))
 
     def positive_rate(self) -> float:
         return float(self.labels.mean()) if len(self) else float("nan")

@@ -143,7 +143,13 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     return EvalReport(kl_sum / count, mse_sum / count, err_sum / count, count)
 
 
-Validity = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# The filter lookup ``as_validity`` builds from known triples (an (n, 3)
+# array, or a collection of (head, tail, rel) tuples or Triples):
+# ``lookup(slot, a, b, width)`` with ``slot`` a column (0 head, 1 tail,
+# 2 relation) and ``a``, ``b`` the block's other two index columns in
+# column order gives the (rows, width) mask of which candidates
+# 0..width-1 in ``slot`` make a known triple.
+Validity = Callable[[int, np.ndarray, np.ndarray, int], np.ndarray]
 
 # Ranking scores at most about this many candidates per ``scores`` call,
 # so memory stays flat however large the test set is.
@@ -151,60 +157,45 @@ _RANK_BLOCK = 1 << 16
 
 _SLOT_COLUMN = {"head": 0, "tail": 1, "relation": 2}
 
+_TRIPLE_FORMS = ("an (n, 3) array or a collection of (head, tail, rel) "
+                 "tuples or Triples")
+
 
 def _triple_columns(triples) -> np.ndarray:
     """(n, 3) int64 (head, tail, relation) rows of an (n, 3) array or of
     a collection of (head, tail, rel) tuples / Triples."""
     if isinstance(triples, np.ndarray):
         if triples.ndim != 2 or triples.shape[1] != 3:
-            raise ShapeError("triple arrays must have shape (n, 3)")
+            raise ShapeError(f"triples must be {_TRIPLE_FORMS}, got an "
+                             f"array of shape {triples.shape}")
         return triples.astype(np.int64, copy=False)
+    if callable(triples):
+        raise TypeError(f"triples must be {_TRIPLE_FORMS}, got a callable")
     return np.array([(it.head, it.tail, it.rel) if isinstance(it, Triple)
                      else tuple(it) for it in triples],
                     dtype=np.int64).reshape(-1, 3)
 
 
-def _grid_slot(cols) -> Optional[int]:
-    """The slot whose (1, width) row 0..width-1 meets (rows, 1) columns
-    in the other two slots, or None for any other argument shapes."""
-    if any(c.ndim != 2 for c in cols):
-        return None
-    for slot, c in enumerate(cols):
-        others = [o for i, o in enumerate(cols) if i != slot]
-        if c.shape[0] == 1 and all(o.shape[1] == 1 for o in others) and \
-                np.array_equal(c[0], np.arange(c.shape[1])):
-            return slot
-    return None
-
-
 def as_validity(truth_labels) -> Validity:
-    """Normalize a truth oracle to a vectorized (h, t, r) -> bool map.
+    """The ranking filter over known triples: an (n, 3) array of (head,
+    tail, relation) rows, or a collection of (head, tail, rel) tuples or
+    Triples.
 
-    A callable passes through unchanged and is probed with flat index
-    arrays.  A dense boolean array of shape (N, N, K), an (n, 3) array
-    of (head, tail, relation) rows, or a collection of (head, tail, rel)
-    tuples / Triples becomes a lookup over sorted int64 keys of the
-    known triples, one array per slot, with that slot's index as the
-    least significant digit: (h*K + r)*N + t for tails, (t*K + r)*N + h
-    for heads, (h*N + t)*K + r for relations.  Memory is O(known
-    triples).  The lookup takes index arrays that broadcast together
-    and returns their broadcast shape.  Given (rows, 1) columns and a
-    (1, width) row 0..width-1 in one slot, each row's true corruptions
-    are one run of that slot's keys, found by two ``searchsorted``
-    calls; any other shapes are probed key by key.  A candidate with an
-    index beyond every known triple's is never true.
+    Returns ``lookup(slot, a, b, width)`` (see ``Validity``).  It keeps
+    sorted int64 keys of the known triples, one array per slot, with
+    that slot's index as the least significant digit: (h*K + r)*N + t
+    for tails, (t*K + r)*N + h for heads, (h*N + t)*K + r for
+    relations, so memory is O(known triples).  Each row's true
+    corruptions are one run of that slot's keys, found by two
+    ``searchsorted`` calls.  The key sizes are inferred from the known
+    triples; a candidate with an index beyond every known triple's is
+    never true.
     """
-    if callable(truth_labels):
-        return truth_labels
-    if isinstance(truth_labels, np.ndarray) and truth_labels.ndim == 3:
-        sizes = truth_labels.shape
-        known = np.argwhere(truth_labels)
-    else:
-        # a copy: the keys are built from it on first use
-        known = _triple_columns(truth_labels).copy()
-        if known.size and known.min() < 0:
-            raise ValueError("known triples must have non-negative indices")
-        sizes = tuple(int(c) for c in known.max(axis=0, initial=-1) + 1)
+    # a copy: the keys are built from it on first use
+    known = _triple_columns(truth_labels).copy()
+    if known.size and known.min() < 0:
+        raise ValueError("known triples must have non-negative indices")
+    sizes = tuple(int(c) for c in known.max(axis=0, initial=-1) + 1)
     if sizes[0] * sizes[1] * sizes[2] > np.iinfo(np.int64).max:
         raise ValueError("known triple indices overflow int64 edge keys")
     # slot -> the other two slots, in key order
@@ -214,17 +205,14 @@ def as_validity(truth_labels) -> Validity:
     def slot_keys(s):
         if s not in keys:
             a, b = prefix[s]
-            # a sentinel above every key lets a probe read keys[pos] unguarded
-            keys[s] = np.append(
-                np.unique(edge_key(known[:, a], known[:, b], known[:, s],
-                                   sizes[b], sizes[s])),
-                np.iinfo(np.int64).max)
+            keys[s] = np.unique(edge_key(known[:, a], known[:, b],
+                                         known[:, s], sizes[b], sizes[s]))
         return keys[s]
 
-    def ranges(slot, cols):
-        a, b = np.broadcast_arrays(*(cols[i][:, 0] for i in prefix[slot]))
+    def lookup(slot, a, b, width):
+        a, b = (np.asarray(c, dtype=np.int64) for c in (a, b))
         (na, nb), ns = (sizes[i] for i in prefix[slot]), sizes[slot]
-        rows, width = len(a), cols[slot].shape[1]
+        rows = len(a)
         first = edge_key(a, b, 0, nb, ns)  # the row's smallest key
         inside = (a >= 0) & (a < na) & (b >= 0) & (b < nb)
         sorted_keys = slot_keys(slot)
@@ -241,20 +229,6 @@ def as_validity(truth_labels) -> Validity:
         mask[row[keep], digit[keep]] = True
         return mask
 
-    def lookup(h, t, r):
-        cols = [np.asarray(a, dtype=np.int64) for a in (h, t, r)]
-        slot = _grid_slot(cols)
-        if slot is not None:
-            return ranges(slot, cols)
-        h, t, r = cols
-        key = edge_key(h, t, r, sizes[1], sizes[2])
-        inside = ((h >= 0) & (h < sizes[0]) & (t >= 0) & (t < sizes[1])
-                  & (r >= 0) & (r < sizes[2]))
-        sorted_keys = slot_keys(2)
-        return inside & (sorted_keys[np.searchsorted(sorted_keys, key)] == key)
-
-    # functools.wraps copies this flag, so a wrapper keeps the grid call
-    lookup.takes_grid = True
     return lookup
 
 
@@ -265,27 +239,21 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
 
     ``heads``/``tails``/``rels`` are parallel int64 arrays, one row per
     test triple.  All rows' candidates are scored with one broadcast
-    ``scores`` call on the (rows, 1) / (1, width) columns and filtered
-    with one ``valid`` call: on those same columns for an
-    ``as_validity`` lookup, on flat (rows * width) index arrays for any
-    other callable.
+    ``scores`` call on (rows, 1) / (1, width) columns and filtered with
+    one ``valid`` call.
     """
     if slot not in _SLOT_COLUMN:
         raise ValueError(f"unknown slot {slot!r}")
     col = _SLOT_COLUMN[slot]
     width = shape.n_relations if slot == "relation" else shape.n_entities
-    rows = len(heads)
-    cols = [heads[:, None], tails[:, None], rels[:, None]]
-    pos = cols[col][:, 0]
-    cols[col] = np.arange(width, dtype=np.int64)[None, :]
-    if getattr(valid, "takes_grid", False):
-        is_true = np.asarray(valid(*cols), dtype=bool)
-    else:
-        hs, ts, rs = (np.broadcast_to(c, (rows, width)).ravel() for c in cols)
-        is_true = np.asarray(valid(hs, ts, rs), dtype=bool).reshape(rows, width)
-    row = np.arange(rows)
+    fixed = [heads, tails, rels]
+    pos = fixed.pop(col)
+    is_true = valid(col, *fixed, width)
+    row = np.arange(len(pos))
     if not is_true[row, pos].all():
         raise ValueError("target triple is not marked true in the filter")
+    cols = [heads[:, None], tails[:, None], rels[:, None]]
+    cols[col] = np.arange(width, dtype=np.int64)[None, :]
     s = scores(model, params, *cols)  # (rows, width) by broadcasting
     target = s[row, pos][:, None]
     false = ~is_true  # keeps only corruptions that are false; drops target too
@@ -300,10 +268,12 @@ def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
 
     ``slot`` is "head", "tail", or "relation"; the candidate pool is
     the target itself plus every corruption of that slot that is NOT a
-    true triple (true corruptions are filtered out).  Rank is 1 plus
-    the number of candidates scoring strictly above the target, plus
-    half the number of non-target candidates tying it.  Parameters
-    holding NaN or inf raise ``ValueError``.
+    true triple (true corruptions are filtered out).  ``truth_labels``
+    holds the true triples in a form ``as_validity`` accepts: an (n, 3)
+    array or a collection of (head, tail, rel) tuples or Triples.  Rank
+    is 1 plus the number of candidates scoring strictly above the
+    target, plus half the number of non-target candidates tying it.
+    Parameters holding NaN or inf raise ``ValueError``.
     """
     params.check_finite()
     one = [np.array([v], dtype=np.int64)
@@ -336,12 +306,13 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
     """Mean rank / mean reciprocal rank / hits@q over a test set.
 
     ``test_triples`` is an (n, 3) int64 array of (head, tail, relation)
-    rows or a sequence of Triples; ``truth_labels`` takes any form
-    ``as_validity`` accepts.  Works through the test set in blocks of
-    about ``_RANK_BLOCK`` candidates per slot; each rank equals
-    ``rank_edge``'s.  Parameters holding NaN or inf raise
-    ``ValueError``, as in ``rank_edge``: a NaN score compares false
-    with everything, so it would still get a rank.
+    rows or a sequence of Triples; ``truth_labels`` holds the known
+    triples as ``as_validity`` takes them: an (n, 3) array or a
+    collection of (head, tail, rel) tuples or Triples.  Works through
+    the test set in blocks of about ``_RANK_BLOCK`` candidates per
+    slot; each rank equals ``rank_edge``'s.  Parameters holding NaN or
+    inf raise ``ValueError``, as in ``rank_edge``: a NaN score compares
+    false with everything, so it would still get a rank.
     """
     cols = _triple_columns(test_triples).T
     n_test = cols.shape[1]

@@ -155,6 +155,8 @@ def _distinct_uniform(rng: np.random.Generator, total: int, count: int,
     first ``count`` of a permutation of the allowed values; beyond, it
     draws with rejection.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     free = total if avoid is None else total - len(avoid)
     if count > free:
         raise ValueError("count exceeds population size")
@@ -168,17 +170,29 @@ def _distinct_uniform(rng: np.random.Generator, total: int, count: int,
         return np.sort(rng.permutation(pool)[:count])
     # Rejection sampling, vectorized: keep the first `count` distinct
     # allowed values in draw order, which matches drawing one at a time.
-    draws = np.empty(0, dtype=np.int64)
+    # Each round's draws are de-duplicated among themselves, then probed
+    # against `avoid` and the values kept in earlier rounds.
+    need = count + 4 * (count * count // total + 1) + 64
+    kept = kept_sorted = np.empty(0, dtype=np.int64)
     while True:
-        need = count + 4 * (count * count // total + 1) + 64
-        draws = np.concatenate([draws, rng.integers(0, total, size=need)])
+        draws = rng.integers(0, total, size=need)
         _, first = np.unique(draws, return_index=True)
         first.sort()  # chronological order of first occurrences
-        distinct = draws[first]
+        new = draws[first]
         if avoid is not None:
-            distinct = distinct[~np.isin(distinct, avoid, assume_unique=True)]
-        if len(distinct) >= count:
-            return np.sort(distinct[:count])
+            new = new[~_in_sorted(new, avoid)]
+        kept = np.concatenate([kept, new[~_in_sorted(new, kept_sorted)]])
+        if len(kept) >= count:
+            return np.sort(kept[:count])
+        kept_sorted = np.sort(kept)
+
+
+def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the sorted ``sorted_values``."""
+    if not len(sorted_values):
+        return np.zeros(len(values), dtype=bool)
+    at = np.searchsorted(sorted_values, values)
+    return sorted_values[np.minimum(at, len(sorted_values) - 1)] == values
 
 
 def sample_observations(shape: NetworkShape, labels: LabelSampler, seed: int,

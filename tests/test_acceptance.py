@@ -258,7 +258,7 @@ def test_criterion_07_ranking_matches_brute_force():
                         int(rng.integers(k))) for _ in range(4)]
         for tr in tests:
             table[tr.head, tr.tail, tr.rel] = True
-        report = rank_report(model, params, tests, table, shape,
+        report = rank_report(model, params, tests, np.argwhere(table), shape,
                              entity_hits=(1, 10), relation_hits=(1,))
         ent = np.array([_oracle_rank(model, params, tr, slot, table, shape)
                         for tr in tests for slot in ("head", "tail")])
@@ -447,13 +447,14 @@ def test_criterion_10_ranking_beats_baselines():
     th, tt, tr = columns(test_pos)
     tests = [Triple(int(a), int(b), int(c)) for a, b, c in zip(th, tt, tr)]
     table = valid.reshape(n_ent, n_ent, n_rel)
-    trained = rank_report(fit_model, fitted, tests, table, shape,
+    known = np.argwhere(table)
+    trained = rank_report(fit_model, fitted, tests, known, shape,
                           entity_hits=(10,))
 
     init_rng = np.random.default_rng(3)  # same init draw the trainer uses
     raw = ModelParams(init_rng.uniform(-0.1, 0.1, (n_ent, d)),
                       init_rng.uniform(-0.1, 0.1, (n_rel, 2 * d)), 60.0)
-    untrained = rank_report(fit_model, raw, tests, table, shape,
+    untrained = rank_report(fit_model, raw, tests, known, shape,
                             entity_hits=(10,))
     random_hits = _random_score_hits(table, tests, shape, 10, seed=77)
 

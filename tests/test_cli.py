@@ -228,14 +228,19 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert run_cli(["train", "--config", cfg2]) == 3
 
 
+def config_with(text, key, value):
+    """``text`` with ``key`` set to ``value`` (replacing any line)."""
+    lines = [ln for ln in text.strip().splitlines()
+             if not ln.startswith(key + " ")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 def train_config_with(tmp_path, key, value):
     """TRAIN_CONFIG with ``key`` set to ``value`` (replacing any line)."""
     ckpt = tmp_path / "model.ckpt"
     text = TRAIN_CONFIG.format(triples=triple_file(tmp_path, "train.tsv"),
                                ckpt=ckpt)
-    lines = [ln for ln in text.splitlines() if not ln.startswith(key + " ")]
-    return write(tmp_path / "t.ini", "\n".join(lines + [f"{key} = {value}"])
-                 + "\n"), ckpt
+    return write(tmp_path / "t.ini", config_with(text, key, value)), ckpt
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
@@ -366,3 +371,30 @@ def test_bounds_truths_and_fits_use_the_bounds_radius(tmp_path, capsys):
     wide = write(tmp_path / "w.ini", README_BOUNDS + "truncation = 20\n")
     assert run_cli(["bounds", "--config", wide]) == 2
     assert "truncation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, key, value", [
+    ("simulate", "eval_cap", "0"),
+    ("simulate", "eval_cap", "-5"),
+    ("simulate", "replicates", "0"),
+    ("simulate", "replicates", "-2"),
+    ("evaluate", "eval_cap", "0"),
+    ("evaluate", "eval_cap", "-5"),
+    ("bounds", "replicates", "-2"),
+])
+def test_count_below_range_exits_2(tmp_path, capsys, mode, key, value):
+    # before these checks, eval_cap = -5 evaluated all but 5 slots,
+    # eval_cap = 0 wrote NaN rows and replicates = -2 an empty CSV
+    out = tmp_path / "out.csv"
+    text = {"simulate": SIM_CONFIG.format(out=out),
+            "evaluate": EVAL_CONFIG.format(ckpt=tmp_path / "m.ckpt",
+                                           train=tmp_path / "train.tsv",
+                                           test=tmp_path / "test.tsv",
+                                           out=out),
+            "bounds": BOUNDS_EMPIRICAL}[mode]
+    cfg = write(tmp_path / "c.ini", config_with(text, key, value))
+    assert run_cli([mode, "--config", cfg]) == 2
+    low = 0 if mode == "bounds" else 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: key '{key}' must be >= {low}, got {value}")
+    assert not out.exists()

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mrnet.estimation import (
-    Observation,
     ObservationSet,
     TrainConfig,
     log_likelihood,
@@ -55,11 +54,13 @@ def test_observation_set_validation():
 
 def test_observation_set_round_trip():
     shape = NetworkShape(4, 2)
-    obs = [Observation(Triple(0, 1, 0), 1), Observation(Triple(2, 3, 1), 0)]
-    oset = ObservationSet.from_observations(shape, obs)
+    oset = ObservationSet(shape, [0, 2], [1, 3], [0, 1], [1, 0])
     assert len(oset) == 2
-    assert list(oset) == obs
+    columns = (oset.heads, oset.tails, oset.rels, oset.labels)
+    assert [c.tolist() for c in columns] == [[0, 2], [1, 3], [0, 1], [1, 0]]
+    assert [c.dtype for c in columns] == [np.int64] * 3 + [np.int8]
     assert oset.positive_rate() == pytest.approx(0.5)
+    assert math.isnan(ObservationSet(shape, [], [], [], []).positive_rate())
 
 
 def test_log_likelihood_matches_brute_force():
@@ -69,9 +70,9 @@ def test_log_likelihood_matches_brute_force():
     params = make_params(model, 4, 2, rng)
     oset = full_observation_set(shape, rng)
     expected = 0.0
-    for o in oset:
-        p = sigmoid(score(model, params, o.edge))
-        expected += math.log(p) if o.label else math.log1p(-p)
+    for h, t, r, y in zip(oset.heads, oset.tails, oset.rels, oset.labels):
+        p = sigmoid(score(model, params, Triple(int(h), int(t), int(r))))
+        expected += math.log(p) if y else math.log1p(-p)
     assert log_likelihood(model, params, oset) == pytest.approx(expected,
                                                                 rel=1e-12)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -296,14 +297,11 @@ def test_rank_report_aggregates_rank_edge():
 
 def test_validity_forms_agree():
     model, shape, params, valid = random_kb(7)
-    n, k = shape.n_entities, shape.n_relations
-    dense = np.zeros((n, n, k), dtype=bool)
-    for h, t, r in valid:
-        dense[h, t, r] = True
-    fn = lambda hs, ts, rs: dense[hs, ts, rs]
+    array = np.array(sorted(valid), dtype=np.int64)
     test_triples = [Triple(h, t, r) for h, t, r in sorted(valid)[:5]]
     reports = [rank_report(model, params, test_triples, v, shape)
-               for v in (valid, dense, fn)]
+               for v in (valid, [Triple(*tr) for tr in sorted(valid)],
+                         array, array.astype(np.int32))]
     for rep in reports[1:]:
         assert rep == reports[0]
 
@@ -311,22 +309,16 @@ def test_validity_forms_agree():
 # ---------------------------------------------------------------------------
 # batched ranking over the sorted known-key filter
 
-FILTER_FORMS = ("tuples", "triples", "dense", "callable")
+FILTER_FORMS = ("tuples", "triples", "array")
 
 
-def filter_form(form, known, shape):
+def filter_form(form, known):
     """``known`` (a set of (h, t, r) tuples) in one of the accepted forms."""
     if form == "tuples":
         return set(known)
     if form == "triples":
         return [Triple(*tr) for tr in sorted(known)]
-    dense = np.zeros((shape.n_entities, shape.n_entities, shape.n_relations),
-                     dtype=bool)
-    for tr in known:
-        dense[tr] = True
-    if form == "dense":
-        return dense
-    return lambda hs, ts, rs: dense[hs, ts, rs]
+    return np.array(sorted(known), dtype=np.int64).reshape(-1, 3)
 
 
 def expected_report(ranker, model, params, tests, known, shape, ent_q, rel_q):
@@ -374,7 +366,7 @@ def test_batched_rank_report_matches_per_triple_oracle(case):
     rel_q = tuple(range(1, shape.n_relations + 1))
     with mock.patch.object(evaluation, "_RANK_BLOCK", block):
         got = rank_report(model, params, tests,
-                          filter_form(form, known, shape), shape,
+                          filter_form(form, known), shape,
                           entity_hits=ent_q, relation_hits=rel_q)
     want = expected_report(brute_rank, model, params, tests, known, shape,
                            ent_q, rel_q)
@@ -427,26 +419,35 @@ def test_unfiltered_target_raises_inside_a_block(form):
     with mock.patch.object(evaluation, "_RANK_BLOCK", 4 * shape.n_entities):
         with pytest.raises(ValueError, match="not marked true"):
             rank_report(model, params, tests,
-                        filter_form(form, valid, shape), shape)
+                        filter_form(form, valid), shape)
 
 
-def test_as_validity_passes_callables_through():
-    fn = lambda hs, ts, rs: np.ones(len(hs), dtype=bool)
-    assert as_validity(fn) is fn
+def test_as_validity_rejects_callables_and_dense_tables():
+    forms = re.escape("an (n, 3) array or a collection of (head, tail, rel) "
+                      "tuples or Triples")
+    with pytest.raises(TypeError, match=forms):
+        as_validity(lambda hs, ts, rs: np.ones(len(hs), dtype=bool))
+    with pytest.raises(ShapeError, match=forms):
+        as_validity(np.ones((3, 3, 2), dtype=bool))
+    model, shape, params, valid = random_kb(13)
+    with pytest.raises(ShapeError, match=forms):
+        rank_report(model, params, [Triple(*min(valid))],
+                    np.ones((7, 7, 3), dtype=bool), shape)
 
 
-@pytest.mark.parametrize("form", ("tuples", "triples", "dense"))
+@pytest.mark.parametrize("form", FILTER_FORMS)
 def test_as_validity_exact_beyond_known_indices(form):
-    # with keys (h*2 + t)*2 + r over the known ranges (2, 2, 2), the
-    # out-of-range candidates (0, 3, 1) and (0, 0, 2) share the keys of
-    # the known (1, 1, 1) and (0, 1, 0); only a range check tells them apart
+    # with relation keys (h*2 + t)*2 + r over the known ranges (2, 2, 2),
+    # the out-of-range candidates (0, 3, 1) and (0, 0, 2) share the keys
+    # of the known (1, 1, 1) and (0, 1, 0); only a range check tells
+    # them apart
     known = {(1, 1, 1), (0, 1, 0)}
-    lookup = as_validity(filter_form(form, known, NetworkShape(2, 2)))
-    cands = [(h, t, r) for h in range(5) for t in range(5) for r in range(9)]
-    hs, ts, rs = (np.array(c) for c in zip(*cands))
-    got = lookup(hs, ts, rs)
+    lookup = as_validity(filter_form(form, known))
+    fixed = [(h, t) for h in range(5) for t in range(5)]
+    got = grid_call(lookup, 2, list(zip(*fixed)), 9)
     assert got.dtype == bool
-    assert got.tolist() == [c in known for c in cands]
+    assert got.tolist() == [[(h, t, r) in known for r in range(9)]
+                            for h, t in fixed]
 
 
 def test_as_validity_rejects_negative_known_indices():
@@ -454,7 +455,9 @@ def test_as_validity_rejects_negative_known_indices():
         as_validity({(0, -1, 0)})
     # an empty filter marks nothing true
     empty = as_validity(set())
-    assert not empty(np.arange(3), np.arange(3), np.zeros(3, int)).any()
+    for slot in range(3):
+        got = grid_call(empty, slot, [np.arange(3), np.arange(3)], 4)
+        assert got.shape == (3, 4) and not got.any()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -546,28 +549,19 @@ def test_evaluate_losses_rejects_non_finite_params(which, array):
 
 
 def grid_call(lookup, slot, fixed, width):
-    """``lookup`` on (rows, 1) columns with a (1, width) 0..width-1 row."""
-    cols = [np.array(c, dtype=np.int64)[:, None] for c in fixed]
-    cols.insert(slot, np.arange(width, dtype=np.int64)[None, :])
-    return lookup(*cols)
+    """``lookup``'s block call: rows of the two ``fixed`` columns against
+    candidates 0..width-1 in ``slot``."""
+    return lookup(slot, *(np.array(c, dtype=np.int64) for c in fixed), width)
 
 
-@pytest.mark.parametrize("form", ("tuples", "array", "dense"))
+@pytest.mark.parametrize("form", FILTER_FORMS)
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_grid_lookup_has_no_key_aliasing(form, slot):
     # known ranges (3, 2, 2): tail keys (h*2 + r)*2 + t, so a row (h, r=2)
     # would start where row (h+1, r=0) does if rows beyond a known range
     # were not dropped; a width of 1 cuts known triples off the row
     known = {(1, 0, 0), (0, 1, 1), (2, 1, 0), (2, 0, 1)}
-    if form == "array":
-        truth = np.array(sorted(known))
-    elif form == "dense":
-        truth = np.zeros((3, 2, 2), dtype=bool)
-        for tr in known:
-            truth[tr] = True
-    else:
-        truth = set(known)
-    lookup = as_validity(truth)
+    lookup = as_validity(filter_form(form, known))
     span = range(-1, 6)  # past every known index, and negative
     fixed = [(a, b) for a in span for b in span]
     for width in (1, 2, 3, 7):
@@ -589,14 +583,12 @@ def test_grid_lookup_has_no_key_aliasing(form, slot):
                           st.integers(-1, 5)), min_size=1, max_size=12),
        st.integers(0, 2), st.integers(1, 9))
 def test_grid_lookup_matches_flat_probe(known, rows, slot, width):
+    # the block mask against Python-set membership, candidate by candidate
     lookup = as_validity(known)
     fixed = [[row[i] for row in rows] for i in range(3) if i != slot]
     got = grid_call(lookup, slot, fixed, width)
-    cols = [np.repeat(np.array(c), width) for c in fixed]
-    cols.insert(slot, np.tile(np.arange(width), len(rows)))
-    flat = lookup(*cols)  # 1-d arrays: probed key by key
-    assert flat.tolist() == [tr in known for tr in zip(*map(list, cols))]
-    assert got.tolist() == flat.reshape(len(rows), width).tolist()
+    assert got.tolist() == [[row[:slot] + (i,) + row[slot + 1:] in known
+                             for i in range(width)] for row in rows]
 
 
 def test_rank_report_row_whose_every_corruption_is_true():
@@ -641,23 +633,23 @@ def test_rank_report_takes_triple_arrays(kind):
 
 
 def test_wrapped_lookup_keeps_the_grid_call():
-    # a functools.wraps wrapper (as a tracer installs) still receives the
-    # (rows, 1) / (1, width) columns and gives the same ranks
+    # a functools.wraps ``*args`` wrapper (as a tracer installs) is called
+    # once per block and slot, and the ranks stay the same
     import functools
 
     model, shape, params, valid = random_kb(20)
     tests = [Triple(*tr) for tr in sorted(valid)[::3]]
-    shapes = []
+    calls = []
     real = evaluation.as_validity
 
     def as_validity_wrapped(truth):
         lookup = real(truth)
 
         @functools.wraps(lookup)
-        def wrapper(h, t, r):
-            shapes.append(np.broadcast_shapes(np.shape(h), np.shape(t),
-                                              np.shape(r)))
-            return lookup(h, t, r)
+        def wrapper(*args, **kwargs):
+            slot, a, b, width = args
+            calls.append((slot, len(a), len(b), width))
+            return lookup(*args, **kwargs)
 
         return wrapper
 
@@ -665,5 +657,6 @@ def test_wrapped_lookup_keeps_the_grid_call():
     with mock.patch.object(evaluation, "as_validity", as_validity_wrapped):
         got = rank_report(model, params, tests, valid, shape)
     assert got == want
-    n, k = shape.n_entities, shape.n_relations
-    assert shapes == [(len(tests), n), (len(tests), n), (len(tests), k)]
+    n, k, rows = shape.n_entities, shape.n_relations, len(tests)
+    assert calls == [(0, rows, rows, n), (1, rows, rows, n),
+                     (2, rows, rows, k)]

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import tempfile
 
 import numpy as np
@@ -21,7 +22,7 @@ from mrnet.io import (
     save_checkpoint,
 )
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple
-from mrnet.simulation import _decode
+from mrnet.simulation import _decode, _distinct_uniform
 
 
 def write(tmp_path, name, text):
@@ -171,18 +172,23 @@ def old_sample_negatives(positives, ratio, shape, seed):
                             assume_unique=True)
         chosen = np.sort(rng.permutation(pool)[:count])
     else:
-        draws = np.empty(0, dtype=np.int64)
-        while True:
-            need = count + 4 * (count * count // total + 1) + 64
-            draws = np.concatenate([draws, rng.integers(0, total, size=need)])
-            _, first = np.unique(draws, return_index=True)
-            first.sort()
-            distinct = draws[first]
-            distinct = distinct[~np.isin(distinct, pos)]
-            if len(distinct) >= count:
-                chosen = np.sort(distinct[:count])
-                break
+        chosen = old_rejection_draws(rng, total, count, pos)
     return np.column_stack(_decode(chosen, shape))
+
+
+def old_rejection_draws(rng, total, count, pos):
+    """The old rejection loop: every round re-runs ``np.unique`` over all
+    draws so far and ``np.isin`` over all of ``pos``."""
+    draws = np.empty(0, dtype=np.int64)
+    while True:
+        need = count + 4 * (count * count // total + 1) + 64
+        draws = np.concatenate([draws, rng.integers(0, total, size=need)])
+        _, first = np.unique(draws, return_index=True)
+        first.sort()
+        distinct = draws[first]
+        distinct = distinct[~np.isin(distinct, pos)]
+        if len(distinct) >= count:
+            return np.sort(distinct[:count])
 
 
 @pytest.mark.parametrize("n, k, n_pos, ratio", [
@@ -203,6 +209,58 @@ def test_sample_negatives_draws_match_old_loop(n, k, n_pos, ratio):
         want = old_sample_negatives(positives.tolist(), ratio, shape, seed)
         assert got.dtype == np.int64
         assert_array_equal(got, want)
+
+
+def few_free_slots(total, n_free, seed):
+    """A sorted ``avoid`` array leaving ``n_free`` random slots free."""
+    free = np.random.default_rng(seed).choice(total, size=n_free,
+                                              replace=False)
+    avoid = np.ones(total, dtype=bool)
+    avoid[free] = False
+    return np.flatnonzero(avoid), np.sort(free)
+
+
+def test_rejection_draws_with_few_free_slots():
+    # N = 2049, K = 1: 4,198,401 slots, above 2^22, so rejection draws.
+    # With 60 free slots the old loop took about 50 s, as each round
+    # re-ran np.unique and np.isin over everything seen so far.
+    total = 2049 * 2049
+
+    def timed_out(signum, frame):
+        raise TimeoutError("_distinct_uniform took over 30 s")
+
+    old_handler = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        # 20 of 100 free slots takes thousands of rounds, in which some
+        # free slot is almost surely drawn again
+        for n_free, count in ((60, 2), (100, 20)):
+            avoid, free = few_free_slots(total, n_free, seed=1)
+            for seed in (0, 1):
+                got = _distinct_uniform(np.random.default_rng(seed), total,
+                                        count, avoid=avoid)
+                assert len(np.unique(got)) == count
+                assert np.isin(got, free).all()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+    # with 4,000 free slots the old loop finishes in under a second
+    avoid, _ = few_free_slots(total, 4000, seed=2)
+    for seed in (0, 1):
+        got = _distinct_uniform(np.random.default_rng(seed), total, 2,
+                                avoid=avoid)
+        want = old_rejection_draws(np.random.default_rng(seed), total, 2,
+                                   avoid)
+        assert got.dtype == np.int64
+        assert_array_equal(got, want)
+
+
+def test_distinct_uniform_rejects_negative_count():
+    rng = np.random.default_rng(0)
+    for total in (72, 1 << 23):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            _distinct_uniform(rng, total, -5)
+    assert _distinct_uniform(rng, 72, 0).shape == (0,)
 
 
 @st.composite
