@@ -41,6 +41,14 @@ _SLACK = 1e-12  # numerical slack for the inequality checkers
 _EXP_CAP = 700.0  # exp() overflows just above this; beyond it report inf
 
 
+def _require_finite(inputs, names) -> None:
+    # NaN slips through every ordering test below (max(c, nan) is c)
+    for name in names:
+        value = getattr(inputs, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class BoundInputs:
     """Constants the upper bounds depend on.
@@ -62,6 +70,8 @@ class BoundInputs:
     obs_rate: Optional[float] = None
 
     def __post_init__(self):
+        _require_finite(self, ("n", "radius", "sup_score", "lipschitz",
+                               "margin"))
         if self.n <= 0:
             raise ValueError("n must be positive")
         if self.m < 1:
@@ -106,6 +116,8 @@ class LowerBoundInputs:
     neighborhood_radius: float
 
     def __post_init__(self):
+        _require_finite(self, ("n", "kappa", "b", "lipschitz",
+                               "neighborhood_radius"))
         if self.n <= 0 or self.m < 1:
             raise ValueError("n must be positive and m at least 1")
         if not 0 < self.b < 1:

@@ -1,18 +1,18 @@
 """Command-line surface: simulate / train / evaluate / bounds.
 
-Each subcommand reads its settings from one section of an INI config
-file (section name = subcommand name) with a few flag overrides.  Exit
-codes: 0 success, 2 configuration problem, 3 data problem (missing or
-malformed files, mismatched shapes).
+Each subcommand reads one section of an INI config file (section name =
+subcommand name) with a few flag overrides: ``run_cli`` resolves the
+settings all four share, then ``_cmd_<mode>`` parses its own keys before
+it reads any data file.  Exit codes: 0 success, 2 configuration problem,
+3 data problem (missing or malformed files, mismatched shapes).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,36 +40,7 @@ from .simulation import (
     write_grid_csv,
 )
 
-__all__ = ["RunConfig", "run_cli", "main"]
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Everything one subcommand invocation needs, after parsing."""
-
-    mode: str
-    seed: int = 0
-    columns: Tuple[str, ...] = COLUMN_ORDERS["hrt"]
-    threads: int = 1
-    model: Optional[ScoreModel] = None
-    train_config: Optional[TrainConfig] = None
-    gen: Optional[GenSpec] = None
-    entity_counts: Tuple[int, ...] = ()
-    obs_rates: Tuple[float, ...] = ()
-    replicates: int = 1
-    eval_cap: int = 1_000_000
-    timing: bool = False
-    train_path: Optional[str] = None
-    valid_path: Optional[str] = None
-    test_path: Optional[str] = None
-    negative_ratio: float = 1.0
-    hits_entity: Tuple[int, ...] = (10,)
-    hits_relation: Tuple[int, ...] = (1,)
-    truth_checkpoint: Optional[str] = None
-    checkpoint: Optional[str] = None
-    output: Optional[str] = None
-    bound_inputs: Optional[BoundInputs] = None
-    t_values: Tuple[float, ...] = (0.5, 1.0)
+__all__ = ["run_cli", "main"]
 
 
 def _get(section, key, conv, default, required, kind):
@@ -139,8 +110,7 @@ def _model_from(sec) -> ScoreModel:
         raise ConfigError(str(exc)) from None
 
 
-def _train_config_from(sec, seed: int, radius_default: float = 20.0
-                       ) -> TrainConfig:
+def _train_config_from(sec, seed: int) -> TrainConfig:
     cap = _cfg_int(sec, "sparsity_cap", default=None)
     tc = TrainConfig(
         epochs=_cfg_int(sec, "epochs", required=True),
@@ -150,7 +120,7 @@ def _train_config_from(sec, seed: int, radius_default: float = 20.0
         rho1=_cfg_float(sec, "rho1", 0.0),
         rho2=_cfg_float(sec, "rho2", 0.0),
         sparsity_cap=cap,
-        radius=_cfg_float(sec, "radius", radius_default),
+        radius=_cfg_float(sec, "radius", 20.0),
         init_scale=_cfg_float(sec, "init_scale", 0.1),
         seed=seed,
     )
@@ -177,146 +147,76 @@ def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int,
         raise ConfigError(str(exc)) from None
 
 
-def parse_run_config(path, mode: str, seed_override: Optional[int] = None,
-                     columns: Optional[str] = None,
-                     checkpoint: Optional[str] = None,
-                     threads: int = 1) -> RunConfig:
-    sec = read_config(path, mode)
-    seed = _cfg_int(sec, "seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    col_key = columns or _cfg_str(sec, "columns", "hrt")
-    if col_key not in COLUMN_ORDERS:
-        raise ConfigError(f"columns must be one of {sorted(COLUMN_ORDERS)}, "
-                          f"got {col_key!r}")
-    cfg = RunConfig(mode=mode, seed=seed, columns=COLUMN_ORDERS[col_key],
-                    threads=threads)
-
-    if mode == "simulate":
-        cfg.model = _model_from(sec)
-        cfg.entity_counts = _cfg_ints(sec, "entity_counts", required=True)
-        cfg.obs_rates = _cfg_floats(sec, "obs_rates", required=True)
-        cfg.replicates = _cfg_at_least(sec, "replicates", 1, 1)
-        cfg.eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
-        cfg.timing = _cfg_bool(sec, "timing", False)
-        cfg.output = _cfg_str(sec, "output", required=True)
-        n_rel = _cfg_int(sec, "n_relations", required=True)
-        try:
-            shape = NetworkShape(cfg.entity_counts[0], n_rel, cfg.obs_rates[0])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        cfg.gen = _gen_from(sec, cfg.model, shape, seed)
-        cfg.train_config = _train_config_from(sec, seed)
-    elif mode == "train":
-        cfg.model = _model_from(sec)
-        cfg.train_path = _cfg_str(sec, "triples", required=True)
-        cfg.negative_ratio = _cfg_float(sec, "negative_ratio", 1.0)
-        if not (math.isfinite(cfg.negative_ratio) and cfg.negative_ratio >= 0):
-            raise ConfigError(f"key 'negative_ratio' must be finite and >= 0, "
-                              f"got {cfg.negative_ratio!r}")
-        cfg.checkpoint = checkpoint or _cfg_str(sec, "checkpoint", required=True)
-        cfg.train_config = _train_config_from(sec, seed)
-    elif mode == "evaluate":
-        cfg.checkpoint = checkpoint or _cfg_str(sec, "checkpoint", required=True)
-        cfg.train_path = _cfg_str(sec, "triples", required=True)
-        cfg.valid_path = _cfg_str(sec, "valid_triples")
-        cfg.test_path = _cfg_str(sec, "test_triples", required=True)
-        cfg.hits_entity = _cfg_ints(sec, "hits_entity", (10,))
-        cfg.hits_relation = _cfg_ints(sec, "hits_relation", (1,))
-        cfg.truth_checkpoint = _cfg_str(sec, "truth_checkpoint")
-        cfg.eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
-        cfg.output = _cfg_str(sec, "output", required=True)
-    elif mode == "bounds":
-        direct = all(sec.get(k) for k in ("n", "m", "sup_score", "lipschitz",
-                                          "radius"))
-        cfg.t_values = _cfg_floats(sec, "t_values", (0.5, 1.0))
-        cfg.replicates = _cfg_at_least(sec, "replicates", 0, 0)
-        try:
-            if direct:
-                cfg.bound_inputs = BoundInputs(
-                    n=_cfg_float(sec, "n", required=True),
-                    m=_cfg_int(sec, "m", required=True),
-                    sup_score=_cfg_float(sec, "sup_score", required=True),
-                    lipschitz=_cfg_float(sec, "lipschitz", required=True),
-                    radius=_cfg_float(sec, "radius", required=True),
-                    margin=_cfg_float(sec, "margin"),
-                )
-                if cfg.replicates > 0:
-                    raise ConfigError(
-                        "empirical replicates need model keys (kind, "
-                        "latent_dim, n_entities, n_relations, obs_rate)")
-            else:
-                cfg.model = _model_from(sec)
-                shape = NetworkShape(
-                    _cfg_int(sec, "n_entities", required=True),
-                    _cfg_int(sec, "n_relations", required=True),
-                    _cfg_float(sec, "obs_rate", 1.0),
-                )
-                radius = _cfg_float(sec, "radius", required=True)
-                cfg.bound_inputs = BoundInputs.from_model(
-                    cfg.model, shape, radius, margin=_cfg_float(sec, "margin"))
-                # truths (and, in _cmd_bounds, fits) stay inside the ball
-                # whose radius the printed bounds assume
-                root_d = float(np.sqrt(max(cfg.model.latent_dim,
-                                           cfg.model.relation_dim)))
-                cfg.gen = _gen_from(sec, cfg.model, shape, seed,
-                                    truncation=radius / root_d)
-                if cfg.gen.truncation > radius / root_d:
-                    raise ConfigError(
-                        f"truncation {cfg.gen.truncation:.9g} implies a "
-                        f"radius of {cfg.gen.radius:.9g}, above radius = "
-                        f"{radius:.9g}")
-                if cfg.replicates > 0:
-                    cfg.train_config = _train_config_from(sec, seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    return cfg
-
-
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(sec, seed: int, args) -> int:
+    model = _model_from(sec)
+    entity_counts = _cfg_ints(sec, "entity_counts", required=True)
+    obs_rates = _cfg_floats(sec, "obs_rates", required=True)
+    replicates = _cfg_at_least(sec, "replicates", 1, 1)
+    eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
+    timing = _cfg_bool(sec, "timing", False)
+    output = _cfg_str(sec, "output", required=True)
+    n_rel = _cfg_int(sec, "n_relations", required=True)
+    try:
+        shape = NetworkShape(entity_counts[0], n_rel, obs_rates[0])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     grid = ExperimentGrid(
-        gen=cfg.gen, train=cfg.train_config,
-        entity_counts=cfg.entity_counts, obs_rates=cfg.obs_rates,
-        replicates=cfg.replicates, eval_cap=cfg.eval_cap)
-    rows = run_grid(grid, n_workers=cfg.threads)
+        gen=_gen_from(sec, model, shape, seed),
+        train=_train_config_from(sec, seed),
+        entity_counts=entity_counts, obs_rates=obs_rates,
+        replicates=replicates, eval_cap=eval_cap)
+    rows = run_grid(grid, n_workers=args.threads)
     failures = [r for r in rows if r.error]
     for r in failures:
         print(f"warning: cell (N={r.n_entities}, rate={r.obs_rate}, "
               f"rep={r.replicate}) failed: {r.error}", file=sys.stderr)
-    write_grid_csv(rows, cfg.output, include_timing=cfg.timing)
-    print(f"wrote {len(rows)} rows ({len(failures)} failed) to {cfg.output}")
+    write_grid_csv(rows, output, include_timing=timing)
+    print(f"wrote {len(rows)} rows ({len(failures)} failed) to {output}")
     return 0
 
 
-def _cmd_train(cfg: RunConfig) -> int:
-    ds = load_triples(cfg.train_path, cfg.columns)
+def _cmd_train(sec, seed: int, args) -> int:
+    model = _model_from(sec)
+    train_path = _cfg_str(sec, "triples", required=True)
+    ratio = _cfg_float(sec, "negative_ratio", 1.0)
+    if not (math.isfinite(ratio) and ratio >= 0):
+        raise ConfigError(f"key 'negative_ratio' must be finite and >= 0, "
+                          f"got {ratio!r}")
+    checkpoint = args.checkpoint or _cfg_str(sec, "checkpoint", required=True)
+    train_config = _train_config_from(sec, seed)
+
+    ds = load_triples(train_path, args.columns)
     if ds.duplicates:
         print(f"note: dropped {ds.duplicates} duplicate triples",
               file=sys.stderr)
-    n_obs = len(ds.positives) * (1.0 + cfg.negative_ratio)
+    n_obs = len(ds.positives) * (1.0 + ratio)
     n, k = ds.n_entities, ds.n_relations
     shape = NetworkShape(n, k, min(1.0, n_obs / (n * n * k)))
-    negatives = sample_negatives(ds, cfg.negative_ratio, shape, cfg.seed)
+    negatives = sample_negatives(ds, ratio, shape, seed)
     heads, tails, rels = np.concatenate([ds.positives, negatives]).T
     labels = np.repeat(np.int8([1, 0]), [len(ds.positives), len(negatives)])
     obs = ObservationSet(shape, heads, tails, rels, labels)
-    result = train(cfg.model, shape, obs, cfg.train_config)
-    save_checkpoint(result.params, cfg.model, cfg.checkpoint)
+    result = train(model, shape, obs, train_config)
+    save_checkpoint(result.params, model, checkpoint)
     print(f"final_objective {result.objective_trace[-1]:.9g}")
     print(f"nonzeros {result.nnz_trace[-1]}")
-    print(f"checkpoint {cfg.checkpoint}")
+    print(f"checkpoint {checkpoint}")
     return 0
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    params, model = load_checkpoint(cfg.checkpoint)
-    paths = [cfg.train_path]
-    if cfg.valid_path:
-        paths.append(cfg.valid_path)
-    paths.append(cfg.test_path)
-    splits = load_triple_split(paths, cfg.columns)
+def _cmd_evaluate(sec, seed: int, args) -> int:
+    checkpoint = args.checkpoint or _cfg_str(sec, "checkpoint", required=True)
+    paths = [_cfg_str(sec, "triples", required=True),
+             _cfg_str(sec, "valid_triples"),
+             _cfg_str(sec, "test_triples", required=True)]
+    hits_entity = _cfg_ints(sec, "hits_entity", (10,))
+    hits_relation = _cfg_ints(sec, "hits_relation", (1,))
+    truth_path = _cfg_str(sec, "truth_checkpoint")
+    eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
+    output = _cfg_str(sec, "output", required=True)
+
+    params, model = load_checkpoint(checkpoint)
+    splits = load_triple_split([p for p in paths if p], args.columns)
     test_ds = splits[-1]
     n, k = test_ds.n_entities, test_ds.n_relations
     if params.n_entities != n or params.n_relations != k:
@@ -326,22 +226,22 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     shape = NetworkShape(n, k)
     known = np.concatenate([ds.positives for ds in splits])
     report = rank_report(model, params, test_ds.positives, known,
-                         shape, cfg.hits_entity, cfg.hits_relation)
+                         shape, hits_entity, hits_relation)
     lines = [("mr_e", report.mr_entity), ("mrr_e", report.mrr_entity)]
     lines += [(f"hits_e@{q}", v) for q, v in sorted(report.hits_entity.items())]
     lines += [("mr_r", report.mr_relation), ("mrr_r", report.mrr_relation)]
     lines += [(f"hits_r@{q}", v) for q, v in sorted(report.hits_relation.items())]
-    if cfg.truth_checkpoint:
-        truth, tmodel = load_checkpoint(cfg.truth_checkpoint)
+    if truth_path:
+        truth, tmodel = load_checkpoint(truth_path)
         if tmodel != model:
             raise ShapeError("truth checkpoint's model differs from the "
                              "fitted checkpoint's")
-        edges, _ = _eval_edges(shape, cfg.eval_cap, cfg.seed)
+        edges, _ = _eval_edges(shape, eval_cap, seed)
         losses = evaluate_losses(model, params, truth, edges=edges,
                                  shape=shape)
         lines += [("avg_kl", losses.avg_kl), ("mse_phi", losses.mse_phi),
                   ("link_err", losses.link_err)]
-    with open(cfg.output, "w", encoding="utf-8") as fh:
+    with open(output, "w", encoding="utf-8") as fh:
         fh.write("metric,value\n")
         for name, value in lines:
             fh.write(f"{name},{value:.9g}\n")
@@ -350,27 +250,67 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    inputs = cfg.bound_inputs
-    freqs = {t: float("nan") for t in cfg.t_values}
+def _cmd_bounds(sec, seed: int, args) -> int:
+    direct = all(sec.get(k) for k in ("n", "m", "sup_score", "lipschitz",
+                                      "radius"))
+    t_values = _cfg_floats(sec, "t_values", (0.5, 1.0))
+    replicates = _cfg_at_least(sec, "replicates", 0, 0)
+    grid = None
+    try:
+        if direct:
+            inputs = BoundInputs(
+                n=_cfg_float(sec, "n", required=True),
+                m=_cfg_int(sec, "m", required=True),
+                sup_score=_cfg_float(sec, "sup_score", required=True),
+                lipschitz=_cfg_float(sec, "lipschitz", required=True),
+                radius=_cfg_float(sec, "radius", required=True),
+                margin=_cfg_float(sec, "margin"),
+            )
+            if replicates > 0:
+                raise ConfigError(
+                    "empirical replicates need model keys (kind, "
+                    "latent_dim, n_entities, n_relations, obs_rate)")
+        else:
+            model = _model_from(sec)
+            shape = NetworkShape(
+                _cfg_int(sec, "n_entities", required=True),
+                _cfg_int(sec, "n_relations", required=True),
+                _cfg_float(sec, "obs_rate", 1.0),
+            )
+            radius = _cfg_float(sec, "radius", required=True)
+            inputs = BoundInputs.from_model(
+                model, shape, radius, margin=_cfg_float(sec, "margin"))
+            # truths and fits stay inside the ball whose radius the
+            # printed bounds assume
+            root_d = float(np.sqrt(max(model.latent_dim, model.relation_dim)))
+            gen = _gen_from(sec, model, shape, seed,
+                            truncation=radius / root_d)
+            if gen.truncation > radius / root_d:
+                raise ConfigError(
+                    f"truncation {gen.truncation:.9g} implies a radius of "
+                    f"{gen.radius:.9g}, above radius = {radius:.9g}")
+            if replicates > 0:
+                grid = ExperimentGrid(
+                    gen=gen, train=_train_config_from(sec, seed),
+                    entity_counts=[shape.n_entities],
+                    obs_rates=[shape.obs_rate], replicates=replicates,
+                    fit_radius_from_truth=False)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+    freqs = {t: float("nan") for t in t_values}
     emp_risk = float("nan")
-    if cfg.replicates > 0:
-        grid = ExperimentGrid(
-            gen=cfg.gen, train=cfg.train_config,
-            entity_counts=[cfg.gen.shape.n_entities],
-            obs_rates=[cfg.gen.shape.obs_rate],
-            replicates=cfg.replicates, eval_cap=cfg.eval_cap,
-            fit_radius_from_truth=False)
-        rows = run_grid(grid, n_workers=cfg.threads)
+    if grid is not None:
+        rows = run_grid(grid, n_workers=args.threads)
         kls = np.array([r.avg_kl for r in rows if r.error is None])
-        if len(kls) < cfg.replicates:
-            print(f"warning: {cfg.replicates - len(kls)} replicates failed",
+        if len(kls) < replicates:
+            print(f"warning: {replicates - len(kls)} replicates failed",
                   file=sys.stderr)
         if len(kls):
-            freqs = {t: float((kls >= t).mean()) for t in cfg.t_values}
+            freqs = {t: float((kls >= t).mean()) for t in t_values}
             emp_risk = float(kls.mean())
     print("t,tail_bound,empirical_frequency")
-    for t in cfg.t_values:
+    for t in t_values:
         print(f"{t:.9g},{tail_bound(inputs, t):.9g},{freqs[t]:.9g}")
     try:
         rb = risk_bound(inputs)
@@ -419,11 +359,18 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own usage text
         return int(exc.code or 0)
     try:
-        cfg = parse_run_config(args.config, args.mode, seed_override=args.seed,
-                               columns=args.columns,
-                               checkpoint=args.checkpoint,
-                               threads=args.threads or 1)
-        return _RUNNERS[args.mode](cfg)
+        sec = read_config(args.config, args.mode)
+        seed = _cfg_int(sec, "seed", 0)
+        if args.seed is not None:
+            seed = args.seed
+        col_key = args.columns or _cfg_str(sec, "columns", "hrt")
+        if col_key not in COLUMN_ORDERS:
+            raise ConfigError(f"columns must be one of "
+                              f"{sorted(COLUMN_ORDERS)}, got {col_key!r}")
+        # the runners read the resolved column order and worker count
+        args.columns = COLUMN_ORDERS[col_key]
+        args.threads = args.threads or 1
+        return _RUNNERS[args.mode](sec, seed, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .models import (
     ScoreModel,
     ShapeError,
     Triple,
+    _check_indices,
     edge_key,
     scores,
     sigmoid,
@@ -109,7 +110,8 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     broadcast head x tail x relation grid).  The link prediction for a
     slot is "present" iff the fitted probability is >= 1/2, and the link
     error is the fraction of slots where that disagrees with the truth.
-    Non-finite parameters raise ``ValueError``.
+    Non-finite parameters raise ``ValueError``; an edge index outside
+    the fit's entities or relations raises ``IndexError``.
     """
     fitted.check_model(model)
     truth.check_model(model)
@@ -126,6 +128,8 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         heads, tails, rels = (np.asarray(a) for a in edges)
         if not len(heads):
             raise ValueError("no edges to evaluate")
+        _check_indices(fitted.n_entities, fitted.n_relations,
+                       heads, tails, rels)
         blocks = ((heads, tails, rels, slice(None)),)
 
     kl_sum = mse_sum = err_sum = 0.0

@@ -219,8 +219,13 @@ def _parse_row(path, lineno: int, line: str, width: int, label: str
 
 def load_checkpoint(path) -> Tuple[ModelParams, ScoreModel]:
     """Inverse of save_checkpoint, with format errors located by line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise CheckpointError(f"{path}: line {lineno}: not UTF-8 text") from None
     if not lines or lines[0].split() != [_CKPT_MAGIC, str(_CKPT_VERSION)]:
         raise CheckpointError(f"{path}: line 1: expected "
                               f"'{_CKPT_MAGIC} {_CKPT_VERSION}' header")

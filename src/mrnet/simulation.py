@@ -12,6 +12,7 @@ as much as the slots actually examined.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,10 +60,13 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.entity_sd, self.shift_sd, self.weight_sd) <= 0:
-            raise ValueError("coordinate sds must be positive")
-        if self.truncation <= 0:
-            raise ValueError("truncation must be positive")
+        # NaN passes a "<= 0" test, and an infinite sd or truncation makes
+        # the rejection sampler spin or the radius meaningless
+        for name in ("entity_sd", "shift_sd", "weight_sd", "truncation"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}")
 
     @property
     def radius(self) -> float:

@@ -189,6 +189,32 @@ def test_input_validation():
                          neighborhood_radius=1.0)
 
 
+BOUND_KW = dict(n=1e4, m=50, sup_score=10.0, lipschitz=5.0, radius=1.0,
+                margin=0.25)
+LOWER_KW = dict(m=160, n=1e4, kappa=0.1, b=0.5, lipschitz=1.0,
+                neighborhood_radius=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["n", "sup_score", "lipschitz", "radius",
+                                   "margin"])
+def test_bound_inputs_reject_non_finite(field, bad):
+    # before, lipschitz = nan gave the same risk bound as lipschitz = 1
+    # (max(c1, nan) is c1) and an inf tail bound
+    BoundInputs(**BOUND_KW)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BoundInputs(**{**BOUND_KW, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["n", "kappa", "b", "lipschitz",
+                                   "neighborhood_radius"])
+def test_lower_bound_inputs_reject_non_finite(field, bad):
+    LowerBoundInputs(**LOWER_KW)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LowerBoundInputs(**{**LOWER_KW, field: bad})
+
+
 def test_bound_inputs_from_model():
     model = ScoreModel("combined", 2)
     shape = NetworkShape(6, 2, 1.0)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -359,15 +361,32 @@ epochs = 50                ; replicates take the [simulate] training keys
 """
 
 
-def test_bounds_truths_and_fits_use_the_bounds_radius(tmp_path, capsys):
-    from mrnet.cli import parse_run_config
+def test_bounds_truths_and_fits_use_the_bounds_radius(tmp_path, capsys,
+                                                      monkeypatch):
+    import mrnet.cli
 
-    cfg = parse_run_config(write(tmp_path / "b.ini", README_BOUNDS), "bounds")
-    assert cfg.gen.radius == cfg.bound_inputs.radius == 2.0
-    assert cfg.train_config.radius == 2.0
+    grids, inputs = [], []
+    real_tail_bound = mrnet.cli.tail_bound
+
+    def spy_run_grid(grid, n_workers):
+        grids.append(grid)
+        return []  # the grid's settings are what is checked; fit nothing
+
+    def spy_tail_bound(bound_inputs, t):
+        inputs.append(bound_inputs)
+        return real_tail_bound(bound_inputs, t)
+
+    monkeypatch.setattr(mrnet.cli, "run_grid", spy_run_grid)
+    monkeypatch.setattr(mrnet.cli, "tail_bound", spy_tail_bound)
+    cfg = write(tmp_path / "b.ini", README_BOUNDS)
+    assert run_cli(["bounds", "--config", cfg]) == 0
+    assert grids[-1].gen.radius == inputs[-1].radius == 2.0
+    assert grids[-1].train.radius == 2.0
     # an explicit truncation may shrink the truths' ball, never widen it
     small = write(tmp_path / "s.ini", README_BOUNDS + "truncation = 0.5\n")
-    assert parse_run_config(small, "bounds").gen.radius == 1.0
+    assert run_cli(["bounds", "--config", small]) == 0
+    assert grids[-1].gen.radius == 1.0
+    capsys.readouterr()
     wide = write(tmp_path / "w.ini", README_BOUNDS + "truncation = 20\n")
     assert run_cli(["bounds", "--config", wide]) == 2
     assert "truncation" in capsys.readouterr().err
@@ -398,3 +417,35 @@ def test_count_below_range_exits_2(tmp_path, capsys, mode, key, value):
     assert capsys.readouterr().err.startswith(
         f"config error: key '{key}' must be >= {low}, got {value}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_generator_setting_exits_2(tmp_path, capsys, value):
+    # weight_sd = inf used to make simulate redraw inf forever; a failed
+    # test (a BaseException) escapes run_grid's per-cell error capture
+    def timed_out(signum, frame):
+        pytest.fail("simulate ran past 60 s")
+
+    out = tmp_path / "grid.csv"
+    cfg = write(tmp_path / "sim.ini",
+                config_with(SIM_CONFIG.format(out=out), "weight_sd", value))
+    old_handler = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        assert run_cli(["simulate", "--config", cfg]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+    assert capsys.readouterr().err.startswith(
+        "config error: weight_sd must be finite and positive")
+    assert not out.exists()
+
+
+def test_non_finite_bound_constant_exits_2(tmp_path, capsys):
+    # lipschitz = nan used to exit 0, printing inf tail bounds
+    cfg = write(tmp_path / "b.ini", config_with(BOUNDS_CONFIG, "lipschitz",
+                                                "nan"))
+    assert run_cli(["bounds", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: lipschitz must be finite")
+    assert captured.out == ""

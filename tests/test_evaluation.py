@@ -517,6 +517,23 @@ def test_full_scan_matches_decoded_scan(kind):
                                         err_sum / total, total)
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [-1, "end", "past"])
+def test_evaluate_losses_range_checks_edges(column, bad):
+    # numpy wraps -1 to the last row, so before this check
+    # edges=([-1], [0], [0]) silently scored entity 3 of 4
+    rng = np.random.default_rng(23)
+    model = ScoreModel("combined", 2)
+    truth = make_params(model, 4, 3, rng)
+    fitted = make_params(model, 4, 3, rng)
+    size = (4, 4, 3)[column]
+    edges = [np.array([0, 1]), np.array([2, 3]), np.array([0, 2])]
+    edges[column][1] = {-1: -1, "end": size, "past": size + 5}[bad]
+    name = ("head", "tail", "relation")[column]
+    with pytest.raises(IndexError, match=f"{name} index out of range"):
+        evaluate_losses(model, fitted, truth, edges=tuple(edges))
+
+
 @pytest.mark.parametrize("array", ["entities", "relations"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_ranking_rejects_non_finite_params(array, bad):

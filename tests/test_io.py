@@ -458,12 +458,96 @@ def test_checkpoint_format_errors(tmp_path):
         ("not a number", checkpoint_text().replace("0.3 0.4", "0.3 x"),
          "line 4"),
         ("trailing", checkpoint_text() + "9 9 9\n", "trailing"),
+        # written as the byte 0xff, which is not UTF-8
+        ("not UTF-8", checkpoint_text().replace("0.3 0.4", "0.3 0.\udcff"),
+         "line 4: not UTF-8 text"),
     ]
     for name, text, needle in cases:
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(CheckpointError, match=needle):
             load_checkpoint(path)
+
+
+# finite float64 values, with the extremes a text round trip can lose:
+# subnormals, -0.0 and +-1e308
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 1e-310, -0.0, 0.0, 1e308, -1e308,
+                     np.finfo(float).max]))
+
+
+@st.composite
+def checkpoint_cases(draw):
+    model = ScoreModel(draw(st.sampled_from(["distance", "bilinear",
+                                             "combined"])),
+                       draw(st.integers(1, 3)))
+
+    def block(rows, cols):
+        values = draw(st.lists(FINITE, min_size=rows * cols,
+                               max_size=rows * cols))
+        return np.array(values, dtype=float).reshape(rows, cols)
+
+    entities = block(draw(st.integers(1, 4)), model.latent_dim)
+    relations = block(draw(st.integers(1, 3)), model.relation_dim)
+    radius = draw(st.floats(min_value=0.0, exclude_min=True,
+                            allow_infinity=False))
+    return model, ModelParams(entities, relations, radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(checkpoint_cases())
+def test_checkpoint_round_trip_property(case):
+    model, params = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.txt")
+        save_checkpoint(params, model, path)
+        loaded, loaded_model = load_checkpoint(path)
+    assert loaded_model == model
+    assert loaded.radius == params.radius
+    # tobytes tells -0.0 from 0.0, which == does not
+    assert loaded.entities.tobytes() == params.entities.tobytes()
+    assert loaded.relations.tobytes() == params.relations.tobytes()
+
+
+# any byte, with the characters of the format drawn more often
+BYTES = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789 \n.-+eE"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["distance", "bilinear", "combined"]),
+       st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                          st.integers(0, 10 ** 6), BYTES),
+                min_size=1, max_size=4))
+def test_checkpoint_byte_mutations_load_or_raise(kind, mutations):
+    # before, about 40% of such mutations escaped as UnicodeDecodeError
+    rng = np.random.default_rng(5)
+    model = ScoreModel(kind, 2)
+    params = ModelParams(rng.normal(size=(3, 2)),
+                         rng.normal(size=(2, model.relation_dim)), 3.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.txt")
+        save_checkpoint(params, model, path)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        for op, pos, byte in mutations:
+            pos %= len(data) + (op == "insert")
+            if op == "replace":
+                data[pos] = byte
+            elif op == "insert":
+                data.insert(pos, byte)
+            else:
+                del data[pos]
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        try:
+            params, model = load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(path)
+            return
+    params.check_model(model)
+    params.check_finite()
+    assert math.isfinite(params.radius) and params.radius > 0
 
 
 def test_read_config(tmp_path):

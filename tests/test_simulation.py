@@ -5,6 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mrnet._rng import counter_uniforms, derive_seed
@@ -53,6 +54,31 @@ def test_counter_uniforms_basics():
     # rough uniformity at a fixed seed
     hist, _ = np.histogram(u, bins=20, range=(0, 1))
     assert stats.chisquare(hist).pvalue > 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.integers(-2 ** 70, 2 ** 70),
+       counters=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                         max_size=40),
+       data=st.data())
+def test_counter_uniforms_order_independent(key, counters, data):
+    perm = np.array(data.draw(st.permutations(range(len(counters)))))
+    arr = np.array(counters, dtype=np.uint64)
+    u = counter_uniforms(key, arr)
+    assert_array_equal(counter_uniforms(key, arr[perm]), u[perm])
+    for c, value in zip(counters, u):
+        assert counter_uniforms(key, c)[0] == value
+    assert ((0.0 <= u) & (u < 1.0)).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["entity_sd", "shift_sd", "weight_sd",
+                                   "truncation"])
+def test_gen_spec_rejects_non_finite(field, bad):
+    # weight_sd = inf made _truncated_normal redraw inf forever, and
+    # entity_sd or truncation = nan gave NaN truths or a NaN radius
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        tiny_spec(**{field: bad})
 
 
 def test_generate_truth_shapes_and_radius():
