@@ -1,0 +1,103 @@
+"""The edge index: one int64 key per (head, tail, relation) slot.
+
+An edge's key is its linear index (h*N + t)*K + r in the N^2 K
+universe.  Every module that linearizes, decodes, draws or range-checks
+edge indices does it here.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+# Up to this many slots the samplers take a permutation of the universe
+# (or flip one coin per slot); beyond, they draw with rejection.
+DENSE_MAX = 1 << 22
+
+
+class EdgeIndexError(IndexError, ValueError):
+    """An edge index outside the network; an ``IndexError`` to scoring's
+    callers and a ``ValueError`` to training's, as numpy's ``AxisError``
+    is both."""
+
+
+def check_indices(n_entities: int, n_relations: int, heads, tails,
+                  rels) -> None:
+    """Raise ``EdgeIndexError`` unless every index lies inside the network."""
+    for name, idx, hi in (("head", heads, n_entities),
+                          ("tail", tails, n_entities),
+                          ("relation", rels, n_relations)):
+        idx = np.asarray(idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= hi):
+            raise EdgeIndexError(f"{name} index out of range [0, {hi})")
+
+
+def edge_key(a, b, c, nb: int, nc: int) -> np.ndarray:
+    """Mixed-radix int64 key (a*nb + b)*nc + c of three index arrays.
+
+    ``edge_key(heads, tails, rels, N, K)`` is an edge's linear index
+    (h*N + t)*K + r, the order in which ``decode`` reads it back.  Keys
+    sort by ``a``, then ``b``, then ``c``; the ranking filter puts the
+    corrupted slot in ``c`` so that each test row's true corruptions
+    form one contiguous run of its sorted keys.
+    """
+    return (np.asarray(a, dtype=np.int64) * nb
+            + np.asarray(b, dtype=np.int64)) * nc + np.asarray(c, dtype=np.int64)
+
+
+def decode(keys: np.ndarray, nb: int, nc: int):
+    """The (a, b, c) index arrays of ``edge_key(a, b, c, nb, nc)``."""
+    c = keys % nc
+    ab = keys // nc
+    return ab // nb, ab % nb, c
+
+
+def in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the sorted ``sorted_values``."""
+    if not len(sorted_values):
+        return np.zeros(len(values), dtype=bool)
+    at = np.searchsorted(sorted_values, values)
+    return sorted_values[np.minimum(at, len(sorted_values) - 1)] == values
+
+
+def distinct_uniform(rng: np.random.Generator, total: int, count: int,
+                     avoid: Optional[np.ndarray] = None) -> np.ndarray:
+    """``count`` distinct integers from [0, total), sorted, uniform over
+    subsets; with ``avoid`` (a sorted array of distinct integers in that
+    range) the subsets exclude its values.
+
+    Up to ``DENSE_MAX`` (and, without ``avoid``, for dense draws) it
+    takes the first ``count`` of a permutation of the allowed values;
+    beyond, it draws with rejection.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    free = total if avoid is None else total - len(avoid)
+    if count > free:
+        raise ValueError("count exceeds population size")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if avoid is None and (total <= DENSE_MAX or 3 * count >= total):
+        return np.sort(rng.permutation(total)[:count].astype(np.int64))
+    if total <= DENSE_MAX:
+        pool = np.setdiff1d(np.arange(total, dtype=np.int64), avoid,
+                            assume_unique=True)
+        return np.sort(rng.permutation(pool)[:count])
+    # Rejection sampling, vectorized: keep the first `count` distinct
+    # allowed values in draw order, which matches drawing one at a time.
+    # Each round's draws are de-duplicated among themselves, then probed
+    # against `avoid` and the values kept in earlier rounds.
+    need = count + 4 * (count * count // total + 1) + 64
+    kept = kept_sorted = np.empty(0, dtype=np.int64)
+    while True:
+        draws = rng.integers(0, total, size=need)
+        _, first = np.unique(draws, return_index=True)
+        first.sort()  # chronological order of first occurrences
+        new = draws[first]
+        if avoid is not None:
+            new = new[~in_sorted(new, avoid)]
+        kept = np.concatenate([kept, new[~in_sorted(new, kept_sorted)]])
+        if len(kept) >= count:
+            return np.sort(kept[:count])
+        kept_sorted = np.sort(kept)

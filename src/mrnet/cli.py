@@ -150,7 +150,13 @@ def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int,
 def _cmd_simulate(sec, seed: int, args) -> int:
     model = _model_from(sec)
     entity_counts = _cfg_ints(sec, "entity_counts", required=True)
+    if not entity_counts or min(entity_counts) < 1:
+        raise ConfigError("key 'entity_counts' must list integers >= 1, "
+                          f"got {sec['entity_counts']!r}")
     obs_rates = _cfg_floats(sec, "obs_rates", required=True)
+    if not obs_rates or not all(0.0 <= g <= 1.0 for g in obs_rates):
+        raise ConfigError("key 'obs_rates' must list rates in [0, 1], "
+                          f"got {sec['obs_rates']!r}")
     replicates = _cfg_at_least(sec, "replicates", 1, 1)
     eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
     timing = _cfg_bool(sec, "timing", False)

@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
+from ._edges import check_indices, edge_key
 from .models import (
     ModelParams,
     NetworkShape,
     ScoreModel,
     ShapeError,
-    edge_key,
     score_gradients,
     scores,
     sigmoid,
@@ -60,19 +60,11 @@ class ObservationSet:
         if validate:
             self._validate()
 
-    def _check_indices(self) -> None:
-        """Raise ValueError unless every index lies inside the shape."""
-        n, k = self.shape.n_entities, self.shape.n_relations
-        for name, idx, hi in (("head", self.heads, n), ("tail", self.tails, n),
-                              ("relation", self.rels, k)):
-            if idx.size and (idx.min() < 0 or idx.max() >= hi):
-                raise ValueError(f"{name} index out of range [0, {hi})")
-
     def _validate(self):
-        self._check_indices()
+        n, k = self.shape.n_entities, self.shape.n_relations
+        check_indices(n, k, self.heads, self.tails, self.rels)
         if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be 0 or 1")
-        n, k = self.shape.n_entities, self.shape.n_relations
         lin = edge_key(self.heads, self.tails, self.rels, n, k)
         if len(np.unique(lin)) != len(lin):
             raise ValueError("observations contain duplicate edges")
@@ -307,7 +299,8 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     if obs.shape.n_entities != shape.n_entities or \
             obs.shape.n_relations != shape.n_relations:
         raise ShapeError("observation set does not match the network shape")
-    obs._check_indices()
+    check_indices(shape.n_entities, shape.n_relations, obs.heads, obs.tails,
+                  obs.rels)
     cap = config.sparsity_cap
     if cap is not None and cap > model.param_count(shape):
         raise ValueError("sparsity_cap exceeds the total parameter count")

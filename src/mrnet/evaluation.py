@@ -17,14 +17,13 @@ from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
+from ._edges import check_indices, edge_key
 from .models import (
     ModelParams,
     NetworkShape,
     ScoreModel,
     ShapeError,
     Triple,
-    _check_indices,
-    edge_key,
     scores,
     sigmoid,
 )
@@ -128,8 +127,8 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         heads, tails, rels = (np.asarray(a) for a in edges)
         if not len(heads):
             raise ValueError("no edges to evaluate")
-        _check_indices(fitted.n_entities, fitted.n_relations,
-                       heads, tails, rels)
+        check_indices(fitted.n_entities, fitted.n_relations,
+                      heads, tails, rels)
         blocks = ((heads, tails, rels, slice(None)),)
 
     kl_sum = mse_sum = err_sum = 0.0
@@ -147,8 +146,7 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     return EvalReport(kl_sum / count, mse_sum / count, err_sum / count, count)
 
 
-# The filter lookup ``as_validity`` builds from known triples (an (n, 3)
-# array, or a collection of (head, tail, rel) tuples or Triples):
+# The filter lookup ``as_validity`` builds from known triples:
 # ``lookup(slot, a, b, width)`` with ``slot`` a column (0 head, 1 tail,
 # 2 relation) and ``a``, ``b`` the block's other two index columns in
 # column order gives the (rows, width) mask of which candidates
@@ -166,8 +164,7 @@ _TRIPLE_FORMS = ("an (n, 3) array or a collection of (head, tail, rel) "
 
 
 def _triple_columns(triples) -> np.ndarray:
-    """(n, 3) int64 (head, tail, relation) rows of an (n, 3) array or of
-    a collection of (head, tail, rel) tuples / Triples."""
+    """(n, 3) int64 (head, tail, relation) rows of ``_TRIPLE_FORMS``."""
     if isinstance(triples, np.ndarray):
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise ShapeError(f"triples must be {_TRIPLE_FORMS}, got an "
@@ -175,15 +172,11 @@ def _triple_columns(triples) -> np.ndarray:
         return triples.astype(np.int64, copy=False)
     if callable(triples):
         raise TypeError(f"triples must be {_TRIPLE_FORMS}, got a callable")
-    return np.array([(it.head, it.tail, it.rel) if isinstance(it, Triple)
-                     else tuple(it) for it in triples],
-                    dtype=np.int64).reshape(-1, 3)
+    return np.array(list(triples), dtype=np.int64).reshape(-1, 3)
 
 
 def as_validity(truth_labels) -> Validity:
-    """The ranking filter over known triples: an (n, 3) array of (head,
-    tail, relation) rows, or a collection of (head, tail, rel) tuples or
-    Triples.
+    """The ranking filter over known triples, in one of ``_TRIPLE_FORMS``.
 
     Returns ``lookup(slot, a, b, width)`` (see ``Validity``).  It keeps
     sorted int64 keys of the known triples, one array per slot, with
@@ -273,15 +266,13 @@ def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
     ``slot`` is "head", "tail", or "relation"; the candidate pool is
     the target itself plus every corruption of that slot that is NOT a
     true triple (true corruptions are filtered out).  ``truth_labels``
-    holds the true triples in a form ``as_validity`` accepts: an (n, 3)
-    array or a collection of (head, tail, rel) tuples or Triples.  Rank
-    is 1 plus the number of candidates scoring strictly above the
-    target, plus half the number of non-target candidates tying it.
-    Parameters holding NaN or inf raise ``ValueError``.
+    holds the true triples in one of ``_TRIPLE_FORMS``.  Rank is 1 plus
+    the number of candidates scoring strictly above the target, plus
+    half the number of non-target candidates tying it.  Parameters
+    holding NaN or inf raise ``ValueError``.
     """
     params.check_finite()
-    one = [np.array([v], dtype=np.int64)
-           for v in (target.head, target.tail, target.rel)]
+    one = _triple_columns([target]).T
     return float(_filtered_ranks(model, params, *one, slot,
                                  as_validity(truth_labels), shape)[0])
 
@@ -309,14 +300,12 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
                 relation_hits: Iterable[int] = (1,)) -> RankReport:
     """Mean rank / mean reciprocal rank / hits@q over a test set.
 
-    ``test_triples`` is an (n, 3) int64 array of (head, tail, relation)
-    rows or a sequence of Triples; ``truth_labels`` holds the known
-    triples as ``as_validity`` takes them: an (n, 3) array or a
-    collection of (head, tail, rel) tuples or Triples.  Works through
-    the test set in blocks of about ``_RANK_BLOCK`` candidates per
-    slot; each rank equals ``rank_edge``'s.  Parameters holding NaN or
-    inf raise ``ValueError``, as in ``rank_edge``: a NaN score compares
-    false with everything, so it would still get a rank.
+    ``test_triples`` and the known triples ``truth_labels`` each come in
+    one of ``_TRIPLE_FORMS``.  Works through the test set in blocks of
+    about ``_RANK_BLOCK`` candidates per slot; each rank equals
+    ``rank_edge``'s.  Parameters holding NaN or inf raise
+    ``ValueError``, as in ``rank_edge``: a NaN score compares false with
+    everything, so it would still get a rank.
     """
     cols = _triple_columns(test_triples).T
     n_test = cols.shape[1]

@@ -16,9 +16,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ._edges import decode, distinct_uniform, edge_key
 from ._rng import derive_seed
-from .models import ModelParams, ScoreModel, NetworkShape, edge_key
-from .simulation import _decode, _distinct_uniform
+from .models import ModelParams, ScoreModel, NetworkShape
 
 __all__ = [
     "TripleParseError",
@@ -90,15 +90,25 @@ def _indices(names: List[str], vocab: Dict[str, int]) -> np.ndarray:
                        count=len(names))
 
 
+def _read_text(path, error: type) -> str:
+    """A UTF-8 file's text with "\r\n" and a lone "\r" read as "\n", as
+    in text mode; bytes that are not UTF-8 raise ``error`` naming the
+    file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
 def _parse_lines(path, order: Sequence[str], evocab: Dict[str, int],
                  rvocab: Dict[str, int]) -> Tuple[np.ndarray, int]:
     order = tuple(order)
     if sorted(order) != ["head", "relation", "tail"]:
         raise ValueError(f"column_order must permute head/relation/tail, got {order}")
-    # text mode reads "\r\n" and a lone "\r" as "\n", as iterating the
-    # file line by line would
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path, TripleParseError).split("\n")
     kept = [i for i, line in enumerate(lines) if line.strip()]
     if not kept:
         return np.empty((0, 3), dtype=np.int64), 0
@@ -130,17 +140,8 @@ def _parse_lines(path, order: Sequence[str], evocab: Dict[str, int],
 
 def load_triples(path, column_order: Sequence[str] = COLUMN_ORDERS["hrt"]
                  ) -> TripleDataset:
-    """Read one triple file, building vocabularies in appearance order.
-
-    Duplicate triples are dropped and counted.  A file with no triples
-    at all is an error.
-    """
-    evocab: Dict[str, int] = {}
-    rvocab: Dict[str, int] = {}
-    triples, dups = _parse_lines(path, column_order, evocab, rvocab)
-    if not len(triples):
-        raise ValueError(f"{path}: no triples found")
-    return TripleDataset(evocab, rvocab, triples, duplicates=dups)
+    """Read one triple file, as ``load_triple_split`` reads each file."""
+    return load_triple_split([path], column_order)[0]
 
 
 def load_triple_split(paths: Sequence, column_order: Sequence[str] =
@@ -149,7 +150,8 @@ def load_triple_split(paths: Sequence, column_order: Sequence[str] =
 
     Vocabularies grow in appearance order across the files in the
     given order (train first, typically), so indices are consistent
-    between splits.  Duplicates are counted within each file only.
+    between splits.  Duplicate triples are dropped and counted within
+    each file only.  A file with no triples at all is an error.
     """
     evocab: Dict[str, int] = {}
     rvocab: Dict[str, int] = {}
@@ -184,8 +186,8 @@ def sample_negatives(dataset: TripleDataset, ratio: float,
             f"cannot draw {count} negatives: only {shape.n_edges - len(pos)} "
             "non-positive edges exist")
     rng = np.random.default_rng(derive_seed(seed, _TAG_NEGATIVES))
-    chosen = _distinct_uniform(rng, shape.n_edges, count, avoid=pos)
-    return np.column_stack(_decode(chosen, shape))
+    chosen = distinct_uniform(rng, shape.n_edges, count, avoid=pos)
+    return np.column_stack(decode(chosen, n, k))
 
 
 def save_checkpoint(params: ModelParams, model: ScoreModel, path) -> None:
@@ -219,13 +221,7 @@ def _parse_row(path, lineno: int, line: str, width: int, label: str
 
 def load_checkpoint(path) -> Tuple[ModelParams, ScoreModel]:
     """Inverse of save_checkpoint, with format errors located by line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise CheckpointError(f"{path}: line {lineno}: not UTF-8 text") from None
+    lines = _read_text(path, CheckpointError).splitlines()
     if not lines or lines[0].split() != [_CKPT_MAGIC, str(_CKPT_VERSION)]:
         raise CheckpointError(f"{path}: line 1: expected "
                               f"'{_CKPT_MAGIC} {_CKPT_VERSION}' header")
@@ -273,8 +269,7 @@ def read_config(path, section: str) -> configparser.SectionProxy:
     """Read one subcommand's section from an INI-style config file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(_read_text(path, ConfigError), source=str(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except configparser.Error as exc:

@@ -21,15 +21,17 @@ Three score forms are supported:
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
+
+from ._edges import check_indices
 
 __all__ = [
     "MODEL_KINDS",
     "ShapeError",
     "Triple",
     "NetworkShape",
-    "edge_key",
     "ScoreModel",
     "ModelParams",
     "sigmoid",
@@ -55,9 +57,8 @@ class ShapeError(ValueError):
     """Array dimensions disagree with the declared model or network."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Triple:
-    """One edge slot: (head entity, tail entity, relation type)."""
+class Triple(NamedTuple):
+    """One edge slot: (head entity, tail entity, relation type), a row."""
 
     head: int
     tail: int
@@ -85,19 +86,6 @@ class NetworkShape:
     @property
     def expected_observations(self) -> float:
         return self.obs_rate * self.n_edges
-
-
-def edge_key(a, b, c, nb: int, nc: int) -> np.ndarray:
-    """Mixed-radix int64 key (a*nb + b)*nc + c of three index arrays.
-
-    ``edge_key(heads, tails, rels, N, K)`` is an edge's linear index
-    (h*N + t)*K + r, the order in which ``simulation._decode`` reads it
-    back.  Keys sort by ``a``, then ``b``, then ``c``; the ranking
-    filter puts the corrupted slot in ``c`` so that each test row's
-    true corruptions form one contiguous run of its sorted keys.
-    """
-    return (np.asarray(a, dtype=np.int64) * nb
-            + np.asarray(b, dtype=np.int64)) * nc + np.asarray(c, dtype=np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,14 +187,6 @@ def sigmoid(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def _check_indices(shape_n, shape_k, heads, tails, rels):
-    for name, idx, hi in (("head", heads, shape_n), ("tail", tails, shape_n),
-                          ("relation", rels, shape_k)):
-        idx = np.asarray(idx)
-        if idx.size and (idx.min() < 0 or idx.max() >= hi):
-            raise IndexError(f"{name} index out of range [0, {hi})")
-
-
 def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.ndarray:
     """Vectorized edge scores for index arrays that broadcast together.
 
@@ -237,9 +217,9 @@ def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.nda
 
 def score(model: ScoreModel, params: ModelParams, edge: Triple) -> float:
     """Score of a single edge; exact match with the vectorized path."""
-    _check_indices(params.n_entities, params.n_relations,
-                   [edge.head], [edge.tail], [edge.rel])
-    return float(scores(model, params, [edge.head], [edge.tail], [edge.rel])[0])
+    one = np.array([edge], dtype=np.int64).T
+    check_indices(params.n_entities, params.n_relations, *one)
+    return float(scores(model, params, *one)[0])
 
 
 def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
@@ -270,9 +250,9 @@ def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
 
 def score_gradient(model: ScoreModel, params: ModelParams, edge: Triple):
     """Gradient of one edge's score: (d_head, d_tail, d_relation)."""
-    _check_indices(params.n_entities, params.n_relations,
-                   [edge.head], [edge.tail], [edge.rel])
-    gh, gt, gr = score_gradients(model, params, [edge.head], [edge.tail], [edge.rel])
+    one = np.array([edge], dtype=np.int64).T
+    check_indices(params.n_entities, params.n_relations, *one)
+    gh, gt, gr = score_gradients(model, params, *one)
     return gh[0], gt[0], gr[0]
 
 

@@ -18,11 +18,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._edges import DENSE_MAX, decode, distinct_uniform, edge_key
 from ._rng import counter_uniforms, derive_seed
 from .estimation import ObservationSet, TrainConfig, train
-from .evaluation import EvalReport, evaluate_losses
-from .models import ModelParams, NetworkShape, ScoreModel, Triple, \
-    edge_key, edge_probabilities, scores
+from .evaluation import evaluate_losses
+from .models import ModelParams, NetworkShape, ScoreModel, edge_probabilities
 
 __all__ = [
     "GenSpec",
@@ -132,9 +132,6 @@ class LabelSampler:
         u = counter_uniforms(self._key, edge_key(heads, tails, rels, n, k))
         return (u < self.probabilities(heads, tails, rels)).astype(np.int8)
 
-    def label(self, edge: Triple) -> int:
-        return int(self.labels([edge.head], [edge.tail], [edge.rel])[0])
-
 
 def sample_network(model: ScoreModel, truth: ModelParams,
                    shape: NetworkShape, seed: int) -> LabelSampler:
@@ -142,92 +139,31 @@ def sample_network(model: ScoreModel, truth: ModelParams,
     return LabelSampler(model, truth, shape, seed)
 
 
-def _decode(linear: np.ndarray, shape: NetworkShape):
-    n, k = shape.n_entities, shape.n_relations
-    rels = linear % k
-    pair = linear // k
-    return pair // n, pair % n, rels
+def _flip(rng: np.random.Generator, total: int, rate: float) -> np.ndarray:
+    """The slots whose uniform falls below ``rate``; cost grows with ``total``."""
+    return np.nonzero(rng.random(total) < rate)[0].astype(np.int64)
 
 
-def _distinct_uniform(rng: np.random.Generator, total: int, count: int,
-                      avoid: Optional[np.ndarray] = None) -> np.ndarray:
-    """``count`` distinct integers from [0, total), sorted, uniform over
-    subsets; with ``avoid`` (a sorted array of distinct integers in that
-    range) the subsets exclude its values.
-
-    Up to 2^22 (and, without ``avoid``, for dense draws) it takes the
-    first ``count`` of a permutation of the allowed values; beyond, it
-    draws with rejection.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    free = total if avoid is None else total - len(avoid)
-    if count > free:
-        raise ValueError("count exceeds population size")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    if avoid is None and (total <= (1 << 22) or 3 * count >= total):
-        return np.sort(rng.permutation(total)[:count].astype(np.int64))
-    if total <= (1 << 22):
-        pool = np.setdiff1d(np.arange(total, dtype=np.int64), avoid,
-                            assume_unique=True)
-        return np.sort(rng.permutation(pool)[:count])
-    # Rejection sampling, vectorized: keep the first `count` distinct
-    # allowed values in draw order, which matches drawing one at a time.
-    # Each round's draws are de-duplicated among themselves, then probed
-    # against `avoid` and the values kept in earlier rounds.
-    need = count + 4 * (count * count // total + 1) + 64
-    kept = kept_sorted = np.empty(0, dtype=np.int64)
-    while True:
-        draws = rng.integers(0, total, size=need)
-        _, first = np.unique(draws, return_index=True)
-        first.sort()  # chronological order of first occurrences
-        new = draws[first]
-        if avoid is not None:
-            new = new[~_in_sorted(new, avoid)]
-        kept = np.concatenate([kept, new[~_in_sorted(new, kept_sorted)]])
-        if len(kept) >= count:
-            return np.sort(kept[:count])
-        kept_sorted = np.sort(kept)
+def _binomial(rng: np.random.Generator, total: int, rate: float) -> np.ndarray:
+    """A Binomial(total, rate) count, then a uniform subset of that size:
+    ``_flip``'s distribution at a cost that grows with the count."""
+    return distinct_uniform(rng, total, int(rng.binomial(total, rate)))
 
 
-def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    """Whether each of ``values`` occurs in the sorted ``sorted_values``."""
-    if not len(sorted_values):
-        return np.zeros(len(values), dtype=bool)
-    at = np.searchsorted(sorted_values, values)
-    return sorted_values[np.minimum(at, len(sorted_values) - 1)] == values
-
-
-def sample_observations(shape: NetworkShape, labels: LabelSampler, seed: int,
-                        method: str = "auto") -> ObservationSet:
-    """Reveal each edge independently with probability ``shape.obs_rate``.
-
-    ``method`` picks how the revealed subset is drawn:
-
-    - ``"flip"``: one uniform per edge slot (exact Bernoulli mask; cost
-      proportional to the full edge universe);
-    - ``"binomial"``: draw |S| ~ Binomial(N^2 K, rate), then a uniform
-      |S|-subset — the same distribution, at cost proportional to |S|;
-    - ``"auto"``: flip for universes up to 2^22 slots, binomial beyond.
-    """
-    if method not in ("auto", "flip", "binomial"):
-        raise ValueError(f"unknown sampling method {method!r}")
+def sample_observations(shape: NetworkShape, labels: LabelSampler,
+                        seed: int) -> ObservationSet:
+    """Reveal each edge independently with probability ``shape.obs_rate``:
+    by ``_flip`` up to ``DENSE_MAX`` slots, by ``_binomial`` beyond."""
     total = shape.n_edges
     rate = shape.obs_rate
     rng = np.random.default_rng(derive_seed(seed, _TAG_MASK))
-    if method == "auto":
-        method = "flip" if total <= (1 << 22) else "binomial"
     if rate == 0.0:
         chosen = np.empty(0, dtype=np.int64)
     elif rate == 1.0:
         chosen = np.arange(total, dtype=np.int64)
-    elif method == "flip":
-        chosen = np.nonzero(rng.random(total) < rate)[0].astype(np.int64)
     else:
-        count = int(rng.binomial(total, rate))
-        chosen = _distinct_uniform(rng, total, count)
-    heads, tails, rels = _decode(chosen, shape)
+        chosen = (_flip if total <= DENSE_MAX else _binomial)(rng, total, rate)
+    heads, tails, rels = decode(chosen, shape.n_entities, shape.n_relations)
     ys = labels.labels(heads, tails, rels) if len(chosen) else \
         np.empty(0, dtype=np.int8)
     return ObservationSet(shape, heads, tails, rels, ys, validate=False)
@@ -278,32 +214,26 @@ def _eval_edges(shape: NetworkShape, cap: int, seed: int):
     if total <= cap:
         return None, True  # None means "scan everything"
     rng = np.random.default_rng(derive_seed(seed, _TAG_EVAL))
-    lin = _distinct_uniform(rng, total, cap)
-    return _decode(lin, shape), False
+    lin = distinct_uniform(rng, total, cap)
+    return decode(lin, shape.n_entities, shape.n_relations), False
 
 
 def run_replicate(grid: ExperimentGrid, n_entities: int, obs_rate: float,
                   cell_index: int, replicate: int) -> GridRow:
-    base = grid.gen.seed
+    def seed(tag: int) -> int:
+        return derive_seed(grid.gen.seed, cell_index, replicate, tag)
+
     shape = NetworkShape(n_entities, grid.gen.shape.n_relations, obs_rate)
-    spec = dataclasses.replace(
-        grid.gen, shape=shape,
-        seed=derive_seed(base, cell_index, replicate, _TAG_TRUTH))
+    spec = dataclasses.replace(grid.gen, shape=shape, seed=seed(_TAG_TRUTH))
     t0 = time.perf_counter()
     truth = generate_truth(spec)
-    sampler = sample_network(
-        spec.model, truth, shape,
-        derive_seed(base, cell_index, replicate, _TAG_LABELS))
-    obs = sample_observations(
-        shape, sampler, derive_seed(base, cell_index, replicate, _TAG_MASK))
-    config = dataclasses.replace(
-        grid.train, seed=derive_seed(base, cell_index, replicate, _TAG_TRAIN))
+    sampler = sample_network(spec.model, truth, shape, seed(_TAG_LABELS))
+    obs = sample_observations(shape, sampler, seed(_TAG_MASK))
+    config = dataclasses.replace(grid.train, seed=seed(_TAG_TRAIN))
     if grid.fit_radius_from_truth:
         config = dataclasses.replace(config, radius=spec.radius)
     fitted = train(spec.model, shape, obs, config).params
-    edges, exact = _eval_edges(
-        shape, grid.eval_cap,
-        derive_seed(base, cell_index, replicate, _TAG_EVAL))
+    edges, exact = _eval_edges(shape, grid.eval_cap, seed(_TAG_EVAL))
     report = evaluate_losses(spec.model, fitted, truth, edges=edges,
                              shape=shape)
     seconds = time.perf_counter() - t0

@@ -449,3 +449,39 @@ def test_non_finite_bound_constant_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: lipschitz must be finite")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("entity_counts", ","),
+    ("entity_counts", "6, 0"),
+    ("obs_rates", ","),
+    ("obs_rates", "1.0, 1.5"),
+    ("obs_rates", "nan"),
+])
+def test_bad_grid_list_exits_2(tmp_path, capsys, key, value):
+    # an empty list used to end in an IndexError traceback, and a bad
+    # entry after the first wrote NaN rows for its cells
+    out = tmp_path / "grid.csv"
+    cfg = write(tmp_path / "sim.ini",
+                config_with(SIM_CONFIG.format(out=out), key, value))
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: key '{key}' must list")
+    assert not out.exists()
+
+
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    triples = tmp_path / "train.tsv"
+    triples.write_bytes(b"a\tr\tb\r\nb\tr\tc\rc\tr\t\xff\n")
+    cfg = write(tmp_path / "t.ini",
+                TRAIN_CONFIG.format(triples=triples, ckpt=ckpt))
+    assert run_cli(["train", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {triples}: line 3: not UTF-8 text\n")
+    bad_cfg = tmp_path / "bad.ini"
+    bad_cfg.write_bytes(b"[train]\nkind = \xff\n")
+    assert run_cli(["train", "--config", str(bad_cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {bad_cfg}: line 2: not UTF-8 text\n")
+    assert not ckpt.exists()

@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mrnet._edges import EdgeIndexError, check_indices, decode, edge_key
+from mrnet.estimation import ObservationSet
+from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple, score
+
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@st.composite
+def edges_in_shapes(draw):
+    """Index arrays inside an (N, K) universe whose N^2 K keys fit int64."""
+    n = draw(st.integers(1, 3_037_000_499))  # N^2 <= 2^63 - 1
+    k = draw(st.integers(1, INT64_MAX // (n * n)))
+    size = draw(st.integers(0, 8))
+    col = lambda hi: np.array(draw(st.lists(st.integers(0, hi - 1),
+                                            min_size=size, max_size=size)),
+                              dtype=np.int64)
+    return n, k, col(n), col(n), col(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges_in_shapes())
+def test_decode_inverts_edge_key(case):
+    n, k, heads, tails, rels = case
+    keys = edge_key(heads, tails, rels, n, k)
+    assert keys.dtype == np.int64 and (keys >= 0).all()
+    for got, want in zip(decode(keys, n, k), (heads, tails, rels)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_edge_key_orders_slots_like_the_universe():
+    n, k = 4, 3
+    h, t, r = np.meshgrid(np.arange(n), np.arange(n), np.arange(k),
+                          indexing="ij")
+    keys = edge_key(h.ravel(), t.ravel(), r.ravel(), n, k)
+    np.testing.assert_array_equal(keys, np.arange(n * n * k))
+
+
+def test_index_error_is_both_index_and_value_error():
+    assert issubclass(EdgeIndexError, IndexError)
+    assert issubclass(EdgeIndexError, ValueError)
+    check_indices(3, 2, [0, 2], [1, 2], [0, 1])  # inside: no error
+    for exc in (IndexError, ValueError):
+        with pytest.raises(exc, match=r"tail index out of range \[0, 3\)"):
+            check_indices(3, 2, [0], [3], [0])
+    # scoring and observation sets raise the same error
+    model = ScoreModel("bilinear", 2)
+    params = ModelParams(np.zeros((3, 2)), np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError, match="relation index"):
+        score(model, params, Triple(0, 0, 2))
+    with pytest.raises(IndexError, match="head index"):
+        ObservationSet(NetworkShape(3, 2), [-1], [0], [0], [1])
+
+
+def test_triple_is_a_row():
+    edge = Triple(2, 0, 1)
+    assert edge == (2, 0, 1)
+    assert (edge.head, edge.tail, edge.rel) == (2, 0, 1)
+    np.testing.assert_array_equal(np.array([edge, (0, 1, 0)]),
+                                  [[2, 0, 1], [0, 1, 0]])

@@ -638,7 +638,8 @@ def test_rank_report_takes_triple_arrays(kind):
     as_triples = [Triple(*map(int, tr)) for tr in tests]
     want = rank_report(model, params, as_triples, set(map(tuple, known.tolist())),
                        shape, entity_hits=(1, 10), relation_hits=(1,))
-    for test_form in (tests, tests.astype(np.int32), as_triples):
+    as_tuples = [tuple(tr) for tr in tests.tolist()]
+    for test_form in (tests, tests.astype(np.int32), as_triples, as_tuples):
         for known_form in (known, [Triple(*map(int, tr)) for tr in known]):
             got = rank_report(model, params, test_form, known_form, shape,
                               entity_hits=(1, 10), relation_hits=(1,))

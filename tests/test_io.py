@@ -22,7 +22,7 @@ from mrnet.io import (
     save_checkpoint,
 )
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple
-from mrnet.simulation import _decode, _distinct_uniform
+from mrnet._edges import decode, distinct_uniform
 
 
 def write(tmp_path, name, text):
@@ -97,6 +97,21 @@ def test_load_triples_malformed_line(tmp_path):
         load_triples(path3)
 
 
+def test_non_utf8_triples_name_file_and_line(tmp_path):
+    # "\r\n" and a lone "\r" still end lines before the bad byte
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"a\tr\tb\r\n\rb\tr\tc\nc\tr\t\xffd\n")
+    with pytest.raises(TripleParseError,
+                       match=r"t\.tsv: line 4: not UTF-8 text"):
+        load_triples(path)
+    # in a split, the message names the file that holds the byte
+    (tmp_path / "bad.tsv").write_bytes(b"\xfe\tr\tb\n")
+    with pytest.raises(TripleParseError,
+                       match=r"bad\.tsv: line 1: not UTF-8 text"):
+        load_triple_split([write(tmp_path, "ok.tsv", "a\tr\tb\n"),
+                           tmp_path / "bad.tsv"])
+
+
 def test_load_triples_empty_file(tmp_path):
     path = write(tmp_path, "t.tsv", "\n\n")
     with pytest.raises(ValueError, match="no triples"):
@@ -160,7 +175,7 @@ def test_sample_negatives_exhaustion():
 
 def old_sample_negatives(positives, ratio, shape, seed):
     """The draw loop ``sample_negatives`` used before it called
-    ``simulation._distinct_uniform``, kept as the oracle."""
+    ``distinct_uniform``, kept as the oracle."""
     count = math.ceil(ratio * len(positives))
     n, k = shape.n_entities, shape.n_relations
     total = shape.n_edges
@@ -173,7 +188,7 @@ def old_sample_negatives(positives, ratio, shape, seed):
         chosen = np.sort(rng.permutation(pool)[:count])
     else:
         chosen = old_rejection_draws(rng, total, count, pos)
-    return np.column_stack(_decode(chosen, shape))
+    return np.column_stack(decode(chosen, n, k))
 
 
 def old_rejection_draws(rng, total, count, pos):
@@ -202,7 +217,7 @@ def test_sample_negatives_draws_match_old_loop(n, k, n_pos, ratio):
     shape = NetworkShape(n, k)
     rng = np.random.default_rng(n_pos)
     lin = rng.choice(shape.n_edges, size=n_pos, replace=False)
-    positives = np.column_stack(_decode(lin, shape))
+    positives = np.column_stack(decode(lin, n, k))
     ds = TripleDataset({}, {}, positives)
     for seed in (0, 7):
         got = sample_negatives(ds, ratio, shape, seed)
@@ -227,7 +242,7 @@ def test_rejection_draws_with_few_free_slots():
     total = 2049 * 2049
 
     def timed_out(signum, frame):
-        raise TimeoutError("_distinct_uniform took over 30 s")
+        raise TimeoutError("distinct_uniform took over 30 s")
 
     old_handler = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(30)
@@ -237,7 +252,7 @@ def test_rejection_draws_with_few_free_slots():
         for n_free, count in ((60, 2), (100, 20)):
             avoid, free = few_free_slots(total, n_free, seed=1)
             for seed in (0, 1):
-                got = _distinct_uniform(np.random.default_rng(seed), total,
+                got = distinct_uniform(np.random.default_rng(seed), total,
                                         count, avoid=avoid)
                 assert len(np.unique(got)) == count
                 assert np.isin(got, free).all()
@@ -247,7 +262,7 @@ def test_rejection_draws_with_few_free_slots():
     # with 4,000 free slots the old loop finishes in under a second
     avoid, _ = few_free_slots(total, 4000, seed=2)
     for seed in (0, 1):
-        got = _distinct_uniform(np.random.default_rng(seed), total, 2,
+        got = distinct_uniform(np.random.default_rng(seed), total, 2,
                                 avoid=avoid)
         want = old_rejection_draws(np.random.default_rng(seed), total, 2,
                                    avoid)
@@ -259,8 +274,8 @@ def test_distinct_uniform_rejects_negative_count():
     rng = np.random.default_rng(0)
     for total in (72, 1 << 23):
         with pytest.raises(ValueError, match="count must be >= 0"):
-            _distinct_uniform(rng, total, -5)
-    assert _distinct_uniform(rng, 72, 0).shape == (0,)
+            distinct_uniform(rng, total, -5)
+    assert distinct_uniform(rng, 72, 0).shape == (0,)
 
 
 @st.composite
@@ -272,7 +287,7 @@ def negative_cases(draw):
     shape = NetworkShape(n, k)
     lin = draw(st.sets(st.integers(0, shape.n_edges - 1), min_size=1,
                        max_size=min(shape.n_edges, 40)))
-    positives = np.column_stack(_decode(np.array(sorted(lin)), shape))
+    positives = np.column_stack(decode(np.array(sorted(lin)), n, k))
     ratio = draw(st.floats(0.0, 3.0))
     return shape, positives, ratio, draw(st.integers(0, 2 ** 32))
 
@@ -562,3 +577,7 @@ def test_read_config(tmp_path):
     bad = write(tmp_path, "bad.ini", "epochs = 5\n")  # key before section
     with pytest.raises(ConfigError):
         read_config(bad, "train")
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[train]\r\nkind = caf\xe9\r\n")
+    with pytest.raises(ConfigError, match=r"latin1\.ini: line 2: not UTF-8"):
+        read_config(latin1, "train")

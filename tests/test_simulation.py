@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mrnet._rng import counter_uniforms, derive_seed
-from mrnet.models import NetworkShape, ScoreModel, Triple, edge_key
+from mrnet._edges import edge_key
+from mrnet.models import NetworkShape, ScoreModel
 from mrnet.simulation import (
+    _binomial,
+    _flip,
     ExperimentGrid,
     GenSpec,
     GridRow,
@@ -130,7 +133,6 @@ def test_label_sampler_deterministic_and_order_free():
     perm = np.array([2, 0, 3, 1])
     assert_array_equal(s1.labels(hs[perm], ts[perm], rs[perm]),
                        s1.labels(hs, ts, rs)[perm])
-    assert s1.label(Triple(0, 1, 0)) == s1.labels([0], [1], [0])[0]
     s3 = sample_network(spec.model, truth, spec.shape, seed=12)
     all_h, all_t, all_r = np.meshgrid(np.arange(10), np.arange(10),
                                       np.arange(2), indexing="ij")
@@ -167,46 +169,40 @@ def test_sample_observations_rate_edges():
     assert len(none) == 0
 
 
-@pytest.mark.parametrize("method", ["flip", "binomial"])
-def test_sample_observations_count_and_distinctness(method):
-    shape = NetworkShape(20, 3, 0.3)
-    spec = tiny_spec(n=20, k=3, rate=0.3)
-    sampler = sample_network(spec.model, generate_truth(spec), shape, seed=4)
-    obs = sample_observations(shape, sampler, seed=9, method=method)
-    total = shape.n_edges
-    lin = linear(obs)
+@pytest.mark.parametrize("draw", [_flip, _binomial],
+                         ids=["flip", "binomial"])
+def test_sample_observations_count_and_distinctness(draw):
+    total = NetworkShape(20, 3, 0.3).n_edges
+    lin = draw(np.random.default_rng(9), total, 0.3)
+    assert lin.dtype == np.int64
     assert len(np.unique(lin)) == len(lin)
+    assert lin.min() >= 0 and lin.max() < total
     sd = np.sqrt(total * 0.3 * 0.7)
-    assert abs(len(obs) - 0.3 * total) < 5 * sd
-    again = sample_observations(shape, sampler, seed=9, method=method)
-    assert_array_equal(lin, linear(again))
-    with pytest.raises(ValueError):
-        sample_observations(shape, sampler, seed=9, method="bogus")
+    assert abs(len(lin) - 0.3 * total) < 5 * sd
+    assert_array_equal(lin, draw(np.random.default_rng(9), total, 0.3))
 
 
 def test_sample_observations_methods_agree_in_distribution():
     # the two subset samplers induce the same distribution: compare the
     # per-edge inclusion counts over many seeds with a chi-square test
-    shape = NetworkShape(5, 2, 0.4)
-    spec = tiny_spec(n=5, k=2, rate=0.4)
-    sampler = sample_network(spec.model, generate_truth(spec), shape, seed=0)
+    total = NetworkShape(5, 2, 0.4).n_edges
     reps = 300
     counts = {}
     sizes = {}
-    for method in ("flip", "binomial"):
-        inc = np.zeros(shape.n_edges)
+    for draw in (_flip, _binomial):
+        inc = np.zeros(total)
         size = np.empty(reps)
         for s in range(reps):
-            obs = sample_observations(shape, sampler, seed=s, method=method)
-            inc[linear(obs)] += 1
-            size[s] = len(obs)
-        counts[method] = inc
-        sizes[method] = size
+            lin = draw(np.random.default_rng(s), total, 0.4)
+            inc[lin] += 1
+            size[s] = len(lin)
+        counts[draw] = inc
+        sizes[draw] = size
     # inclusion frequency per edge: Binomial(reps, 0.4) either way
-    for method in ("flip", "binomial"):
-        z = (counts[method] - reps * 0.4) / np.sqrt(reps * 0.4 * 0.6)
+    for draw in (_flip, _binomial):
+        z = (counts[draw] - reps * 0.4) / np.sqrt(reps * 0.4 * 0.6)
         assert np.abs(z).max() < 5
-    assert stats.ks_2samp(sizes["flip"], sizes["binomial"]).pvalue > 1e-3
+    assert stats.ks_2samp(sizes[_flip], sizes[_binomial]).pvalue > 1e-3
 
 
 def grid_for_test(**overrides):
