@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .estimation import (
     ObservationSet,
-    SparseGradient,
     TrainConfig,
     TrainResult,
     log_likelihood,
@@ -70,7 +69,6 @@ from .simulation import (
     ExperimentGrid,
     GenSpec,
     GridRow,
-    LabelSampler,
     generate_truth,
     run_grid,
     sample_network,

@@ -11,9 +11,15 @@ from typing import Optional
 
 import numpy as np
 
+from ._rng import TAG_EVAL, derive_seed
+
 # Up to this many slots the samplers take a permutation of the universe
 # (or flip one coin per slot); beyond, they draw with rejection.
 DENSE_MAX = 1 << 22
+
+# A loss scan covers every slot of a universe up to this size, else a
+# uniform subsample of this many slots.
+EVAL_CAP = 1_000_000
 
 
 class EdgeIndexError(IndexError, ValueError):
@@ -101,3 +107,14 @@ def distinct_uniform(rng: np.random.Generator, total: int, count: int,
         if len(kept) >= count:
             return np.sort(kept[:count])
         kept_sorted = np.sort(kept)
+
+
+def loss_edges(n: int, k: int, cap: int, seed: int):
+    """The slots a loss scan covers: ``None`` (every slot) when the N^2 K
+    universe has at most ``cap``, else the (heads, tails, rels) of a
+    uniform subsample of ``cap`` slots drawn from ``seed``."""
+    total = n * n * k
+    if total <= cap:
+        return None
+    rng = np.random.default_rng(derive_seed(seed, TAG_EVAL))
+    return decode(distinct_uniform(rng, total, cap), n, k)

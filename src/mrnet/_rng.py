@@ -12,6 +12,12 @@ import numpy as np
 
 __all__ = ["derive_seed", "counter_uniforms"]
 
+# Stream tags: ``derive_seed(seed, tag)`` fans one user seed out into
+# independent sub-streams, one per use.  The values are fixed, since
+# every draw depends on them.
+(TAG_TRUTH, TAG_LABELS, TAG_MASK, TAG_TRAIN, TAG_EVAL,
+ TAG_NEGATIVES) = range(6)
+
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INIT = np.uint64(0x243F6A8885A308D3)

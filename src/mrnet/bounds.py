@@ -45,7 +45,7 @@ def _require_finite(inputs, names) -> None:
     # NaN slips through every ordering test below (max(c, nan) is c)
     for name in names:
         value = getattr(inputs, name)
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -56,9 +56,7 @@ class BoundInputs:
     ``n`` is the expected number of observed edges (rate * N^2 * K),
     ``m`` the total parameter count, ``sup_score`` a uniform bound
     C >= 2 on |score|, ``lipschitz`` a bound on the score gradient
-    norm, ``radius`` the row-norm budget U.  ``margin`` (a lower bound
-    on |probability - 1/2|) and ``obs_rate`` are carried for callers
-    that need them; the evaluators here do not.
+    norm, ``radius`` the row-norm budget U.
     """
 
     n: float
@@ -66,12 +64,9 @@ class BoundInputs:
     sup_score: float
     lipschitz: float
     radius: float
-    margin: Optional[float] = None
-    obs_rate: Optional[float] = None
 
     def __post_init__(self):
-        _require_finite(self, ("n", "radius", "sup_score", "lipschitz",
-                               "margin"))
+        _require_finite(self, ("n", "radius", "sup_score", "lipschitz"))
         if self.n <= 0:
             raise ValueError("n must be positive")
         if self.m < 1:
@@ -80,12 +75,10 @@ class BoundInputs:
             raise ValueError("sup_score must be at least 2")
         if self.lipschitz <= 0 or self.radius <= 0:
             raise ValueError("lipschitz and radius must be positive")
-        if self.margin is not None and not 0 < self.margin <= 0.5:
-            raise ValueError("margin must lie in (0, 1/2]")
 
     @classmethod
     def from_model(cls, model: ScoreModel, shape: NetworkShape,
-                   radius: float, margin: Optional[float] = None) -> "BoundInputs":
+                   radius: float) -> "BoundInputs":
         """Fill C and alpha from their closed forms for a given model."""
         return cls(
             n=shape.expected_observations,
@@ -93,8 +86,6 @@ class BoundInputs:
             sup_score=score_sup_bound(model, radius),
             lipschitz=lipschitz_bound(model, radius),
             radius=radius,
-            margin=margin,
-            obs_rate=shape.obs_rate,
         )
 
 

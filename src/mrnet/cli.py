@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ._edges import EVAL_CAP, loss_edges
 from .bounds import BoundInputs, risk_bound, tail_bound
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses, rank_report
@@ -32,13 +33,7 @@ from .io import (
     save_checkpoint,
 )
 from .models import NetworkShape, ScoreModel, ShapeError
-from .simulation import (
-    ExperimentGrid,
-    GenSpec,
-    _eval_edges,
-    run_grid,
-    write_grid_csv,
-)
+from .simulation import ExperimentGrid, GenSpec, run_grid, write_grid_csv
 
 __all__ = ["run_cli", "main"]
 
@@ -59,9 +54,9 @@ def _cfg_int(sec, key, default=None, required=False):
     return _get(sec, key, int, default, required, "an integer")
 
 
-def _cfg_at_least(sec, key, default, low):
+def _cfg_at_least(sec, key, low, default=None):
     value = _cfg_int(sec, key, default)
-    if value < low:
+    if value is not None and value < low:
         raise ConfigError(f"key '{key}' must be >= {low}, got {value}")
     return value
 
@@ -74,7 +69,7 @@ def _cfg_str(sec, key, default=None, required=False):
     return _get(sec, key, str, default, required, "a string")
 
 
-def _cfg_bool(sec, key, default=False):
+def _cfg_bool(sec, key):
     table = {"true": True, "1": True, "yes": True,
              "false": False, "0": False, "no": False}
 
@@ -84,7 +79,7 @@ def _cfg_bool(sec, key, default=False):
         except KeyError:
             raise ValueError(raw) from None
 
-    return _get(sec, key, conv, default, False, "a boolean")
+    return _get(sec, key, conv, None, False, "a boolean")
 
 
 def _split_list(raw: str) -> List[str]:
@@ -101,6 +96,12 @@ def _cfg_floats(sec, key, default=None, required=False):
     return _get(sec, key, conv, default, required, "a list of numbers")
 
 
+def _set_only(**values) -> dict:
+    """The ``values`` a section sets.  A key it leaves out is not passed
+    on, so the library's default for it holds."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _model_from(sec) -> ScoreModel:
     kind = _cfg_str(sec, "kind", required=True)
     dim = _cfg_int(sec, "latent_dim", required=True)
@@ -111,18 +112,19 @@ def _model_from(sec) -> ScoreModel:
 
 
 def _train_config_from(sec, seed: int) -> TrainConfig:
-    cap = _cfg_int(sec, "sparsity_cap", default=None)
     tc = TrainConfig(
         epochs=_cfg_int(sec, "epochs", required=True),
-        learning_rate=_cfg_float(sec, "learning_rate", 0.1),
-        adagrad_eps=_cfg_float(sec, "adagrad_eps", 1e-8),
-        batch_size=_cfg_int(sec, "batch_size", 128),
-        rho1=_cfg_float(sec, "rho1", 0.0),
-        rho2=_cfg_float(sec, "rho2", 0.0),
-        sparsity_cap=cap,
-        radius=_cfg_float(sec, "radius", 20.0),
-        init_scale=_cfg_float(sec, "init_scale", 0.1),
         seed=seed,
+        **_set_only(
+            learning_rate=_cfg_float(sec, "learning_rate"),
+            adagrad_eps=_cfg_float(sec, "adagrad_eps"),
+            batch_size=_cfg_int(sec, "batch_size"),
+            rho1=_cfg_float(sec, "rho1"),
+            rho2=_cfg_float(sec, "rho2"),
+            sparsity_cap=_cfg_int(sec, "sparsity_cap"),
+            radius=_cfg_float(sec, "radius"),
+            init_scale=_cfg_float(sec, "init_scale"),
+        ),
     )
     try:
         tc.validate()
@@ -132,16 +134,19 @@ def _train_config_from(sec, seed: int) -> TrainConfig:
 
 
 def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int,
-              truncation: float = 20.0) -> GenSpec:
+              truncation: Optional[float] = None) -> GenSpec:
+    """``truncation``, if given, holds when the section leaves that key out."""
     try:
         return GenSpec(
             model=model,
             shape=shape,
-            entity_sd=_cfg_float(sec, "entity_sd", 1.0),
-            shift_sd=_cfg_float(sec, "shift_sd", 1.0),
-            weight_sd=_cfg_float(sec, "weight_sd", 0.5),
-            truncation=_cfg_float(sec, "truncation", truncation),
             seed=seed,
+            **_set_only(
+                entity_sd=_cfg_float(sec, "entity_sd"),
+                shift_sd=_cfg_float(sec, "shift_sd"),
+                weight_sd=_cfg_float(sec, "weight_sd"),
+                truncation=_cfg_float(sec, "truncation", truncation),
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -157,9 +162,9 @@ def _cmd_simulate(sec, seed: int, args) -> int:
     if not obs_rates or not all(0.0 <= g <= 1.0 for g in obs_rates):
         raise ConfigError("key 'obs_rates' must list rates in [0, 1], "
                           f"got {sec['obs_rates']!r}")
-    replicates = _cfg_at_least(sec, "replicates", 1, 1)
-    eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
-    timing = _cfg_bool(sec, "timing", False)
+    grid_keys = _set_only(replicates=_cfg_at_least(sec, "replicates", 1),
+                          eval_cap=_cfg_at_least(sec, "eval_cap", 1))
+    timing = _set_only(include_timing=_cfg_bool(sec, "timing"))
     output = _cfg_str(sec, "output", required=True)
     n_rel = _cfg_int(sec, "n_relations", required=True)
     try:
@@ -169,14 +174,13 @@ def _cmd_simulate(sec, seed: int, args) -> int:
     grid = ExperimentGrid(
         gen=_gen_from(sec, model, shape, seed),
         train=_train_config_from(sec, seed),
-        entity_counts=entity_counts, obs_rates=obs_rates,
-        replicates=replicates, eval_cap=eval_cap)
+        entity_counts=entity_counts, obs_rates=obs_rates, **grid_keys)
     rows = run_grid(grid, n_workers=args.threads)
     failures = [r for r in rows if r.error]
     for r in failures:
         print(f"warning: cell (N={r.n_entities}, rate={r.obs_rate}, "
               f"rep={r.replicate}) failed: {r.error}", file=sys.stderr)
-    write_grid_csv(rows, output, include_timing=timing)
+    write_grid_csv(rows, output, **timing)
     print(f"wrote {len(rows)} rows ({len(failures)} failed) to {output}")
     return 0
 
@@ -195,9 +199,7 @@ def _cmd_train(sec, seed: int, args) -> int:
     if ds.duplicates:
         print(f"note: dropped {ds.duplicates} duplicate triples",
               file=sys.stderr)
-    n_obs = len(ds.positives) * (1.0 + ratio)
-    n, k = ds.n_entities, ds.n_relations
-    shape = NetworkShape(n, k, min(1.0, n_obs / (n * n * k)))
+    shape = NetworkShape(ds.n_entities, ds.n_relations)
     negatives = sample_negatives(ds, ratio, shape, seed)
     heads, tails, rels = np.concatenate([ds.positives, negatives]).T
     labels = np.repeat(np.int8([1, 0]), [len(ds.positives), len(negatives)])
@@ -215,10 +217,10 @@ def _cmd_evaluate(sec, seed: int, args) -> int:
     paths = [_cfg_str(sec, "triples", required=True),
              _cfg_str(sec, "valid_triples"),
              _cfg_str(sec, "test_triples", required=True)]
-    hits_entity = _cfg_ints(sec, "hits_entity", (10,))
-    hits_relation = _cfg_ints(sec, "hits_relation", (1,))
+    hits = _set_only(entity_hits=_cfg_ints(sec, "hits_entity"),
+                     relation_hits=_cfg_ints(sec, "hits_relation"))
     truth_path = _cfg_str(sec, "truth_checkpoint")
-    eval_cap = _cfg_at_least(sec, "eval_cap", 1_000_000, 1)
+    eval_cap = _cfg_at_least(sec, "eval_cap", 1, EVAL_CAP)
     output = _cfg_str(sec, "output", required=True)
 
     params, model = load_checkpoint(checkpoint)
@@ -231,8 +233,8 @@ def _cmd_evaluate(sec, seed: int, args) -> int:
             f"{params.n_relations} relations, data has {n} / {k}")
     shape = NetworkShape(n, k)
     known = np.concatenate([ds.positives for ds in splits])
-    report = rank_report(model, params, test_ds.positives, known,
-                         shape, hits_entity, hits_relation)
+    report = rank_report(model, params, test_ds.positives, known, shape,
+                         **hits)
     lines = [("mr_e", report.mr_entity), ("mrr_e", report.mrr_entity)]
     lines += [(f"hits_e@{q}", v) for q, v in sorted(report.hits_entity.items())]
     lines += [("mr_r", report.mr_relation), ("mrr_r", report.mrr_relation)]
@@ -242,7 +244,7 @@ def _cmd_evaluate(sec, seed: int, args) -> int:
         if tmodel != model:
             raise ShapeError("truth checkpoint's model differs from the "
                              "fitted checkpoint's")
-        edges, _ = _eval_edges(shape, eval_cap, seed)
+        edges = loss_edges(n, k, eval_cap, seed)
         losses = evaluate_losses(model, params, truth, edges=edges,
                                  shape=shape)
         lines += [("avg_kl", losses.avg_kl), ("mse_phi", losses.mse_phi),
@@ -270,7 +272,6 @@ def _cmd_bounds(sec, seed: int, args) -> int:
                 sup_score=_cfg_float(sec, "sup_score", required=True),
                 lipschitz=_cfg_float(sec, "lipschitz", required=True),
                 radius=_cfg_float(sec, "radius", required=True),
-                margin=_cfg_float(sec, "margin"),
             )
             if replicates > 0:
                 raise ConfigError(
@@ -281,11 +282,10 @@ def _cmd_bounds(sec, seed: int, args) -> int:
             shape = NetworkShape(
                 _cfg_int(sec, "n_entities", required=True),
                 _cfg_int(sec, "n_relations", required=True),
-                _cfg_float(sec, "obs_rate", 1.0),
+                **_set_only(obs_rate=_cfg_float(sec, "obs_rate")),
             )
             radius = _cfg_float(sec, "radius", required=True)
-            inputs = BoundInputs.from_model(
-                model, shape, radius, margin=_cfg_float(sec, "margin"))
+            inputs = BoundInputs.from_model(model, shape, radius)
             # truths and fits stay inside the ball whose radius the
             # printed bounds assume
             root_d = float(np.sqrt(max(model.latent_dim, model.relation_dim)))

@@ -34,7 +34,6 @@ __all__ = [
     "ObservationSet",
     "TrainConfig",
     "TrainResult",
-    "SparseGradient",
     "log_likelihood",
     "penalized_objective",
     "objective_gradient",
@@ -197,13 +196,11 @@ def objective_gradient(model: ScoreModel, params: ModelParams,
     return SparseGradient(ent_rows, ent_grad, rel_rows, rel_grad)
 
 
-def _scale_rows(arr: np.ndarray, rows, radius: float) -> None:
+def _scale_rows(arr: np.ndarray, rows: np.ndarray, radius: float) -> None:
     norms = np.linalg.norm(arr[rows], axis=1)
     over = norms > radius
     if np.any(over):
-        idx = np.asarray(rows)[over] if not isinstance(rows, slice) else \
-            np.arange(arr.shape[0])[rows][over]
-        arr[idx] *= (radius / norms[over])[:, None]
+        arr[rows[over]] *= (radius / norms[over])[:, None]
 
 
 def project_ball(params: ModelParams, radius: float) -> ModelParams:
@@ -211,8 +208,8 @@ def project_ball(params: ModelParams, radius: float) -> ModelParams:
     if radius <= 0:
         raise ValueError("radius must be positive")
     out = ModelParams(params.entities.copy(), params.relations.copy(), radius)
-    _scale_rows(out.entities, slice(None), radius)
-    _scale_rows(out.relations, slice(None), radius)
+    _scale_rows(out.entities, np.arange(len(out.entities)), radius)
+    _scale_rows(out.relations, np.arange(len(out.relations)), radius)
     return out
 
 
@@ -255,17 +252,17 @@ def _nnz(params: ModelParams) -> int:
                + np.count_nonzero(params.relations))
 
 
-def _numpy_epoch(model: ScoreModel, shape: NetworkShape, params: ModelParams,
-                 g2_ent: np.ndarray, g2_rel: np.ndarray, obs: ObservationSet,
-                 perm: np.ndarray, config: TrainConfig) -> None:
+def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
+                 g2_rel: np.ndarray, obs: ObservationSet, perm: np.ndarray,
+                 config: TrainConfig) -> None:
     """One epoch of AdaGrad steps in numpy, in place: the reference the
-    compiled kernel in ``_epoch.c`` is tested against, and the fallback
-    when no kernel can be built."""
+    compiled kernel's ``epoch`` (same arguments) is tested against, and
+    the fallback when no kernel can be built."""
     n_obs = len(obs)
     lr, eps = config.learning_rate, config.adagrad_eps
     for start in range(0, n_obs, config.batch_size):
         idx = perm[start:start + config.batch_size]
-        batch = ObservationSet(shape, obs.heads[idx], obs.tails[idx],
+        batch = ObservationSet(obs.shape, obs.heads[idx], obs.tails[idx],
                                obs.rels[idx], obs.labels[idx], validate=False)
         grad = objective_gradient(model, params, batch, config.rho1,
                                   config.rho2, batch_scale=n_obs / len(idx))
@@ -307,18 +304,18 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
 
     from . import _kernel  # builds the C kernel on first use
     kernel = _kernel.load()
+    if kernel is None:
+        run_epoch, loglik = _numpy_epoch, log_likelihood
+    else:
+        run_epoch, loglik = kernel.epoch, kernel.log_likelihood
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2_ent = np.zeros_like(params.entities)
     g2_rel = np.zeros_like(params.relations)
 
     def objective(epoch: int) -> float:
-        if kernel is None:
-            value = penalized_objective(model, params, obs, config.rho1,
-                                        config.rho2)
-        else:
-            value = kernel.log_likelihood(model, params, obs) \
-                - _penalty(params, config.rho1, config.rho2)
+        value = loglik(model, params, obs) \
+            - _penalty(params, config.rho1, config.rho2)
         if not np.isfinite(value):
             raise ValueError(f"objective is {value} after {epoch} epochs")
         return value
@@ -327,10 +324,7 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     nnz = [_nnz(params)]
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(obs))
-        if kernel is None:
-            _numpy_epoch(model, shape, params, g2_ent, g2_rel, obs, perm, config)
-        else:
-            kernel.epoch(model, params, g2_ent, g2_rel, obs, perm, config)
+        run_epoch(model, params, g2_ent, g2_rel, obs, perm, config)
         if cap is not None:
             params = project_l0(params, cap)
         trace.append(objective(epoch))

@@ -105,10 +105,11 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
     ``None`` with a ``shape`` to scan every slot of the edge universe
-    (chunked, so memory stays bounded; each chunk is scored as a
-    broadcast head x tail x relation grid).  The link prediction for a
-    slot is "present" iff the fitted probability is >= 1/2, and the link
-    error is the fraction of slots where that disagrees with the truth.
+    (each chunk is scored as a broadcast head x tail x relation grid).
+    Either way the slots are scored ``_CHUNK`` at a time, so memory
+    stays bounded.  The link prediction for a slot is "present" iff the
+    fitted probability is >= 1/2, and the link error is the fraction of
+    slots where that disagrees with the truth.
     Non-finite parameters raise ``ValueError``; an edge index outside
     the fit's entities or relations raises ``IndexError``.
     """
@@ -129,7 +130,9 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
             raise ValueError("no edges to evaluate")
         check_indices(fitted.n_entities, fitted.n_relations,
                       heads, tails, rels)
-        blocks = ((heads, tails, rels, slice(None)),)
+        blocks = ((heads[s:s + _CHUNK], tails[s:s + _CHUNK],
+                   rels[s:s + _CHUNK], slice(None))
+                  for s in range(0, len(heads), _CHUNK))
 
     kl_sum = mse_sum = err_sum = 0.0
     count = 0

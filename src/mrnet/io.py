@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ._edges import decode, distinct_uniform, edge_key
-from ._rng import derive_seed
+from ._rng import TAG_NEGATIVES, derive_seed
 from .models import ModelParams, ScoreModel, NetworkShape
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
 
 _CKPT_MAGIC = "MRNCKPT"
 _CKPT_VERSION = 1
-_TAG_NEGATIVES = 5  # stream tag; 0-4 belong to the simulation module
 
 # flag spellings -> (position of head, relation, tail) in a line
 COLUMN_ORDERS = {
@@ -185,7 +184,7 @@ def sample_negatives(dataset: TripleDataset, ratio: float,
         raise ValueError(
             f"cannot draw {count} negatives: only {shape.n_edges - len(pos)} "
             "non-positive edges exist")
-    rng = np.random.default_rng(derive_seed(seed, _TAG_NEGATIVES))
+    rng = np.random.default_rng(derive_seed(seed, TAG_NEGATIVES))
     chosen = distinct_uniform(rng, shape.n_edges, count, avoid=pos)
     return np.column_stack(decode(chosen, n, k))
 

@@ -18,15 +18,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._edges import DENSE_MAX, decode, distinct_uniform, edge_key
-from ._rng import counter_uniforms, derive_seed
+from ._edges import (DENSE_MAX, EVAL_CAP, decode, distinct_uniform,
+                     edge_key, loss_edges)
+from ._rng import (TAG_EVAL, TAG_LABELS, TAG_MASK, TAG_TRAIN, TAG_TRUTH,
+                   counter_uniforms, derive_seed)
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses
 from .models import ModelParams, NetworkShape, ScoreModel, edge_probabilities
 
 __all__ = [
     "GenSpec",
-    "LabelSampler",
     "ExperimentGrid",
     "GridRow",
     "generate_truth",
@@ -36,9 +37,6 @@ __all__ = [
     "write_grid_csv",
     "GRID_CSV_HEADER",
 ]
-
-# stream tags so one user seed fans out into independent sub-streams
-_TAG_TRUTH, _TAG_LABELS, _TAG_MASK, _TAG_TRAIN, _TAG_EVAL = range(5)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,7 +84,7 @@ def _truncated_normal(rng: np.random.Generator, shape, sd: float,
 
 def generate_truth(spec: GenSpec) -> ModelParams:
     """Draw ground-truth parameters; deterministic in ``spec.seed``."""
-    rng = np.random.default_rng(derive_seed(spec.seed, _TAG_TRUTH))
+    rng = np.random.default_rng(derive_seed(spec.seed, TAG_TRUTH))
     model, shape = spec.model, spec.shape
     d = model.latent_dim
     ent = _truncated_normal(rng, (shape.n_entities, d), spec.entity_sd,
@@ -122,7 +120,7 @@ class LabelSampler:
         self.model = model
         self.truth = truth
         self.shape = shape
-        self._key = derive_seed(seed, _TAG_LABELS)
+        self._key = derive_seed(seed, TAG_LABELS)
 
     def probabilities(self, heads, tails, rels) -> np.ndarray:
         return edge_probabilities(self.model, self.truth, heads, tails, rels)
@@ -156,16 +154,10 @@ def sample_observations(shape: NetworkShape, labels: LabelSampler,
     by ``_flip`` up to ``DENSE_MAX`` slots, by ``_binomial`` beyond."""
     total = shape.n_edges
     rate = shape.obs_rate
-    rng = np.random.default_rng(derive_seed(seed, _TAG_MASK))
-    if rate == 0.0:
-        chosen = np.empty(0, dtype=np.int64)
-    elif rate == 1.0:
-        chosen = np.arange(total, dtype=np.int64)
-    else:
-        chosen = (_flip if total <= DENSE_MAX else _binomial)(rng, total, rate)
+    rng = np.random.default_rng(derive_seed(seed, TAG_MASK))
+    chosen = (_flip if total <= DENSE_MAX else _binomial)(rng, total, rate)
     heads, tails, rels = decode(chosen, shape.n_entities, shape.n_relations)
-    ys = labels.labels(heads, tails, rels) if len(chosen) else \
-        np.empty(0, dtype=np.int8)
+    ys = labels.labels(heads, tails, rels)
     return ObservationSet(shape, heads, tails, rels, ys, validate=False)
 
 
@@ -184,7 +176,7 @@ class ExperimentGrid:
     entity_counts: Sequence[int]
     obs_rates: Sequence[float]
     replicates: int = 1
-    eval_cap: int = 1_000_000
+    eval_cap: int = EVAL_CAP
     fit_radius_from_truth: bool = True
 
     def cells(self) -> List[Tuple[int, float]]:
@@ -208,38 +200,29 @@ class GridRow:
     error: Optional[str] = None
 
 
-def _eval_edges(shape: NetworkShape, cap: int, seed: int):
-    """All edge slots if they fit under ``cap``, else a uniform subsample."""
-    total = shape.n_edges
-    if total <= cap:
-        return None, True  # None means "scan everything"
-    rng = np.random.default_rng(derive_seed(seed, _TAG_EVAL))
-    lin = distinct_uniform(rng, total, cap)
-    return decode(lin, shape.n_entities, shape.n_relations), False
-
-
 def run_replicate(grid: ExperimentGrid, n_entities: int, obs_rate: float,
                   cell_index: int, replicate: int) -> GridRow:
     def seed(tag: int) -> int:
         return derive_seed(grid.gen.seed, cell_index, replicate, tag)
 
     shape = NetworkShape(n_entities, grid.gen.shape.n_relations, obs_rate)
-    spec = dataclasses.replace(grid.gen, shape=shape, seed=seed(_TAG_TRUTH))
+    spec = dataclasses.replace(grid.gen, shape=shape, seed=seed(TAG_TRUTH))
     t0 = time.perf_counter()
     truth = generate_truth(spec)
-    sampler = sample_network(spec.model, truth, shape, seed(_TAG_LABELS))
-    obs = sample_observations(shape, sampler, seed(_TAG_MASK))
-    config = dataclasses.replace(grid.train, seed=seed(_TAG_TRAIN))
+    sampler = sample_network(spec.model, truth, shape, seed(TAG_LABELS))
+    obs = sample_observations(shape, sampler, seed(TAG_MASK))
+    config = dataclasses.replace(grid.train, seed=seed(TAG_TRAIN))
     if grid.fit_radius_from_truth:
         config = dataclasses.replace(config, radius=spec.radius)
     fitted = train(spec.model, shape, obs, config).params
-    edges, exact = _eval_edges(shape, grid.eval_cap, seed(_TAG_EVAL))
+    edges = loss_edges(n_entities, shape.n_relations, grid.eval_cap,
+                       seed(TAG_EVAL))
     report = evaluate_losses(spec.model, fitted, truth, edges=edges,
                              shape=shape)
     seconds = time.perf_counter() - t0
     return GridRow(n_entities, obs_rate, replicate, report.avg_kl,
                    report.mse_phi, report.link_err, seconds,
-                   n_evaluated=report.n_evaluated, eval_exact=exact)
+                   n_evaluated=report.n_evaluated, eval_exact=edges is None)
 
 
 def _run_job(job) -> GridRow:

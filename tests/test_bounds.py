@@ -179,8 +179,8 @@ def test_input_validation():
         BoundInputs(n=1, m=0, sup_score=2, lipschitz=1, radius=1)
     with pytest.raises(ValueError):
         BoundInputs(n=1, m=1, sup_score=1.5, lipschitz=1, radius=1)
-    with pytest.raises(ValueError):
-        BoundInputs(n=1, m=1, sup_score=2, lipschitz=1, radius=1, margin=0.7)
+    with pytest.raises(TypeError):  # no margin field: no bound reads one
+        BoundInputs(n=1, m=1, sup_score=2, lipschitz=1, radius=1, margin=0.25)
     with pytest.raises(ValueError):
         LowerBoundInputs(m=20, n=10, kappa=0.5, b=1.0, lipschitz=1.0,
                          neighborhood_radius=1.0)
@@ -189,15 +189,13 @@ def test_input_validation():
                          neighborhood_radius=1.0)
 
 
-BOUND_KW = dict(n=1e4, m=50, sup_score=10.0, lipschitz=5.0, radius=1.0,
-                margin=0.25)
+BOUND_KW = dict(n=1e4, m=50, sup_score=10.0, lipschitz=5.0, radius=1.0)
 LOWER_KW = dict(m=160, n=1e4, kappa=0.1, b=0.5, lipschitz=1.0,
                 neighborhood_radius=1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["n", "sup_score", "lipschitz", "radius",
-                                   "margin"])
+@pytest.mark.parametrize("field", ["n", "sup_score", "lipschitz", "radius"])
 def test_bound_inputs_reject_non_finite(field, bad):
     # before, lipschitz = nan gave the same risk bound as lipschitz = 1
     # (max(c1, nan) is c1) and an inf tail bound
@@ -223,7 +221,9 @@ def test_bound_inputs_from_model():
     assert inp.m == 6 * 2 + 2 * 4
     assert inp.sup_score == 72.0  # 9 * 2^3
     assert inp.lipschitz == pytest.approx(math.sqrt(189) * 4)
-    assert inp.obs_rate == 1.0
+    # the rate enters only through n
+    assert BoundInputs.from_model(model, NetworkShape(6, 2, 0.5),
+                                  radius=2.0).n == 36
 
 
 def test_check_variance_inequality():

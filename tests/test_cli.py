@@ -281,11 +281,52 @@ def test_train_labels_positives_then_negatives(tmp_path, capsys, monkeypatch):
     (obs,) = seen
     ds = load_triples(tmp_path / "train.tsv")
     negs = sample_negatives(ds, 1.5, obs.shape, seed=1)
-    assert obs.shape == NetworkShape(12, 2, 150 / 288)
+    assert obs.shape == NetworkShape(12, 2)
     assert len(negs) == 90
     edges = np.column_stack([obs.heads, obs.tails, obs.rels])
     assert edges.tolist() == ds.positives.tolist() + negs.tolist()
     assert obs.labels.tolist() == [1] * 60 + [0] * 90
+
+
+def test_unset_keys_take_the_library_defaults(tmp_path, monkeypatch):
+    # a section with only its required keys hands the library nothing
+    # else, so every other setting is the library's own default
+    import mrnet.cli
+    from mrnet.estimation import TrainConfig
+    from mrnet.models import NetworkShape
+    from mrnet.simulation import ExperimentGrid, GenSpec
+
+    configs, grids = [], []
+    real_train = mrnet.cli.train
+    monkeypatch.setattr(mrnet.cli, "train",
+                        lambda *a: configs.append(a[3]) or real_train(*a))
+    monkeypatch.setattr(mrnet.cli, "run_grid",
+                        lambda grid, n_workers: grids.append(grid) or [])
+    cfg = write(tmp_path / "t.ini", f"""
+[train]
+kind = distance
+latent_dim = 2
+triples = {triple_file(tmp_path, "train.tsv")}
+epochs = 4
+checkpoint = {tmp_path / "model.ckpt"}
+""")
+    assert run_cli(["train", "--config", cfg]) == 0
+    assert configs == [TrainConfig(epochs=4)]
+    cfg = write(tmp_path / "s.ini", f"""
+[simulate]
+kind = combined
+latent_dim = 2
+n_relations = 2
+entity_counts = 6
+obs_rates = 0.5
+epochs = 3
+output = {tmp_path / "grid.csv"}
+""")
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    model = ScoreModel("combined", 2)
+    assert grids == [ExperimentGrid(
+        gen=GenSpec(model, NetworkShape(6, 2, 0.5)),
+        train=TrainConfig(epochs=3), entity_counts=(6,), obs_rates=(0.5,))]
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):

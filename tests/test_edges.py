@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrnet._edges import EdgeIndexError, check_indices, decode, edge_key
+from mrnet._edges import (EdgeIndexError, check_indices, decode, edge_key,
+                          loss_edges)
 from mrnet.estimation import ObservationSet
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple, score
 
@@ -37,6 +38,17 @@ def test_edge_key_orders_slots_like_the_universe():
                           indexing="ij")
     keys = edge_key(h.ravel(), t.ravel(), r.ravel(), n, k)
     np.testing.assert_array_equal(keys, np.arange(n * n * k))
+
+
+def test_loss_edges_scan_all_or_a_seeded_subsample():
+    assert loss_edges(4, 3, 48, seed=0) is None  # N^2 K = 48 slots
+    edges = loss_edges(4, 3, 10, seed=0)
+    keys = edge_key(*edges, 4, 3)
+    assert len(np.unique(keys)) == 10 and keys.min() >= 0 and keys.max() < 48
+    again = loss_edges(4, 3, 10, seed=0)
+    assert all(np.array_equal(a, b) for a, b in zip(edges, again))
+    other = loss_edges(4, 3, 10, seed=1)
+    assert not all(np.array_equal(a, b) for a, b in zip(edges, other))
 
 
 def test_index_error_is_both_index_and_value_error():

@@ -517,6 +517,31 @@ def test_full_scan_matches_decoded_scan(kind):
                                         err_sum / total, total)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_explicit_edges_are_scored_in_chunks(kind):
+    # explicit edges used to be scored in one block, whatever their count
+    rng = np.random.default_rng(16)
+    n, k = 9, 3
+    model = ScoreModel(kind, 2)
+    truth = make_params(model, n, k, rng)
+    fitted = make_params(model, n, k, rng)
+    edges = tuple(rng.integers(0, size, 100) for size in (n, n, k))
+    whole = evaluate_losses(model, fitted, truth, edges=edges)
+    sizes = []
+
+    def spy(model, params, *columns):
+        sizes.append(len(columns[0]))
+        return scores(model, params, *columns)
+
+    with mock.patch.object(evaluation, "_CHUNK", 7), \
+            mock.patch.object(evaluation, "scores", spy):
+        got = evaluate_losses(model, fitted, truth, edges=edges)
+    assert max(sizes) == 7
+    assert got.avg_kl == pytest.approx(whole.avg_kl, rel=1e-12)
+    assert got.mse_phi == pytest.approx(whole.mse_phi, rel=1e-12)
+    assert (got.link_err, got.n_evaluated) == (whole.link_err, 100)
+
+
 @pytest.mark.parametrize("column", [0, 1, 2])
 @pytest.mark.parametrize("bad", [-1, "end", "past"])
 def test_evaluate_losses_range_checks_edges(column, bad):

@@ -167,6 +167,20 @@ def test_sample_observations_rate_edges():
 
     none = sample_observations(NetworkShape(10, 2, 0.0), sampler, seed=1)
     assert len(none) == 0
+    assert [c.dtype for c in (none.heads, none.tails, none.rels,
+                              none.labels)] == [np.int64] * 3 + [np.int8]
+
+
+@pytest.mark.parametrize("draw", [_flip, _binomial],
+                         ids=["flip", "binomial"])
+def test_rates_0_and_1_draw_no_slot_and_every_slot(draw):
+    # sample_observations has no special case for these rates
+    total = NetworkShape(20, 3).n_edges
+    none = draw(np.random.default_rng(9), total, 0.0)
+    every = draw(np.random.default_rng(9), total, 1.0)
+    assert none.dtype == every.dtype == np.int64
+    assert len(none) == 0
+    assert_array_equal(every, np.arange(total))
 
 
 @pytest.mark.parametrize("draw", [_flip, _binomial],
