@@ -39,6 +39,13 @@ def check_indices(n_entities: int, n_relations: int, heads, tails,
             raise EdgeIndexError(f"{name} index out of range [0, {hi})")
 
 
+def check_keyable(n: int, k: int, error: type = ValueError,
+                  where: str = "") -> None:
+    """Raise ``error`` unless the largest edge key, N^2 K - 1, fits int64."""
+    if n * n * k - 1 > np.iinfo(np.int64).max:
+        raise error(f"{where}{n}^2 x {k} edge slots overflow int64 edge keys")
+
+
 def edge_key(a, b, c, nb: int, nc: int) -> np.ndarray:
     """Mixed-radix int64 key (a*nb + b)*nc + c of three index arrays.
 
@@ -73,9 +80,10 @@ def distinct_uniform(rng: np.random.Generator, total: int, count: int,
     subsets; with ``avoid`` (a sorted array of distinct integers in that
     range) the subsets exclude its values.
 
-    Up to ``DENSE_MAX`` (and, without ``avoid``, for dense draws) it
-    takes the first ``count`` of a permutation of the allowed values;
-    beyond, it draws with rejection.
+    A draw of every allowed value returns them as they are.  Else, up
+    to ``DENSE_MAX`` (and, without ``avoid``, for dense draws) it takes
+    the first ``count`` of a permutation of the allowed values; beyond,
+    it draws with rejection.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -84,12 +92,13 @@ def distinct_uniform(rng: np.random.Generator, total: int, count: int,
         raise ValueError("count exceeds population size")
     if count == 0:
         return np.empty(0, dtype=np.int64)
+    if count == free or (avoid is not None and total <= DENSE_MAX):
+        pool = np.arange(total, dtype=np.int64)  # the allowed values
+        if avoid is not None:
+            pool = np.setdiff1d(pool, avoid, assume_unique=True)
+        return pool if count == free else np.sort(rng.permutation(pool)[:count])
     if avoid is None and (total <= DENSE_MAX or 3 * count >= total):
         return np.sort(rng.permutation(total)[:count].astype(np.int64))
-    if total <= DENSE_MAX:
-        pool = np.setdiff1d(np.arange(total, dtype=np.int64), avoid,
-                            assume_unique=True)
-        return np.sort(rng.permutation(pool)[:count])
     # Rejection sampling, vectorized: keep the first `count` distinct
     # allowed values in draw order, which matches drawing one at a time.
     # Each round's draws are de-duplicated among themselves, then probed

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._edges import check_indices, edge_key
+from ._edges import check_indices, check_keyable, edge_key
 from .models import (
     ModelParams,
     NetworkShape,
@@ -64,6 +64,7 @@ class ObservationSet:
         check_indices(n, k, self.heads, self.tails, self.rels)
         if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be 0 or 1")
+        check_keyable(n, k)
         lin = edge_key(self.heads, self.tails, self.rels, n, k)
         if len(np.unique(lin)) != len(lin):
             raise ValueError("observations contain duplicate edges")

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
-from ._edges import check_indices, edge_key
+from ._edges import check_indices, check_keyable, edge_key
 from .models import (
     ModelParams,
     NetworkShape,
@@ -150,11 +150,12 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
 
 # The filter lookup ``as_validity`` builds from known triples:
-# ``lookup(slot, a, b, width)`` with ``slot`` a column (0 head, 1 tail,
+# ``lookup(slot, a, b, shape)`` with ``slot`` a column (0 head, 1 tail,
 # 2 relation) and ``a``, ``b`` the block's other two index columns in
 # column order gives the (rows, width) mask of which candidates
-# 0..width-1 in ``slot`` make a known triple.
-Validity = Callable[[int, np.ndarray, np.ndarray, int], np.ndarray]
+# 0..width-1 in ``slot`` make a known triple, width being its size in
+# ``shape``.
+Validity = Callable[[int, np.ndarray, np.ndarray, NetworkShape], np.ndarray]
 
 # Ranking scores at most about this many candidates per ``scores`` call,
 # so memory stays flat however large the test set is.
@@ -181,52 +182,41 @@ def _triple_columns(triples) -> np.ndarray:
 def as_validity(truth_labels) -> Validity:
     """The ranking filter over known triples, in one of ``_TRIPLE_FORMS``.
 
-    Returns ``lookup(slot, a, b, width)`` (see ``Validity``).  It keeps
-    sorted int64 keys of the known triples, one array per slot, with
-    that slot's index as the least significant digit: (h*K + r)*N + t
-    for tails, (t*K + r)*N + h for heads, (h*N + t)*K + r for
-    relations, so memory is O(known triples).  Each row's true
-    corruptions are one run of that slot's keys, found by two
-    ``searchsorted`` calls.  The key sizes are inferred from the known
-    triples; a candidate with an index beyond every known triple's is
-    never true.
+    Returns ``lookup(slot, a, b, shape)`` (see ``Validity``).  It keeps
+    sorted int64 keys of the known triples per slot, in the shape's
+    (N, N, K) radix with that slot's index as the least significant
+    digit: (h*K + r)*N + t for tails, (t*K + r)*N + h for heads,
+    (h*N + t)*K + r for relations, so memory is O(known triples).  Each
+    row's true corruptions are one run of that slot's keys, found by
+    two ``searchsorted`` calls.  A slot's first lookup range-checks the
+    known triples against the shape (``EdgeIndexError``) and the shape
+    against int64 keys (``check_keyable``).
     """
     # a copy: the keys are built from it on first use
     known = _triple_columns(truth_labels).copy()
-    if known.size and known.min() < 0:
-        raise ValueError("known triples must have non-negative indices")
-    sizes = tuple(int(c) for c in known.max(axis=0, initial=-1) + 1)
-    if sizes[0] * sizes[1] * sizes[2] > np.iinfo(np.int64).max:
-        raise ValueError("known triple indices overflow int64 edge keys")
-    # slot -> the other two slots, in key order
-    prefix = {s: tuple(i for i in range(3) if i != s) for s in range(3)}
-    keys = {}  # slot -> its sorted keys, built on first use
+    keys = {}  # (slot, sizes) -> that slot's sorted keys
 
-    def slot_keys(s):
-        if s not in keys:
-            a, b = prefix[s]
-            keys[s] = np.unique(edge_key(known[:, a], known[:, b],
-                                         known[:, s], sizes[b], sizes[s]))
-        return keys[s]
-
-    def lookup(slot, a, b, width):
-        a, b = (np.asarray(c, dtype=np.int64) for c in (a, b))
-        (na, nb), ns = (sizes[i] for i in prefix[slot]), sizes[slot]
-        rows = len(a)
+    def lookup(slot, a, b, shape):
+        sizes = (shape.n_entities, shape.n_entities, shape.n_relations)
+        pa, pb = (i for i in range(3) if i != slot)  # key order
+        nb, ns = sizes[pb], sizes[slot]
+        if (slot, sizes) not in keys:
+            check_indices(shape.n_entities, shape.n_relations, *known.T)
+            check_keyable(shape.n_entities, shape.n_relations)
+            keys[slot, sizes] = np.unique(edge_key(
+                known[:, pa], known[:, pb], known[:, slot], nb, ns))
+        sorted_keys = keys[slot, sizes]
         first = edge_key(a, b, 0, nb, ns)  # the row's smallest key
-        inside = (a >= 0) & (a < na) & (b >= 0) & (b < nb)
-        sorted_keys = slot_keys(slot)
         lo = np.searchsorted(sorted_keys, first)
-        hi = np.where(inside, np.searchsorted(sorted_keys, first + ns), lo)
+        # side="right" of the row's largest key: first + ns may overflow
+        hi = np.searchsorted(sorted_keys, first + (ns - 1), side="right")
         run = hi - lo
-        row = np.repeat(np.arange(rows), run)
+        row = np.repeat(np.arange(len(first)), run)
         # position of each true key in sorted_keys: lo of its row plus
         # its place within the row's run
         at = np.arange(len(row)) + np.repeat(lo - (np.cumsum(run) - run), run)
-        digit = sorted_keys[at] - first[row]
-        keep = digit < width
-        mask = np.zeros((rows, width), dtype=bool)
-        mask[row[keep], digit[keep]] = True
+        mask = np.zeros((len(first), ns), dtype=bool)
+        mask[row, sorted_keys[at] - first[row]] = True
         return mask
 
     return lookup
@@ -244,11 +234,12 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     """
     if slot not in _SLOT_COLUMN:
         raise ValueError(f"unknown slot {slot!r}")
+    check_indices(shape.n_entities, shape.n_relations, heads, tails, rels)
     col = _SLOT_COLUMN[slot]
     width = shape.n_relations if slot == "relation" else shape.n_entities
     fixed = [heads, tails, rels]
     pos = fixed.pop(col)
-    is_true = valid(col, *fixed, width)
+    is_true = valid(col, *fixed, shape)
     row = np.arange(len(pos))
     if not is_true[row, pos].all():
         raise ValueError("target triple is not marked true in the filter")

@@ -16,7 +16,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ._edges import decode, distinct_uniform, edge_key
+from ._edges import (check_indices, check_keyable, decode, distinct_uniform,
+                     edge_key)
 from ._rng import TAG_NEGATIVES, derive_seed
 from .models import ModelParams, ScoreModel, NetworkShape
 
@@ -129,10 +130,8 @@ def _parse_lines(path, order: Sequence[str], evocab: Dict[str, int],
     triples = np.column_stack([ht, rels])
     # keep each triple's first line
     n, k = len(evocab), len(rvocab)
-    if n * n * k <= np.iinfo(np.int64).max:
-        _, first = np.unique(edge_key(*triples.T, n, k), return_index=True)
-    else:  # edge keys would overflow int64
-        _, first = np.unique(triples, axis=0, return_index=True)
+    check_keyable(n, k, TripleParseError, f"{path}: ")
+    _, first = np.unique(edge_key(*triples.T, n, k), return_index=True)
     first.sort()
     return triples[first], len(triples) - len(first)
 
@@ -171,14 +170,17 @@ def sample_negatives(dataset: TripleDataset, ratio: float,
     Uniform over the non-positive part of the edge universe, without
     replacement, deterministic per seed.  Returns an (m, 3) int64 array
     of (head, tail, relation) rows in linear-index order.  A ratio that
-    is negative or not finite raises ``ValueError``.
+    is negative or not finite raises ``ValueError``, and a positive
+    outside ``shape`` raises ``EdgeIndexError``.
     """
     if not (math.isfinite(ratio) and ratio >= 0):
         raise ValueError(f"ratio must be finite and nonnegative, got {ratio!r}")
+    n, k = shape.n_entities, shape.n_relations
+    check_indices(n, k, *dataset.positives.T)
+    check_keyable(n, k)
     count = math.ceil(ratio * len(dataset.positives))
     if count == 0:
         return np.empty((0, 3), dtype=np.int64)
-    n, k = shape.n_entities, shape.n_relations
     pos = np.unique(edge_key(*dataset.positives.T, n, k))
     if count > shape.n_edges - len(pos):
         raise ValueError(

@@ -187,6 +187,14 @@ def sigmoid(x):
     return float(out) if arr.ndim == 0 else out
 
 
+def _rows(model: ScoreModel, params: ModelParams, heads, tails, rels):
+    """The head, tail and relation parameter rows of index arrays."""
+    params.check_model(model)
+    return (params.entities[np.asarray(heads, dtype=np.intp)],
+            params.entities[np.asarray(tails, dtype=np.intp)],
+            params.relations[np.asarray(rels, dtype=np.intp)])
+
+
 def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.ndarray:
     """Vectorized edge scores for index arrays that broadcast together.
 
@@ -198,13 +206,7 @@ def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.nda
     the latent axis exactly as for 1-d input, so every score is
     bit-identical to the one the parallel 1-d call gives for that edge.
     """
-    params.check_model(model)
-    heads = np.asarray(heads, dtype=np.intp)
-    tails = np.asarray(tails, dtype=np.intp)
-    rels = np.asarray(rels, dtype=np.intp)
-    th = params.entities[heads]
-    tt = params.entities[tails]
-    w = params.relations[rels]
+    th, tt, w = _rows(model, params, heads, tails, rels)
     d = model.latent_dim
     if model.kind == "distance":
         v = th + w[..., :d] - tt
@@ -227,13 +229,7 @@ def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
 
     Returns arrays of shape (B, d), (B, d), (B, relation_dim).
     """
-    params.check_model(model)
-    heads = np.asarray(heads, dtype=np.intp)
-    tails = np.asarray(tails, dtype=np.intp)
-    rels = np.asarray(rels, dtype=np.intp)
-    th = params.entities[heads]
-    tt = params.entities[tails]
-    w = params.relations[rels]
+    th, tt, w = _rows(model, params, heads, tails, rels)
     d = model.latent_dim
     if model.kind == "distance":
         v = th + w[:, :d] - tt

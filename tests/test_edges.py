@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrnet._edges import (EdgeIndexError, check_indices, decode, edge_key,
-                          loss_edges)
+from mrnet._edges import (EdgeIndexError, check_indices, check_keyable,
+                          decode, edge_key, loss_edges)
 from mrnet.estimation import ObservationSet
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple, score
 
@@ -38,6 +38,30 @@ def test_edge_key_orders_slots_like_the_universe():
                           indexing="ij")
     keys = edge_key(h.ravel(), t.ravel(), r.ravel(), n, k)
     np.testing.assert_array_equal(keys, np.arange(n * n * k))
+
+
+@pytest.mark.parametrize("n, k", [(2 ** 31, 2), (3_037_000_499, 1),
+                                  (2, 2 ** 61)])
+def test_int64_rule_at_its_boundary(n, k):
+    # N^2 K - 1 fits int64 here, and the next relation (or entity) is
+    # one slot too many
+    check_keyable(n, k)
+    last = edge_key(n - 1, n - 1, k - 1, n, k)
+    assert int(last) == n * n * k - 1 <= INT64_MAX
+    assert [int(c) for c in decode(last, n, k)] == [n - 1, n - 1, k - 1]
+    for bigger in ((n, k + 1), (n + 1, k)):
+        with pytest.raises(ValueError, match="overflow int64 edge keys"):
+            check_keyable(*bigger)
+
+
+def test_observation_set_refuses_keys_that_would_wrap():
+    # in 2^33 entities, (0, 0, 0) and (2^31, 0, 0) have keys 0 and 2^64,
+    # which wrapped to 0 and made two distinct edges "duplicates"
+    with pytest.raises(ValueError, match="overflow int64 edge keys"):
+        ObservationSet(NetworkShape(2 ** 33, 1), [0, 2 ** 31], [0, 0],
+                       [0, 0], [1, 1])
+    ObservationSet(NetworkShape(2 ** 31, 2), [0, 2 ** 31 - 1], [0, 0],
+                   [0, 1], [1, 1])  # the largest keyable network
 
 
 def test_loss_edges_scan_all_or_a_seeded_subsample():

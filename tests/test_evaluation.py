@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.special import rel_entr
 
 import mrnet.evaluation as evaluation
+from mrnet._edges import EdgeIndexError
 from mrnet.evaluation import (
     KL_CLAMP,
     as_validity,
@@ -437,27 +438,69 @@ def test_as_validity_rejects_callables_and_dense_tables():
 
 @pytest.mark.parametrize("form", FILTER_FORMS)
 def test_as_validity_exact_beyond_known_indices(form):
-    # with relation keys (h*2 + t)*2 + r over the known ranges (2, 2, 2),
-    # the out-of-range candidates (0, 3, 1) and (0, 0, 2) share the keys
-    # of the known (1, 1, 1) and (0, 1, 0); only a range check tells
-    # them apart
+    # keys come in the shape's radix, not the known triples' ranges
+    # (2, 2, 2): over those, the candidates (0, 3, 1) and (0, 0, 2) of a
+    # 5 x 5 x 9 network would share the keys of the known (1, 1, 1) and
+    # (0, 1, 0)
     known = {(1, 1, 1), (0, 1, 0)}
     lookup = as_validity(filter_form(form, known))
     fixed = [(h, t) for h in range(5) for t in range(5)]
-    got = grid_call(lookup, 2, list(zip(*fixed)), 9)
+    got = grid_call(lookup, 2, list(zip(*fixed)), NetworkShape(5, 9))
     assert got.dtype == bool
     assert got.tolist() == [[(h, t, r) in known for r in range(9)]
                             for h, t in fixed]
 
 
 def test_as_validity_rejects_negative_known_indices():
-    with pytest.raises(ValueError):
-        as_validity({(0, -1, 0)})
+    # the known triples are checked against the shape at the first lookup
+    lookup = as_validity({(0, -1, 0)})
+    for slot in range(3):
+        with pytest.raises(EdgeIndexError, match="tail index out of range"):
+            grid_call(lookup, slot, [[0], [0]], NetworkShape(3, 2))
     # an empty filter marks nothing true
     empty = as_validity(set())
     for slot in range(3):
-        got = grid_call(empty, slot, [np.arange(3), np.arange(3)], 4)
-        assert got.shape == (3, 4) and not got.any()
+        got = grid_call(empty, slot, [np.arange(3), np.arange(3)],
+                        NetworkShape(3, 3))
+        assert got.shape == (3, 3) and not got.any()
+
+
+@pytest.mark.parametrize("which", ["test", "known"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [-1, "end", "past"])
+def test_ranking_rejects_out_of_range_triples(which, column, bad):
+    # a known triple past the shape used to be ignored and a test triple
+    # past it to end in a bare mask IndexError; negative test indices
+    # wrapped to the last row
+    model, shape, params, valid = random_kb(21)
+    size = (shape.n_entities, shape.n_entities, shape.n_relations)[column]
+    outside = list(sorted(valid)[0])
+    outside[column] = {-1: -1, "end": size, "past": size + 5}[bad]
+    outside = Triple(*outside)
+    if which == "test":
+        target, known = outside, valid
+    else:
+        target, known = Triple(*sorted(valid)[1]), valid | {outside}
+    name = ("head", "tail", "relation")[column]
+    match = f"{name} index out of range"
+    with pytest.raises(EdgeIndexError, match=match):
+        rank_report(model, params, [target], known, shape)
+    for slot in ("head", "tail", "relation"):
+        with pytest.raises(EdgeIndexError, match=match):
+            rank_edge(model, params, target, slot, known, shape)
+
+
+def test_filter_keys_the_largest_int64_network():
+    # 2^31 entities and 2 relations: N^2 K - 1 is int64's largest value,
+    # and the last row of each slot ends there
+    shape = NetworkShape(2 ** 31, 2)
+    last = 2 ** 31 - 1
+    known = {(last, last, 1), (last, last - 1, 1), (0, last, 1)}
+    lookup = as_validity(known)
+    got = grid_call(lookup, 2, [[last, last], [last, 0]], shape)
+    assert got.tolist() == [[False, True], [False, False]]
+    with pytest.raises(ValueError, match="overflow int64 edge keys"):
+        grid_call(lookup, 2, [[0], [0]], NetworkShape(2 ** 31, 3))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -587,27 +630,30 @@ def test_evaluate_losses_rejects_non_finite_params(which, array):
 
 
 # ---------------------------------------------------------------------------
-# the per-slot key ranges behind as_validity's grid call
+# the per-slot key runs behind as_validity's grid call
 
 
-def grid_call(lookup, slot, fixed, width):
+def grid_call(lookup, slot, fixed, shape):
     """``lookup``'s block call: rows of the two ``fixed`` columns against
-    candidates 0..width-1 in ``slot``."""
-    return lookup(slot, *(np.array(c, dtype=np.int64) for c in fixed), width)
+    every candidate of ``slot`` in ``shape``."""
+    return lookup(slot, *(np.array(c, dtype=np.int64) for c in fixed), shape)
 
 
 @pytest.mark.parametrize("form", FILTER_FORMS)
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_grid_lookup_has_no_key_aliasing(form, slot):
-    # known ranges (3, 2, 2): tail keys (h*2 + r)*2 + t, so a row (h, r=2)
-    # would start where row (h+1, r=0) does if rows beyond a known range
-    # were not dropped; a width of 1 cuts known triples off the row
+    # known ranges (3, 2, 2) inside a 6 x 6 x 4 network: over the known
+    # ranges, tail keys (h*2 + r)*2 + t would let a row (h, r=2) start
+    # where row (h+1, r=0) does; in the shape's radix no row's run
+    # spills into another's
     known = {(1, 0, 0), (0, 1, 1), (2, 1, 0), (2, 0, 1)}
     lookup = as_validity(filter_form(form, known))
-    span = range(-1, 6)  # past every known index, and negative
-    fixed = [(a, b) for a in span for b in span]
-    for width in (1, 2, 3, 7):
-        got = grid_call(lookup, slot, list(zip(*fixed)), width)
+    for shape in (NetworkShape(3, 2), NetworkShape(6, 4)):
+        spans = [range(shape.n_entities), range(shape.n_entities),
+                 range(shape.n_relations)]
+        width = len(spans.pop(slot))
+        fixed = [(a, b) for a in spans[0] for b in spans[1]]
+        got = grid_call(lookup, slot, list(zip(*fixed)), shape)
         assert got.shape == (len(fixed), width) and got.dtype == bool
         for (a, b), row in zip(fixed, got):
             want = []
@@ -615,20 +661,28 @@ def test_grid_lookup_has_no_key_aliasing(form, slot):
                 tr = [a, b]
                 tr.insert(slot, i)
                 want.append(tuple(tr) in known)
-            assert row.tolist() == want, (a, b, width)
+            assert row.tolist() == want, (a, b, shape)
+
+
+@st.composite
+def flat_probe_cases(draw):
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(0, k - 1))
+    known = draw(st.sets(edge, max_size=40))
+    rows = draw(st.lists(edge, min_size=1, max_size=12))
+    return NetworkShape(n, k), known, rows, draw(st.integers(0, 2))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5),
-                         st.integers(0, 3)), max_size=40),
-       st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7),
-                          st.integers(-1, 5)), min_size=1, max_size=12),
-       st.integers(0, 2), st.integers(1, 9))
-def test_grid_lookup_matches_flat_probe(known, rows, slot, width):
+@given(flat_probe_cases())
+def test_grid_lookup_matches_flat_probe(case):
     # the block mask against Python-set membership, candidate by candidate
+    shape, known, rows, slot = case
+    width = shape.n_relations if slot == 2 else shape.n_entities
     lookup = as_validity(known)
     fixed = [[row[i] for row in rows] for i in range(3) if i != slot]
-    got = grid_call(lookup, slot, fixed, width)
+    got = grid_call(lookup, slot, fixed, shape)
     assert got.tolist() == [[row[:slot] + (i,) + row[slot + 1:] in known
                              for i in range(width)] for row in rows]
 
@@ -690,8 +744,8 @@ def test_wrapped_lookup_keeps_the_grid_call():
 
         @functools.wraps(lookup)
         def wrapper(*args, **kwargs):
-            slot, a, b, width = args
-            calls.append((slot, len(a), len(b), width))
+            slot, a, b, net = args
+            calls.append((slot, len(a), len(b), net))
             return lookup(*args, **kwargs)
 
         return wrapper
@@ -700,6 +754,6 @@ def test_wrapped_lookup_keeps_the_grid_call():
     with mock.patch.object(evaluation, "as_validity", as_validity_wrapped):
         got = rank_report(model, params, tests, valid, shape)
     assert got == want
-    n, k, rows = shape.n_entities, shape.n_relations, len(tests)
-    assert calls == [(0, rows, rows, n), (1, rows, rows, n),
-                     (2, rows, rows, k)]
+    rows = len(tests)
+    assert calls == [(0, rows, rows, shape), (1, rows, rows, shape),
+                     (2, rows, rows, shape)]

@@ -13,7 +13,9 @@ from mrnet.io import (
     COLUMN_ORDERS,
     CheckpointError,
     ConfigError,
+    TripleDataset,
     TripleParseError,
+    _parse_lines,
     load_checkpoint,
     load_triple_split,
     load_triples,
@@ -22,7 +24,7 @@ from mrnet.io import (
     save_checkpoint,
 )
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple
-from mrnet._edges import decode, distinct_uniform
+from mrnet._edges import EdgeIndexError, decode, distinct_uniform
 
 
 def write(tmp_path, name, text):
@@ -268,6 +270,47 @@ def test_rejection_draws_with_few_free_slots():
                                    avoid)
         assert got.dtype == np.int64
         assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("positive", [(4, 0, 0), (1, 4, 0), (0, 0, 1),
+                                      (-1, 0, 0)])
+def test_sample_negatives_range_checks_positives(positive):
+    # in 3 x 3 x 1 slots, (4, 0, 0) keys to 12, past every slot, and
+    # (1, 4, 0) to 7, the key of slot (2, 1, 0): both used to be taken
+    # for positives without an error
+    ds = TripleDataset({}, {}, np.array([[0, 1, 0], positive]))
+    with pytest.raises(EdgeIndexError, match="index out of range"):
+        sample_negatives(ds, 1.0, NetworkShape(3, 1), seed=0)
+
+
+def test_distinct_uniform_draws_every_allowed_value_without_a_draw():
+    avoid = np.array([0, 3, 4, 9], dtype=np.int64)
+    for total in (10, 1 << 23):
+        rng = np.random.default_rng(0)
+        got = distinct_uniform(rng, total, total)
+        assert got.dtype == np.int64
+        assert_array_equal(got, np.arange(total))
+        got = distinct_uniform(rng, total, total - len(avoid), avoid=avoid)
+        assert got.dtype == np.int64
+        assert_array_equal(got, np.delete(np.arange(total), avoid))
+
+
+class _NamedAlready(dict):
+    """A vocabulary that holds 2^32 names before its own entries."""
+
+    def __len__(self):
+        return super().__len__() + 2 ** 32
+
+
+def test_parser_refuses_a_vocabulary_past_int64_keys(tmp_path):
+    # N^2 K of (2^32 + 3)^2 x 1 slots overflows int64: no edge key, so
+    # no negatives, filter or observation set, can index the network
+    path = write(tmp_path, "t.tsv", "a\tr\tb\nb\tr\tc\na\tr\tb\n")
+    with pytest.raises(TripleParseError,
+                       match=r"t\.tsv: .* overflow int64 edge keys"):
+        _parse_lines(path, COLUMN_ORDERS["hrt"], _NamedAlready(), {})
+    triples, dups = _parse_lines(path, COLUMN_ORDERS["hrt"], {}, {})
+    assert triples.tolist() == [[0, 1, 0], [1, 2, 0]] and dups == 1
 
 
 def test_distinct_uniform_rejects_negative_count():
