@@ -41,8 +41,12 @@ def check_indices(n_entities: int, n_relations: int, heads, tails,
 
 def check_keyable(n: int, k: int, error: type = ValueError,
                   where: str = "") -> None:
-    """Raise ``error`` unless the largest edge key, N^2 K - 1, fits int64."""
-    if n * n * k - 1 > np.iinfo(np.int64).max:
+    """Raise ``error`` unless the slot count N^2 K fits int64.
+
+    Then every key fits, and so do the radix K that ``edge_key`` takes
+    and the bound ``rng.integers(0, N^2 K)`` draws below.
+    """
+    if n * n * k > np.iinfo(np.int64).max:
         raise error(f"{where}{n}^2 x {k} edge slots overflow int64 edge keys")
 
 

@@ -1,4 +1,4 @@
-/* Compiled inner loops of mrnet.estimation.train, loaded by _kernel.py.
+/* Compiled inner loops of mrnet, loaded by _kernel.py.
 
    mrnet_epoch runs one epoch of projected AdaGrad ascent on the
    penalized Bernoulli log-likelihood; mrnet_log_likelihood evaluates
@@ -13,10 +13,16 @@
    - row norms and the log-likelihood total use numpy's pairwise
      summation.
 
+   mrnet_scores writes the scores of a loss-scan chunk and
+   mrnet_rank_counts counts, per test edge, the unfiltered candidates
+   scoring above and tied with it, for mrnet.evaluation.
+
+   Every score sums the latent axis in order, as models.scores'
+   three-operand einsum does, so scores agree with numpy bit for bit.
    What remains different is libm's exp, which numpy replaces with its
-   own SIMD version, and einsum's SIMD sums for the distance score, so
-   the two paths agree to rounding, not bit for bit.  The build passes
-   -ffp-contract=off so the compiler does not fuse a*b+c into an FMA. */
+   own SIMD version, so training trajectories agree to rounding, not
+   bit for bit.  The build passes -ffp-contract=off so the compiler
+   does not fuse a*b+c into an FMA. */
 
 #include <math.h>
 #include <stdint.h>
@@ -53,7 +59,7 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* models.scores for one edge; w is the relation row */
+/* models.scores for one edge, bit for bit; w is the relation row */
 static double edge_score(int kind, int64_t d, const double *h,
                          const double *t, const double *w)
 {
@@ -238,4 +244,94 @@ int mrnet_log_likelihood(int kind, int64_t d, int64_t rd, const double *ent,
     *out = -pairwise_sum(terms, n);
     free(terms);
     return 0;
+}
+
+/* Calls f with kind as a constant: an always-inlined f then gets one
+   copy of its loops per kind, with no kind test per latent entry. */
+#define INLINE static inline __attribute__((always_inline))
+#define BY_KIND(f, ...)                                                   \
+    (kind == DISTANCE   ? f(DISTANCE, __VA_ARGS__)                        \
+     : kind == BILINEAR ? f(BILINEAR, __VA_ARGS__)                        \
+                        : f(COMBINED, __VA_ARGS__))
+
+INLINE void score_edges(int kind, int64_t d, int64_t rd, const double *ent,
+                        const double *rel, const int64_t *heads,
+                        const int64_t *tails, const int64_t *rels,
+                        int64_t n_ent, int64_t n_rel, int64_t start,
+                        int64_t n, double *out)
+{
+    if (heads) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = edge_score(kind, d, ent + heads[i] * d,
+                                ent + tails[i] * d, rel + rels[i] * rd);
+        return;
+    }
+    int64_t h = start / (n_ent * n_rel), t = start / n_rel % n_ent;
+    int64_t r = start % n_rel;
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = edge_score(kind, d, ent + h * d, ent + t * d, rel + r * rd);
+        if (++r == n_rel) {
+            r = 0;
+            if (++t == n_ent) {
+                t = 0;
+                h++;
+            }
+        }
+    }
+}
+
+/* Scores of n edges, written to out: the edges heads[i], tails[i],
+   rels[i] when heads is not NULL, else the slots start, ...,
+   start + n - 1 of the n_ent x n_ent x n_rel universe in linear order
+   (h*n_ent + t)*n_rel + r. */
+void mrnet_scores(int kind, int64_t d, int64_t rd, const double *ent,
+                  const double *rel, const int64_t *heads,
+                  const int64_t *tails, const int64_t *rels, int64_t n_ent,
+                  int64_t n_rel, int64_t start, int64_t n, double *out)
+{
+    BY_KIND(score_edges, d, rd, ent, rel, heads, tails, rels, n_ent, n_rel,
+            start, n, out);
+}
+
+INLINE void count_rows(int kind, int64_t d, int64_t rd, const double *ent,
+                       const double *rel, int slot, const int64_t *heads,
+                       const int64_t *tails, const int64_t *rels,
+                       int64_t n_rows, int64_t width,
+                       const unsigned char *mask, int64_t *above,
+                       int64_t *tied)
+{
+    for (int64_t i = 0; i < n_rows; i++) {
+        int64_t idx[3] = {heads[i], tails[i], rels[i]};
+        const unsigned char *m = mask + i * width;
+        double target = edge_score(kind, d, ent + idx[0] * d,
+                                   ent + idx[1] * d, rel + idx[2] * rd);
+        int64_t a = 0, t = 0;
+        for (int64_t c = 0; c < width; c++) {
+            if (m[c])
+                continue;
+            idx[slot] = c;
+            double s = edge_score(kind, d, ent + idx[0] * d,
+                                  ent + idx[1] * d, rel + idx[2] * rd);
+            a += s > target;
+            t += s == target;
+        }
+        above[i] = a;
+        tied[i] = t;
+    }
+}
+
+/* Filtered rank counts of n_rows test edges in one slot (0 head,
+   1 tail, 2 relation).  Row i's candidates replace the slot's index of
+   edge (heads[i], tails[i], rels[i]) with c = 0, ..., width - 1; of
+   those with mask[i*width + c] == 0, above[i] counts the ones scoring
+   above the edge itself and tied[i] the ones scoring equal to it. */
+void mrnet_rank_counts(int kind, int64_t d, int64_t rd, const double *ent,
+                       const double *rel, int slot, const int64_t *heads,
+                       const int64_t *tails, const int64_t *rels,
+                       int64_t n_rows, int64_t width,
+                       const unsigned char *mask, int64_t *above,
+                       int64_t *tied)
+{
+    BY_KIND(count_rows, d, rd, ent, rel, slot, heads, tails, rels, n_rows,
+            width, mask, above, tied);
 }

@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled training kernel in ``_epoch.c``.
+"""Build, cache and load the compiled kernel in ``_epoch.c``.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -13,8 +13,10 @@ process builds into a fresh directory of its own from
 ``tempfile.mkdtemp`` and deletes it once the library is loaded.
 
 If the compiler is missing or fails, ``load()`` warns once and returns
-``None``, and ``estimation.train`` runs its numpy loop instead.  Only
-``train`` imports this module, so ``import mrnet`` runs no compiler.
+``None``, and ``estimation.train`` and ``evaluation``'s loss scan and
+ranking run their numpy paths instead.  Those functions import this
+module when they are called, never at import time, so ``import mrnet``
+runs no compiler.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 _PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _UNSET = object()
-_loaded = _UNSET  # an EpochKernel, or None when no build could be loaded
+_loaded = _UNSET  # a Kernel, or None when no build could be loaded
 
 
 def _compiler() -> list:
@@ -94,8 +96,8 @@ def _addr(arr: np.ndarray, dtype) -> int:
     return arr.ctypes.data
 
 
-class EpochKernel:
-    """The two exported functions of ``_epoch.c``, on numpy arrays."""
+class Kernel:
+    """The exported functions of ``_epoch.c``, on numpy arrays."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._epoch = lib.mrnet_epoch
@@ -106,42 +108,128 @@ class EpochKernel:
         self._loglik.argtypes = [ctypes.c_int, _I64, _I64] + [_PTR] * 6 \
             + [_I64, ctypes.POINTER(_F64)]
         self._loglik.restype = ctypes.c_int
+        self._scores = lib.mrnet_scores
+        self._scores.argtypes = [ctypes.c_int, _I64, _I64] + [_PTR] * 5 \
+            + [_I64] * 4 + [_PTR]
+        self._scores.restype = None
+        self._ranks = lib.mrnet_rank_counts
+        self._ranks.argtypes = [ctypes.c_int, _I64, _I64, _PTR, _PTR,
+                                ctypes.c_int] + [_PTR] * 3 + [_I64] * 2 \
+            + [_PTR] * 3
+        self._ranks.restype = None
 
     @staticmethod
-    def _columns(model, params, obs):
+    def _params(model, params):
         params.check_model(model)  # the kernel derives row widths from kind
         return (MODEL_KINDS.index(model.kind), params.entities.shape[1],
                 params.relations.shape[1],
                 _addr(params.entities, np.float64),
-                _addr(params.relations, np.float64),
-                _addr(obs.heads, np.int64), _addr(obs.tails, np.int64),
-                _addr(obs.rels, np.int64), _addr(obs.labels, np.int8))
+                _addr(params.relations, np.float64))
 
-    def epoch(self, model, params, g2_ent, g2_rel, obs, perm, config) -> None:
-        """One AdaGrad epoch over ``obs`` in the order ``perm``, in place.
+    @staticmethod
+    def _edges(heads, tails, rels):
+        if not len(heads) == len(tails) == len(rels):
+            raise ShapeError("edge columns have unequal lengths")
+        return tuple(_addr(c, np.int64) for c in (heads, tails, rels))
 
-        The caller has checked that every index in ``obs`` is in range.
-        """
-        if g2_ent.shape != params.entities.shape or \
-                g2_rel.shape != params.relations.shape or len(perm) != len(obs):
-            raise ShapeError("epoch kernel arguments disagree in shape")
-        kind, d, rd, ent, rel, *columns = self._columns(model, params, obs)
-        status = self._epoch(
-            kind, params.n_entities, params.n_relations, d, rd, ent, rel,
-            _addr(g2_ent, np.float64), _addr(g2_rel, np.float64), *columns,
-            _addr(perm, np.int64), len(perm), config.batch_size,
-            config.learning_rate, config.adagrad_eps, config.rho1,
-            config.rho2, config.radius)
-        if status:
-            raise MemoryError("epoch kernel could not allocate its work space")
+    @classmethod
+    def _observations(cls, obs):
+        return cls._edges(obs.heads, obs.tails, obs.rels) \
+            + (_addr(obs.labels, np.int8),)
 
     def log_likelihood(self, model, params, obs) -> float:
+        return self._log_likelihood(
+            self._params(model, params) + self._observations(obs) + (len(obs),))
+
+    def _log_likelihood(self, args) -> float:
         out = _F64()
-        status = self._loglik(*self._columns(model, params, obs), len(obs),
-                              ctypes.byref(out))
-        if status:
+        if self._loglik(*args, ctypes.byref(out)):
             raise MemoryError("log-likelihood kernel could not allocate")
         return out.value
+
+    def slot_scores(self, model, params, shape, start, out) -> None:
+        """Scores of the slots ``start``, ..., ``start + len(out) - 1`` of
+        ``shape``'s universe, in linear order, written to ``out``."""
+        if shape.n_entities > params.n_entities or \
+                shape.n_relations > params.n_relations or start < 0 or \
+                start + len(out) > shape.n_edges:
+            raise ShapeError("slots outside the parameters' network")
+        self._scores(*self._params(model, params), None, None, None,
+                     shape.n_entities, shape.n_relations, start, len(out),
+                     _addr(out, np.float64))
+
+    def edge_scores(self, model, params, heads, tails, rels, out) -> None:
+        """Scores of the edges (heads, tails, rels), written to ``out``.
+
+        The caller has checked that every index is in range.
+        """
+        if len(out) != len(heads):
+            raise ShapeError("need one output per edge")
+        self._scores(*self._params(model, params),
+                     *self._edges(heads, tails, rels), 0, 0, 0, len(out),
+                     _addr(out, np.float64))
+
+    def rank_counts(self, model, params, slot, heads, tails, rels, mask):
+        """Per test edge, the unfiltered candidates above and tied with it.
+
+        Row i's candidates put 0, ..., width - 1 into column ``slot``
+        (0 head, 1 tail, 2 relation) of edge (heads[i], tails[i],
+        rels[i]); ``mask``, (rows, width) bool, marks the filtered ones.
+        Returns the int64 counts (above, tied) of the others that score
+        above and equal to the edge.  The caller has checked that every
+        index is in range.
+        """
+        rows, width = mask.shape
+        size = params.n_relations if slot == 2 else params.n_entities
+        if slot not in (0, 1, 2) or len(heads) != rows or width > size:
+            raise ShapeError("rank mask does not fit the edges and params")
+        above = np.empty(rows, dtype=np.int64)
+        tied = np.empty(rows, dtype=np.int64)
+        self._ranks(*self._params(model, params), slot,
+                    *self._edges(heads, tails, rels), rows, width,
+                    _addr(mask, np.bool_), _addr(above, np.int64),
+                    _addr(tied, np.int64))
+        return above, tied
+
+
+class Fit:
+    """The kernel bound to one fit's arrays, their addresses taken once.
+
+    ``epoch(perm)`` runs one AdaGrad epoch over ``obs`` in the order
+    ``perm``, updating the parameters and ``g2_ent`` / ``g2_rel`` in
+    place; ``log_likelihood()`` is that of ``obs`` at the current
+    parameters.  A fit whose parameter arrays are replaced needs a new
+    binding.  The caller has checked that every index in ``obs`` is in
+    range.
+    """
+
+    def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
+        if g2_ent.shape != params.entities.shape or \
+                g2_rel.shape != params.relations.shape:
+            raise ShapeError("epoch kernel arguments disagree in shape")
+        kind, d, rd, ent, rel = rows = kernel._params(model, params)
+        columns = kernel._observations(obs)
+        self._kernel, self._n = kernel, len(obs)
+        self._epoch_args = (kind, params.n_entities, params.n_relations, d,
+                            rd, ent, rel, _addr(g2_ent, np.float64),
+                            _addr(g2_rel, np.float64), *columns)
+        self._settings = (config.batch_size, config.learning_rate,
+                          config.adagrad_eps, config.rho1, config.rho2,
+                          config.radius)
+        self._loglik_args = rows + columns + (self._n,)
+        # the kernel reads and writes these by address
+        self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
+                        obs.heads, obs.tails, obs.rels, obs.labels)
+
+    def epoch(self, perm) -> None:
+        if len(perm) != self._n:
+            raise ShapeError("epoch order does not cover the observations")
+        if self._kernel._epoch(*self._epoch_args, _addr(perm, np.int64),
+                               self._n, *self._settings):
+            raise MemoryError("epoch kernel could not allocate its work space")
+
+    def log_likelihood(self) -> float:
+        return self._kernel._log_likelihood(self._loglik_args)
 
 
 def load():
@@ -153,14 +241,14 @@ def load():
             if not path.exists():
                 path = _build(path)
             try:
-                _loaded = EpochKernel(ctypes.CDLL(str(path)))
+                _loaded = Kernel(ctypes.CDLL(str(path)))
             finally:
                 if path.parent != _CACHE:  # a loaded library needs no file
                     shutil.rmtree(path.parent, ignore_errors=True)
         except (OSError, subprocess.SubprocessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
-            warnings.warn(f"mrnet: no compiled training kernel ({detail}); "
-                          "training runs the slower numpy loop",
+            warnings.warn(f"mrnet: no compiled kernel ({detail}); "
+                          "training and evaluation run the slower numpy loops",
                           RuntimeWarning, stacklevel=3)
             _loaded = None
     return _loaded

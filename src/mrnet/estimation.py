@@ -257,8 +257,8 @@ def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
                  g2_rel: np.ndarray, obs: ObservationSet, perm: np.ndarray,
                  config: TrainConfig) -> None:
     """One epoch of AdaGrad steps in numpy, in place: the reference the
-    compiled kernel's ``epoch`` (same arguments) is tested against, and
-    the fallback when no kernel can be built."""
+    compiled kernel's epoch is tested against, and the fallback when no
+    kernel can be built."""
     n_obs = len(obs)
     lr, eps = config.learning_rate, config.adagrad_eps
     for start in range(0, n_obs, config.batch_size):
@@ -305,29 +305,36 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
 
     from . import _kernel  # builds the C kernel on first use
     kernel = _kernel.load()
-    if kernel is None:
-        run_epoch, loglik = _numpy_epoch, log_likelihood
-    else:
-        run_epoch, loglik = kernel.epoch, kernel.log_likelihood
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2_ent = np.zeros_like(params.entities)
     g2_rel = np.zeros_like(params.relations)
 
+    def bind(params):
+        """(run_epoch(perm), loglik()) on ``params``; bound again
+        whenever the sparsity cap replaces them."""
+        if kernel is not None:
+            fit = _kernel.Fit(kernel, model, params, g2_ent, g2_rel, obs,
+                              config)
+            return fit.epoch, fit.log_likelihood
+        return (lambda perm: _numpy_epoch(model, params, g2_ent, g2_rel, obs,
+                                          perm, config),
+                lambda: log_likelihood(model, params, obs))
+
     def objective(epoch: int) -> float:
-        value = loglik(model, params, obs) \
-            - _penalty(params, config.rho1, config.rho2)
+        value = loglik() - _penalty(params, config.rho1, config.rho2)
         if not np.isfinite(value):
             raise ValueError(f"objective is {value} after {epoch} epochs")
         return value
 
+    run_epoch, loglik = bind(params)
     trace = [objective(0)]
     nnz = [_nnz(params)]
     for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(obs))
-        run_epoch(model, params, g2_ent, g2_rel, obs, perm, config)
+        run_epoch(rng.permutation(len(obs)))
         if cap is not None:
             params = project_l0(params, cap)
+            run_epoch, loglik = bind(params)
         trace.append(objective(epoch))
         nnz.append(_nnz(params))
 

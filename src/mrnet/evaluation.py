@@ -79,23 +79,62 @@ class EvalReport:
     n_evaluated: int
 
 
-def _universe_blocks(shape: NetworkShape):
-    """Every edge slot, ``_CHUNK`` linear indices (h*N + t)*K + r at a time.
+def _check_fits(params: ModelParams, shape: NetworkShape) -> None:
+    """Raise ``EdgeIndexError`` unless every slot of ``shape`` indexes
+    ``params``' rows."""
+    n, k = [shape.n_entities - 1], [shape.n_relations - 1]
+    check_indices(params.n_entities, params.n_relations, n, n, k)
 
-    Yields broadcastable index grids (heads, 1, 1), (1, N, 1), (1, 1, K)
-    over the head range that covers the chunk, and the chunk's cut of
-    their C-order ravel.
+
+def _universe_chunk(shape: NetworkShape, s: int, e: int):
+    """Slots s..e-1 of the universe, linear indices (h*N + t)*K + r.
+
+    Returns broadcastable index grids (heads, 1, 1), (1, N, 1),
+    (1, 1, K) over the head range that covers the chunk, and the
+    chunk's cut of their C-order ravel.
     """
     n, k = shape.n_entities, shape.n_relations
     per_head = n * k
-    tails = np.arange(n, dtype=np.int64)[None, :, None]
-    rels = np.arange(k, dtype=np.int64)[None, None, :]
-    total = shape.n_edges
-    for s in range(0, total, _CHUNK):
-        e = min(s + _CHUNK, total)
-        h0, h1 = s // per_head, (e - 1) // per_head + 1
-        heads = np.arange(h0, h1, dtype=np.int64)[:, None, None]
-        yield heads, tails, rels, slice(s - h0 * per_head, e - h0 * per_head)
+    h0, h1 = s // per_head, (e - 1) // per_head + 1
+    return (np.arange(h0, h1, dtype=np.int64)[:, None, None],
+            np.arange(n, dtype=np.int64)[None, :, None],
+            np.arange(k, dtype=np.int64)[None, None, :],
+            slice(s - h0 * per_head, e - h0 * per_head))
+
+
+def _loss_scores(model: ScoreModel, truth: ModelParams, fitted: ModelParams,
+                 shape: Optional[NetworkShape], edges, total: int):
+    """``pair(s, e)``: the truth and fitted scores of slots s..e-1 of a
+    loss scan, over ``shape``'s universe in linear order when ``edges``
+    is None, else over the int64 (heads, tails, rels) ``edges``.
+
+    The compiled kernel writes them into two buffers that every call
+    reuses; without a kernel, numpy scores each chunk, a universe chunk
+    as one broadcast head x tail x relation grid.
+    """
+    from . import _kernel  # builds the C kernel on first use
+    kernel = _kernel.load()
+    both = (truth, fitted)
+    if kernel is not None:
+        buffers = np.empty((2, min(total, _CHUNK)))
+
+        def pair(s, e):
+            out = buffers[:, :e - s]
+            for params, row in zip(both, out):
+                if edges is None:
+                    kernel.slot_scores(model, params, shape, s, row)
+                else:
+                    kernel.edge_scores(model, params,
+                                       *(c[s:e] for c in edges), row)
+            return out
+    elif edges is None:
+        def pair(s, e):
+            *grid, cut = _universe_chunk(shape, s, e)
+            return [scores(model, p, *grid).ravel()[cut] for p in both]
+    else:
+        def pair(s, e):
+            return [scores(model, p, *(c[s:e] for c in edges)) for p in both]
+    return pair
 
 
 def evaluate_losses(model: ScoreModel, fitted: ModelParams,
@@ -104,14 +143,16 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     """Average KL / squared score error / sign error of a fit vs truth.
 
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
-    ``None`` with a ``shape`` to scan every slot of the edge universe
-    (each chunk is scored as a broadcast head x tail x relation grid).
+    ``None`` with a ``shape`` to scan every slot of the edge universe.
     Either way the slots are scored ``_CHUNK`` at a time, so memory
-    stays bounded.  The link prediction for a slot is "present" iff the
-    fitted probability is >= 1/2, and the link error is the fraction of
-    slots where that disagrees with the truth.
-    Non-finite parameters raise ``ValueError``; an edge index outside
-    the fit's entities or relations raises ``IndexError``.
+    stays bounded, by the compiled kernel when one loads and else by
+    ``scores``; the two give the same scores bit for bit.  The link
+    prediction for a slot is "present" iff the fitted probability is
+    >= 1/2, and the link error is the fraction of slots where that
+    disagrees with the truth.
+    Non-finite parameters raise ``ValueError``; an edge index (or a
+    ``shape``) outside the fit's entities or relations raises
+    ``IndexError``.
     """
     fitted.check_model(model)
     truth.check_model(model)
@@ -123,30 +164,28 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     if edges is None:
         if shape is None:
             raise ValueError("need a network shape to scan all edges")
-        blocks = _universe_blocks(shape)
+        _check_fits(fitted, shape)
+        total = shape.n_edges
     else:
-        heads, tails, rels = (np.asarray(a) for a in edges)
-        if not len(heads):
+        edges = tuple(np.ascontiguousarray(a, dtype=np.int64) for a in edges)
+        total = len(edges[0])
+        if not total:
             raise ValueError("no edges to evaluate")
-        check_indices(fitted.n_entities, fitted.n_relations,
-                      heads, tails, rels)
-        blocks = ((heads[s:s + _CHUNK], tails[s:s + _CHUNK],
-                   rels[s:s + _CHUNK], slice(None))
-                  for s in range(0, len(heads), _CHUNK))
+        if any(len(c) != total for c in edges):
+            raise ShapeError("edge columns have unequal lengths")
+        check_indices(fitted.n_entities, fitted.n_relations, *edges)
 
+    pair = _loss_scores(model, truth, fitted, shape, edges, total)
     kl_sum = mse_sum = err_sum = 0.0
-    count = 0
-    for hs, ts, rs, cut in blocks:
-        phi_true = scores(model, truth, hs, ts, rs).ravel()[cut]
-        phi_fit = scores(model, fitted, hs, ts, rs).ravel()[cut]
+    for s in range(0, total, _CHUNK):
+        phi_true, phi_fit = pair(s, min(s + _CHUNK, total))
         m_true = sigmoid(phi_true)
         m_fit = sigmoid(phi_fit)
         kl_sum += bernoulli_kl(m_true, m_fit).sum()
         diff = phi_fit - phi_true
         mse_sum += (diff * diff).sum()
         err_sum += np.count_nonzero((m_fit >= 0.5) != (m_true >= 0.5))
-        count += len(phi_true)
-    return EvalReport(kl_sum / count, mse_sum / count, err_sum / count, count)
+    return EvalReport(kl_sum / total, mse_sum / total, err_sum / total, total)
 
 
 # The filter lookup ``as_validity`` builds from known triples:
@@ -157,8 +196,9 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 # ``shape``.
 Validity = Callable[[int, np.ndarray, np.ndarray, NetworkShape], np.ndarray]
 
-# Ranking scores at most about this many candidates per ``scores`` call,
-# so memory stays flat however large the test set is.
+# Ranking filters (and, without the kernel, scores) at most about this
+# many candidates per block, so memory stays flat however large the test
+# set is.
 _RANK_BLOCK = 1 << 16
 
 _SLOT_COLUMN = {"head": 0, "tail": 1, "relation": 2}
@@ -228,13 +268,17 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     """Filtered ranks of a block of test triples in one slot.
 
     ``heads``/``tails``/``rels`` are parallel int64 arrays, one row per
-    test triple.  All rows' candidates are scored with one broadcast
-    ``scores`` call on (rows, 1) / (1, width) columns and filtered with
-    one ``valid`` call.
+    test triple.  All rows' candidates are filtered with one ``valid``
+    call.  The compiled kernel then scores and counts them row by row,
+    with no (rows, width) score array; without a kernel, one broadcast
+    ``scores`` call on (rows, 1) / (1, width) columns scores them all.
     """
     if slot not in _SLOT_COLUMN:
         raise ValueError(f"unknown slot {slot!r}")
+    heads, tails, rels = (np.ascontiguousarray(c, dtype=np.int64)
+                          for c in (heads, tails, rels))
     check_indices(shape.n_entities, shape.n_relations, heads, tails, rels)
+    _check_fits(params, shape)
     col = _SLOT_COLUMN[slot]
     width = shape.n_relations if slot == "relation" else shape.n_entities
     fixed = [heads, tails, rels]
@@ -243,6 +287,12 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     row = np.arange(len(pos))
     if not is_true[row, pos].all():
         raise ValueError("target triple is not marked true in the filter")
+    from . import _kernel  # builds the C kernel on first use
+    kernel = _kernel.load()
+    if kernel is not None:
+        above, tied = kernel.rank_counts(model, params, col, heads, tails,
+                                         rels, np.ascontiguousarray(is_true))
+        return 1.0 + above + 0.5 * tied
     cols = [heads[:, None], tails[:, None], rels[:, None]]
     cols[col] = np.arange(width, dtype=np.int64)[None, :]
     s = scores(model, params, *cols)  # (rows, width) by broadcasting

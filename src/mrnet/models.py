@@ -205,12 +205,17 @@ def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.nda
     gathered at the unbroadcast shapes and each score is summed along
     the latent axis exactly as for 1-d input, so every score is
     bit-identical to the one the parallel 1-d call gives for that edge.
+    Every form is a three-operand ``einsum``, which sums the latent
+    axis sequentially, j = 0, ..., d - 1 (the two-operand form sums in
+    SIMD order), so the compiled kernel's scores match these bit for
+    bit.
     """
     th, tt, w = _rows(model, params, heads, tails, rels)
     d = model.latent_dim
     if model.kind == "distance":
         v = th + w[..., :d] - tt
-        return w[..., d] - np.einsum("...j,...j->...", v, v)
+        return w[..., d] - np.einsum("...j,...j,...j->...", v, v,
+                                     np.ones(d))
     if model.kind == "bilinear":
         return np.einsum("...j,...j,...j->...", th, w, tt)
     v = th + w[..., :d] - tt

@@ -40,15 +40,19 @@ def test_edge_key_orders_slots_like_the_universe():
     np.testing.assert_array_equal(keys, np.arange(n * n * k))
 
 
-@pytest.mark.parametrize("n, k", [(2 ** 31, 2), (3_037_000_499, 1),
-                                  (2, 2 ** 61)])
+@pytest.mark.parametrize("n, k", [(7, INT64_MAX // 49), (3_037_000_499, 1),
+                                  (1, INT64_MAX)])
 def test_int64_rule_at_its_boundary(n, k):
-    # N^2 K - 1 fits int64 here, and the next relation (or entity) is
-    # one slot too many
+    # N^2 K fits int64 here (for 7 and 1 entities it is int64's largest
+    # value), and the next relation (or entity) is one too many.  With
+    # 1 entity the rule used to let K = 2^63 through, a radix that no
+    # key and no draw bound can hold.
     check_keyable(n, k)
     last = edge_key(n - 1, n - 1, k - 1, n, k)
     assert int(last) == n * n * k - 1 <= INT64_MAX
     assert [int(c) for c in decode(last, n, k)] == [n - 1, n - 1, k - 1]
+    draw = np.random.default_rng(0).integers(0, n * n * k, size=3)
+    assert (draw >= 0).all()
     for bigger in ((n, k + 1), (n + 1, k)):
         with pytest.raises(ValueError, match="overflow int64 edge keys"):
             check_keyable(*bigger)
@@ -60,8 +64,11 @@ def test_observation_set_refuses_keys_that_would_wrap():
     with pytest.raises(ValueError, match="overflow int64 edge keys"):
         ObservationSet(NetworkShape(2 ** 33, 1), [0, 2 ** 31], [0, 0],
                        [0, 0], [1, 1])
-    ObservationSet(NetworkShape(2 ** 31, 2), [0, 2 ** 31 - 1], [0, 0],
-                   [0, 1], [1, 1])  # the largest keyable network
+    # the most entities two relations can key
+    ObservationSet(NetworkShape(2 ** 31 - 1, 2), [0, 2 ** 31 - 2], [0, 0],
+                   [0, 1], [1, 1])
+    with pytest.raises(ValueError, match="overflow int64 edge keys"):
+        ObservationSet(NetworkShape(2 ** 31, 2), [0], [0], [0], [1])
 
 
 def test_loss_edges_scan_all_or_a_seeded_subsample():

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.special import rel_entr
 
 import mrnet.evaluation as evaluation
+from mrnet import _kernel
 from mrnet._edges import EdgeIndexError
 from mrnet.evaluation import (
     KL_CLAMP,
@@ -32,6 +33,13 @@ from mrnet.models import (
     scores,
     sigmoid,
 )
+
+
+def scoring_paths():
+    """The compiled kernel, when one loads, and None (the numpy path):
+    the values of ``_kernel._loaded`` that select them."""
+    kernel = _kernel.load()
+    return [None] if kernel is None else [kernel, None]
 
 
 def make_params(model, n, k, rng, scale=1.0):
@@ -365,13 +373,15 @@ def test_batched_rank_report_matches_per_triple_oracle(case):
     model, shape, params, known, tests, form, block = case
     ent_q = tuple(range(1, shape.n_entities + 1))
     rel_q = tuple(range(1, shape.n_relations + 1))
-    with mock.patch.object(evaluation, "_RANK_BLOCK", block):
-        got = rank_report(model, params, tests,
-                          filter_form(form, known), shape,
-                          entity_hits=ent_q, relation_hits=rel_q)
     want = expected_report(brute_rank, model, params, tests, known, shape,
                            ent_q, rel_q)
-    assert report_fields(got) == want
+    for loaded in scoring_paths():
+        with mock.patch.object(evaluation, "_RANK_BLOCK", block), \
+                mock.patch.object(_kernel, "_loaded", loaded):
+            got = rank_report(model, params, tests,
+                              filter_form(form, known), shape,
+                              entity_hits=ent_q, relation_hits=rel_q)
+        assert report_fields(got) == want
 
 
 def pool_rank(model, params, target, slot, known, shape):
@@ -468,10 +478,15 @@ def test_as_validity_rejects_negative_known_indices():
 @pytest.mark.parametrize("which", ["test", "known"])
 @pytest.mark.parametrize("column", [0, 1, 2])
 @pytest.mark.parametrize("bad", [-1, "end", "past"])
-def test_ranking_rejects_out_of_range_triples(which, column, bad):
+def test_ranking_rejects_out_of_range_triples(which, column, bad,
+                                             monkeypatch):
     # a known triple past the shape used to be ignored and a test triple
     # past it to end in a bare mask IndexError; negative test indices
-    # wrapped to the last row
+    # wrapped to the last row.  The check comes before any kernel call.
+    kernel = _kernel.load()
+    if kernel is not None:
+        monkeypatch.setattr(kernel, "_ranks", mock.Mock(
+            side_effect=AssertionError("an unchecked index reached C")))
     model, shape, params, valid = random_kb(21)
     size = (shape.n_entities, shape.n_entities, shape.n_relations)[column]
     outside = list(sorted(valid)[0])
@@ -491,16 +506,16 @@ def test_ranking_rejects_out_of_range_triples(which, column, bad):
 
 
 def test_filter_keys_the_largest_int64_network():
-    # 2^31 entities and 2 relations: N^2 K - 1 is int64's largest value,
-    # and the last row of each slot ends there
-    shape = NetworkShape(2 ** 31, 2)
-    last = 2 ** 31 - 1
-    known = {(last, last, 1), (last, last - 1, 1), (0, last, 1)}
+    # 7 entities and (2^63 - 1) / 49 relations: N^2 K is int64's largest
+    # value, and the last tail run ends at key N^2 K - 1
+    k = (2 ** 63 - 1) // 49
+    shape = NetworkShape(7, k)
+    known = {(6, 6, k - 1), (6, 5, k - 1), (0, 6, k - 1)}
     lookup = as_validity(known)
-    got = grid_call(lookup, 2, [[last, last], [last, 0]], shape)
-    assert got.tolist() == [[False, True], [False, False]]
+    got = grid_call(lookup, 1, [[6, 0], [k - 1, k - 1]], shape)
+    assert got.tolist() == [[False] * 5 + [True, True], [False] * 6 + [True]]
     with pytest.raises(ValueError, match="overflow int64 edge keys"):
-        grid_call(lookup, 2, [[0], [0]], NetworkShape(2 ** 31, 3))
+        grid_call(lookup, 1, [[0], [0]], NetworkShape(7, k + 1))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -526,11 +541,47 @@ def test_duplicate_entities_tie_exactly_in_rank_report(kind):
         assert pool_rank(model, params, tr, "head", known, shape) % 1 == 0.5
     for tr in tests[100:]:
         assert pool_rank(model, params, tr, "tail", known, shape) % 1 == 0.5
-    got = rank_report(model, params, tests, known, shape,
-                      entity_hits=(1, 10, 100), relation_hits=(1,))
     want = expected_report(pool_rank, model, params, tests, known, shape,
                            (1, 10, 100), (1,))
-    assert report_fields(got) == want
+    for loaded in scoring_paths():
+        with mock.patch.object(_kernel, "_loaded", loaded):
+            got = rank_report(model, params, tests, known, shape,
+                              entity_hits=(1, 10, 100), relation_hits=(1,))
+        assert report_fields(got) == want
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_kernel_and_numpy_evaluation_agree_exactly(kind, request):
+    # losses over the universe and over explicit edges, and ranks, from
+    # the compiled kernel and then under the numpy_loop fixture
+    kernel = _kernel.load()
+    if kernel is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(24)
+    n, k = 60, 3
+    model = ScoreModel(kind, 5)
+    shape = NetworkShape(n, k)
+    truth = make_params(model, n, k, rng)
+    fitted = make_params(model, n, k, rng)
+    fitted.entities[n - 1] = fitted.entities[0]  # exact rank ties
+    edges = tuple(rng.integers(0, size, 2000) for size in (n, n, k))
+    lin = rng.choice(n * n * k, size=900, replace=False)
+    known = np.column_stack([lin // k // n, lin // k % n, lin % k])
+    known[:30, 0] = 0  # test rows whose head ties entity N - 1
+
+    def run():
+        # 1000-slot chunks start and end inside a head's block of 180
+        with mock.patch.object(evaluation, "_CHUNK", 1000), \
+                mock.patch.object(evaluation, "_RANK_BLOCK", 7 * n):
+            return (evaluate_losses(model, fitted, truth, shape=shape),
+                    evaluate_losses(model, fitted, truth, edges=edges),
+                    rank_report(model, fitted, known[:200], known, shape,
+                                entity_hits=(1, 10), relation_hits=(1,)))
+
+    fast = run()
+    request.getfixturevalue("numpy_loop")
+    assert _kernel.load() is None
+    assert run() == fast
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -561,8 +612,9 @@ def test_full_scan_matches_decoded_scan(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_explicit_edges_are_scored_in_chunks(kind):
-    # explicit edges used to be scored in one block, whatever their count
+def test_explicit_edges_are_scored_in_chunks(kind, monkeypatch):
+    # explicit edges used to be scored in one block, whatever their
+    # count; the compiled kernel and numpy both score 7 at a time here
     rng = np.random.default_rng(16)
     n, k = 9, 3
     model = ScoreModel(kind, 2)
@@ -576,13 +628,25 @@ def test_explicit_edges_are_scored_in_chunks(kind):
         sizes.append(len(columns[0]))
         return scores(model, params, *columns)
 
-    with mock.patch.object(evaluation, "_CHUNK", 7), \
-            mock.patch.object(evaluation, "scores", spy):
-        got = evaluate_losses(model, fitted, truth, edges=edges)
-    assert max(sizes) == 7
-    assert got.avg_kl == pytest.approx(whole.avg_kl, rel=1e-12)
-    assert got.mse_phi == pytest.approx(whole.mse_phi, rel=1e-12)
-    assert (got.link_err, got.n_evaluated) == (whole.link_err, 100)
+    kernel = _kernel.load()
+    if kernel is not None:
+        real = kernel.edge_scores
+
+        def kernel_spy(model, params, heads, tails, rels, out):
+            sizes.append(len(out))
+            return real(model, params, heads, tails, rels, out)
+
+        monkeypatch.setattr(kernel, "edge_scores", kernel_spy)
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        sizes.clear()
+        with mock.patch.object(evaluation, "_CHUNK", 7), \
+                mock.patch.object(evaluation, "scores", spy):
+            got = evaluate_losses(model, fitted, truth, edges=edges)
+        assert max(sizes) == 7 and sum(sizes) == 200  # truth and fit
+        assert got.avg_kl == pytest.approx(whole.avg_kl, rel=1e-12)
+        assert got.mse_phi == pytest.approx(whole.mse_phi, rel=1e-12)
+        assert (got.link_err, got.n_evaluated) == (whole.link_err, 100)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
@@ -600,6 +664,20 @@ def test_evaluate_losses_range_checks_edges(column, bad):
     name = ("head", "tail", "relation")[column]
     with pytest.raises(IndexError, match=f"{name} index out of range"):
         evaluate_losses(model, fitted, truth, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("which", ["entities", "relations"])
+def test_shape_past_the_params_is_an_index_error(which):
+    # the loss scan and the ranking index params rows by the shape's
+    # slots, so a shape larger than the fit stops before any scoring
+    model, shape, params, valid = random_kb(22)
+    bigger = NetworkShape(shape.n_entities + (which == "entities"),
+                          shape.n_relations + (which == "relations"))
+    name = "head" if which == "entities" else "relation"
+    with pytest.raises(EdgeIndexError, match=f"{name} index out of range"):
+        evaluate_losses(model, params, params, shape=bigger)
+    with pytest.raises(EdgeIndexError, match=f"{name} index out of range"):
+        rank_report(model, params, [Triple(*min(valid))], valid, bigger)
 
 
 @pytest.mark.parametrize("array", ["entities", "relations"])

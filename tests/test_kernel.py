@@ -15,14 +15,18 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mrnet import _kernel
 from mrnet.estimation import ObservationSet, TrainConfig, log_likelihood, train
 from mrnet.models import (MODEL_KINDS, ModelParams, NetworkShape, ScoreModel,
-                          ShapeError)
+                          ShapeError, scores)
 
 from test_estimation import full_observation_set, make_params, small_problem
 
-# Fixed before any measurement.  The kernel uses libm's exp where numpy
-# uses its own SIMD exp (they differ in the last bit for a few percent
-# of inputs), so trajectories agree to rounding, not bit for bit.
+# Fixed before any measurement.  The kernel's sigmoid uses libm's exp
+# where numpy uses its own SIMD exp (they differ in the last bit for a
+# few percent of inputs), so trajectories agree to rounding, not bit for
+# bit.
 RTOL, ATOL = 1e-10, 1e-12
+
+# latent sizes around the 2- to 8-wide SIMD blocks numpy sums in
+DIMS = [1, 2, 3, 5, 8, 16, 33]
 
 SRC = os.path.dirname(os.path.dirname(_kernel.__file__))
 
@@ -66,6 +70,8 @@ def test_kernel_trajectory_matches_numpy_loop(kernel, monkeypatch, kind,
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_kernel_log_likelihood_matches_numpy(kernel, kind):
+    # bit for bit: the scores agree exactly, numpy's logaddexp takes
+    # libm's exp and log1p as the kernel does, and both sum pairwise
     rng = np.random.default_rng(21)
     model = ScoreModel(kind, 3)
     shape = NetworkShape(5, 2)
@@ -73,7 +79,55 @@ def test_kernel_log_likelihood_matches_numpy(kernel, kind):
     for scale in (0.5, 30.0):  # the second drives scores far past +-700
         params = make_params(model, 5, 2, rng, scale=scale)
         want = log_likelihood(model, params, obs)
-        assert_allclose(kernel.log_likelihood(model, params, obs), want, RTOL)
+        assert kernel.log_likelihood(model, params, obs) == want
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_kernel_scores_match_numpy_bitwise(kernel, kind, d):
+    rng = np.random.default_rng(d)
+    model = ScoreModel(kind, d)
+    n, k = 7, 3
+    shape = NetworkShape(n, k)
+    params = make_params(model, n, k, rng)
+    lin = np.arange(shape.n_edges)
+    want = scores(model, params, lin // k // n, lin // k % n, lin % k)
+    # the universe in chunks that start and end inside a head's block
+    for start, stop in ((0, shape.n_edges), (5, 40), (130, shape.n_edges)):
+        out = np.empty(stop - start)
+        kernel.slot_scores(model, params, shape, start, out)
+        assert_array_equal(out, want[start:stop])
+    edges = tuple(rng.integers(0, m, 300) for m in (n, n, k))
+    out = np.empty(300)
+    kernel.edge_scores(model, params, *edges, out)
+    assert_array_equal(out, scores(model, params, *edges))
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_kernel_rank_counts_match_numpy(kernel, kind, d):
+    rng = np.random.default_rng(100 + d)
+    model = ScoreModel(kind, d)
+    n, k, rows = 30, 4, 50
+    # half-integer coordinates and two copies of entity 0: exact ties
+    params = ModelParams(rng.integers(-2, 3, (n, d)) / 2.0,
+                         rng.integers(-2, 3, (k, model.relation_dim)) / 2.0,
+                         50.0)
+    params.entities[n - 1] = params.entities[0]
+    edges = [rng.integers(0, m, rows) for m in (n, n, k)]
+    edges[0][:10] = 0
+    for slot, width in enumerate((n, n, k)):
+        mask = rng.random((rows, width)) < 0.2
+        mask[np.arange(rows), edges[slot]] = True  # the target is filtered
+        above, tied = kernel.rank_counts(model, params, slot, *edges, mask)
+        grid = [c[:, None] for c in edges]
+        grid[slot] = np.arange(width)[None, :]
+        s = scores(model, params, *grid)
+        target = s[np.arange(rows), edges[slot]][:, None]
+        assert_array_equal(above, np.count_nonzero((s > target) & ~mask, 1))
+        assert_array_equal(tied, np.count_nonzero((s == target) & ~mask, 1))
+        if slot == 0:  # the rows at head 0 tie its copy, entity N - 1
+            assert tied[:10].any()
 
 
 def test_kernel_refuses_arrays_it_cannot_read(kernel):
@@ -86,9 +140,37 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
     narrow = ModelParams(np.ones((3, 2)), np.ones((1, 2)), 5.0)
     with pytest.raises(ShapeError):  # combined rows need 2d relation entries
         kernel.log_likelihood(ScoreModel("combined", 2), narrow, obs)
+    fit = _kernel.Fit(kernel, model, narrow, np.zeros((3, 2)),
+                      np.zeros((1, 2)), obs, TrainConfig(epochs=1))
+    with pytest.raises(ShapeError):  # an order that misses an observation
+        fit.epoch(np.arange(1))
+    with pytest.raises(TypeError):  # an int32 order
+        fit.epoch(np.arange(2, dtype=np.int32))
+    with pytest.raises(ShapeError):  # AdaGrad state of another shape
+        _kernel.Fit(kernel, model, narrow, np.zeros((2, 2)),
+                    np.zeros((1, 2)), obs, TrainConfig(epochs=1))
+    # the scorer and the rank counter refuse the same way
+    edges = np.array([[0, 1, 2], [1, 2, 0], [0, 0, 0]])
+    with pytest.raises(TypeError):  # strided columns
+        kernel.edge_scores(model, narrow, *edges[:, ::2], np.empty(2))
+    with pytest.raises(TypeError):  # int32 columns
+        kernel.edge_scores(model, narrow, *edges.astype(np.int32),
+                           np.empty(3))
     with pytest.raises(ShapeError):
-        kernel.epoch(model, narrow, np.zeros((3, 2)), np.zeros((1, 2)), obs,
-                     np.arange(1), TrainConfig(epochs=1))
+        kernel.edge_scores(model, narrow, *edges, np.empty(2))
+    with pytest.raises(ShapeError):  # 4 slots past a 3-entity fit
+        kernel.slot_scores(model, narrow, NetworkShape(3, 1), 6, np.empty(4))
+    with pytest.raises(ShapeError):
+        kernel.slot_scores(model, narrow, NetworkShape(4, 1), 0, np.empty(1))
+    mask = np.zeros((3, 3), dtype=bool)
+    with pytest.raises(TypeError):  # column-major mask
+        kernel.rank_counts(model, narrow, 1, *edges, np.asfortranarray(mask))
+    with pytest.raises(TypeError):  # not a bool mask
+        kernel.rank_counts(model, narrow, 1, *edges, mask.astype(np.int8))
+    with pytest.raises(ShapeError):  # candidates past the fit's entities
+        kernel.rank_counts(model, narrow, 1, *edges, np.zeros((3, 4), bool))
+    with pytest.raises(ShapeError):  # no fourth column
+        kernel.rank_counts(model, narrow, 3, *edges, mask)
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
@@ -196,7 +278,7 @@ def test_cache_key_follows_source_and_flags(tmp_path, monkeypatch):
 
 
 def test_import_builds_nothing():
-    code = ("import sys, mrnet, mrnet.cli; "
+    code = ("import sys, mrnet, mrnet.cli, mrnet.evaluation; "
             "print('mrnet._kernel' in sys.modules, 'subprocess' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code],
                          env={**os.environ, "PYTHONPATH": SRC}, check=True,

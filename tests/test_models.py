@@ -99,13 +99,14 @@ def test_scalar_matches_vectorized_bitwise():
 
 
 def gathered_scores(model, params, heads, tails, rels):
-    """The 1-d scoring formula as it stood before broadcasting."""
+    """The 1-d scoring formula as it stood before broadcasting, with the
+    distance norm summed in order like the other two forms."""
     th, tt = params.entities[heads], params.entities[tails]
     w = params.relations[rels]
     d = model.latent_dim
     if model.kind == "distance":
         v = th + w[:, :d] - tt
-        return w[:, d] - np.einsum("ij,ij->i", v, v)
+        return w[:, d] - np.einsum("ij,ij,j->i", v, v, np.ones(d))
     if model.kind == "bilinear":
         return np.einsum("ij,ij,ij->i", th, w, tt)
     v = th + w[:, :d] - tt
