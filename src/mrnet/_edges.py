@@ -39,6 +39,22 @@ def check_indices(n_entities: int, n_relations: int, heads, tails,
             raise EdgeIndexError(f"{name} index out of range [0, {hi})")
 
 
+def index_columns(heads, tails, rels) -> tuple:
+    """The columns as C-contiguous int64 arrays.  A non-integral or NaN
+    index, which a cast would truncate to another edge, raises
+    ``ValueError`` naming its column; integral floats convert."""
+    out = []
+    for name, col in zip(("head", "tail", "relation"), (heads, tails, rels)):
+        col = np.asarray(col)
+        with np.errstate(invalid="ignore"):  # NaN fails the check below
+            ints = np.ascontiguousarray(col, dtype=np.int64)
+        if col.dtype.kind not in "biu" and np.any(ints != col):
+            raise ValueError(f"{name} index {col[ints != col][0]} is not "
+                             "an integer")
+        out.append(ints)
+    return tuple(out)
+
+
 def check_keyable(n: int, k: int, error: type = ValueError,
                   where: str = "") -> None:
     """Raise ``error`` unless the slot count N^2 K fits int64.

@@ -1,4 +1,7 @@
-"""Build, cache and load the compiled kernel in ``_epoch.c``.
+"""The compiled kernel in ``_epoch.c``, and its numpy twin ``Numpy``.
+
+``engine()`` gives the kernel, or ``Numpy`` if none loads.  The two have
+the same methods and the same scores bit for bit, so callers never branch.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -7,20 +10,21 @@ files, in its ``__pycache__``, under a name keyed by a hash of the
 source, the compile command and the extension suffix, so an edited
 source or another interpreter gets a build of its own.  A build writes
 a unique temporary file and moves it into place with ``os.replace``, so
-processes that build at the same moment each load a complete library.
-Where ``__pycache__`` cannot be written (a read-only install), each
-process builds into a fresh directory of its own from
-``tempfile.mkdtemp`` and deletes it once the library is loaded.
+processes that build at the same moment each load a complete library,
+and then deletes this interpreter's older builds.  Where ``__pycache__``
+cannot be written (a read-only install), each process builds into a
+fresh directory of its own from ``tempfile.mkdtemp`` and deletes it
+once the library is loaded.
 
 If the compiler is missing or fails, ``load()`` warns once and returns
-``None``, and ``estimation.train`` and ``evaluation``'s loss scan and
-ranking run their numpy paths instead.  Those functions import this
-module when they are called, never at import time, so ``import mrnet``
-runs no compiler.
+``None``, and ``engine()`` gives ``Numpy``, as it does after ``_loaded =
+None``.  The callers import this module when they are called, never at
+import time, so ``import mrnet`` runs no compiler.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -29,12 +33,13 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .models import MODEL_KINDS, ShapeError
+from .models import MODEL_KINDS, ShapeError, scores
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _CACHE = _SOURCE.parent / "__pycache__"
@@ -85,6 +90,11 @@ def _build(path: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # older builds for this suffix; never a *.tmp, which may be another
+    # process's build in progress, nor another interpreter's build
+    for stale in set(path.parent.glob(f"{_SOURCE.stem}.*{_SUFFIX}")) - {path}:
+        with contextlib.suppress(OSError):
+            stale.unlink()
     return path
 
 
@@ -132,21 +142,6 @@ class Kernel:
             raise ShapeError("edge columns have unequal lengths")
         return tuple(_addr(c, np.int64) for c in (heads, tails, rels))
 
-    @classmethod
-    def _observations(cls, obs):
-        return cls._edges(obs.heads, obs.tails, obs.rels) \
-            + (_addr(obs.labels, np.int8),)
-
-    def log_likelihood(self, model, params, obs) -> float:
-        return self._log_likelihood(
-            self._params(model, params) + self._observations(obs) + (len(obs),))
-
-    def _log_likelihood(self, args) -> float:
-        out = _F64()
-        if self._loglik(*args, ctypes.byref(out)):
-            raise MemoryError("log-likelihood kernel could not allocate")
-        return out.value
-
     def slot_scores(self, model, params, shape, start, out) -> None:
         """Scores of the slots ``start``, ..., ``start + len(out) - 1`` of
         ``shape``'s universe, in linear order, written to ``out``."""
@@ -191,6 +186,9 @@ class Kernel:
                     _addr(tied, np.int64))
         return above, tied
 
+    def fit(self, model, params, g2_ent, g2_rel, obs, config) -> "Fit":
+        return Fit(self, model, params, g2_ent, g2_rel, obs, config)
+
 
 class Fit:
     """The kernel bound to one fit's arrays, their addresses taken once.
@@ -198,9 +196,9 @@ class Fit:
     ``epoch(perm)`` runs one AdaGrad epoch over ``obs`` in the order
     ``perm``, updating the parameters and ``g2_ent`` / ``g2_rel`` in
     place; ``log_likelihood()`` is that of ``obs`` at the current
-    parameters.  A fit whose parameter arrays are replaced needs a new
-    binding.  The caller has checked that every index in ``obs`` is in
-    range.
+    parameters.  Whoever changes the parameters between epochs changes
+    them in place.  The caller has checked that every index in ``obs``
+    is in range.
     """
 
     def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
@@ -208,7 +206,8 @@ class Fit:
                 g2_rel.shape != params.relations.shape:
             raise ShapeError("epoch kernel arguments disagree in shape")
         kind, d, rd, ent, rel = rows = kernel._params(model, params)
-        columns = kernel._observations(obs)
+        columns = kernel._edges(obs.heads, obs.tails, obs.rels) \
+            + (_addr(obs.labels, np.int8),)
         self._kernel, self._n = kernel, len(obs)
         self._epoch_args = (kind, params.n_entities, params.n_relations, d,
                             rd, ent, rel, _addr(g2_ent, np.float64),
@@ -229,7 +228,53 @@ class Fit:
             raise MemoryError("epoch kernel could not allocate its work space")
 
     def log_likelihood(self) -> float:
-        return self._kernel._log_likelihood(self._loglik_args)
+        out = _F64()
+        if self._kernel._loglik(*self._loglik_args, ctypes.byref(out)):
+            raise MemoryError("log-likelihood kernel could not allocate")
+        return out.value
+
+
+class Numpy:
+    """``Kernel``'s methods in numpy: the engine when no kernel loads, and
+    the reference the kernel is tested against."""
+
+    @staticmethod
+    def slot_scores(model, params, shape, start, out) -> None:
+        # one broadcast (heads, N, K) grid over the heads the slots span
+        per_head = shape.n_entities * shape.n_relations
+        h0, first = divmod(start, per_head)
+        h1 = -(-(start + len(out)) // per_head)  # rounded up
+        grid = scores(model, params, np.arange(h0, h1)[:, None, None],
+                      np.arange(shape.n_entities)[:, None],
+                      np.arange(shape.n_relations))
+        out[:] = grid.ravel()[first:first + len(out)]
+
+    @staticmethod
+    def edge_scores(model, params, heads, tails, rels, out) -> None:
+        out[:] = scores(model, params, heads, tails, rels)
+
+    @staticmethod
+    def rank_counts(model, params, slot, heads, tails, rels, mask):
+        # one broadcast (rows, width) score array
+        cols = [heads[:, None], tails[:, None], rels[:, None]]
+        target, cols[slot] = cols[slot], np.arange(mask.shape[1])
+        s = scores(model, params, *cols)
+        target = np.take_along_axis(s, target, axis=1)
+        return (np.count_nonzero((s > target) & ~mask, axis=1),
+                np.count_nonzero((s == target) & ~mask, axis=1))
+
+    @staticmethod
+    def fit(model, params, g2_ent, g2_rel, obs, config):
+        from .estimation import _numpy_epoch, log_likelihood  # no import cycle
+        return types.SimpleNamespace(
+            epoch=lambda perm: _numpy_epoch(model, params, g2_ent, g2_rel,
+                                            obs, perm, config),
+            log_likelihood=lambda: log_likelihood(model, params, obs))
+
+
+def engine():
+    """The compiled kernel when one loads, else ``Numpy``."""
+    return load() or Numpy
 
 
 def load():
@@ -249,6 +294,6 @@ def load():
             detail = getattr(exc, "stderr", None) or exc
             warnings.warn(f"mrnet: no compiled kernel ({detail}); "
                           "training and evaluation run the slower numpy loops",
-                          RuntimeWarning, stacklevel=3)
+                          RuntimeWarning, stacklevel=4)
             _loaded = None
     return _loaded

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._edges import check_indices, check_keyable, edge_key
+from ._edges import check_indices, check_keyable, edge_key, index_columns
 from .models import (
     ModelParams,
     NetworkShape,
@@ -49,25 +49,22 @@ class ObservationSet:
     def __init__(self, shape: NetworkShape, heads, tails, rels, labels,
                  validate: bool = True):
         self.shape = shape
-        self.heads = np.ascontiguousarray(heads, dtype=np.int64)
-        self.tails = np.ascontiguousarray(tails, dtype=np.int64)
-        self.rels = np.ascontiguousarray(rels, dtype=np.int64)
-        self.labels = np.ascontiguousarray(labels, dtype=np.int8)
-        n = len(self.heads)
-        if not (len(self.tails) == len(self.rels) == len(self.labels) == n):
+        self.heads, self.tails, self.rels = index_columns(heads, tails, rels)
+        labels = np.ascontiguousarray(labels)
+        size = len(self.heads)
+        if not (len(self.tails) == len(self.rels) == len(labels) == size):
             raise ShapeError("observation columns have unequal lengths")
         if validate:
-            self._validate()
-
-    def _validate(self):
-        n, k = self.shape.n_entities, self.shape.n_relations
-        check_indices(n, k, self.heads, self.tails, self.rels)
-        if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be 0 or 1")
-        check_keyable(n, k)
-        lin = edge_key(self.heads, self.tails, self.rels, n, k)
-        if len(np.unique(lin)) != len(lin):
-            raise ValueError("observations contain duplicate edges")
+            n, k = shape.n_entities, shape.n_relations
+            check_indices(n, k, self.heads, self.tails, self.rels)
+            # before the int8 cast, which would wrap 257 to 1 and cut 0.7 to 0
+            if not np.all((labels == 0) | (labels == 1)):
+                raise ValueError("labels must be 0 or 1")
+            check_keyable(n, k)
+            lin = edge_key(self.heads, self.tails, self.rels, n, k)
+            if len(np.unique(lin)) != len(lin):
+                raise ValueError("observations contain duplicate edges")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int8)
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -285,11 +282,12 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     untouched rows stay feasible); the sparsity cap, if any, is
     re-imposed once per epoch and at the end.
 
-    Each epoch runs in the compiled kernel (``_kernel.load()``), or in
-    the numpy loop if no kernel could be built; the two agree to
-    rounding.  Raises ValueError for an index outside ``shape`` and
-    for an objective that is not finite, rather than fit on a wrapped
-    index or return a NaN fit.
+    Each epoch runs in the engine that ``_kernel.engine()`` gives: the
+    compiled kernel, or its numpy twin if no kernel could be built; the
+    two agree to rounding.  The fit is bound once, and the sparsity cap
+    writes into the bound arrays.  Raises ValueError for an index
+    outside ``shape`` and for an objective that is not finite, rather
+    than fit on a wrapped index or return a NaN fit.
     """
     config.validate()
     if len(obs) == 0:
@@ -304,37 +302,27 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
         raise ValueError("sparsity_cap exceeds the total parameter count")
 
     from . import _kernel  # builds the C kernel on first use
-    kernel = _kernel.load()
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2_ent = np.zeros_like(params.entities)
     g2_rel = np.zeros_like(params.relations)
-
-    def bind(params):
-        """(run_epoch(perm), loglik()) on ``params``; bound again
-        whenever the sparsity cap replaces them."""
-        if kernel is not None:
-            fit = _kernel.Fit(kernel, model, params, g2_ent, g2_rel, obs,
-                              config)
-            return fit.epoch, fit.log_likelihood
-        return (lambda perm: _numpy_epoch(model, params, g2_ent, g2_rel, obs,
-                                          perm, config),
-                lambda: log_likelihood(model, params, obs))
+    fit = _kernel.engine().fit(model, params, g2_ent, g2_rel, obs, config)
 
     def objective(epoch: int) -> float:
-        value = loglik() - _penalty(params, config.rho1, config.rho2)
+        value = fit.log_likelihood() - _penalty(params, config.rho1,
+                                                config.rho2)
         if not np.isfinite(value):
             raise ValueError(f"objective is {value} after {epoch} epochs")
         return value
 
-    run_epoch, loglik = bind(params)
     trace = [objective(0)]
     nnz = [_nnz(params)]
     for epoch in range(1, config.epochs + 1):
-        run_epoch(rng.permutation(len(obs)))
+        fit.epoch(rng.permutation(len(obs)))
         if cap is not None:
-            params = project_l0(params, cap)
-            run_epoch, loglik = bind(params)
+            capped = project_l0(params, cap)
+            params.entities[...] = capped.entities
+            params.relations[...] = capped.relations
         trace.append(objective(epoch))
         nnz.append(_nnz(params))
 

@@ -17,14 +17,13 @@ from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
-from ._edges import check_indices, check_keyable, edge_key
+from ._edges import check_indices, check_keyable, edge_key, index_columns
 from .models import (
     ModelParams,
     NetworkShape,
     ScoreModel,
     ShapeError,
     Triple,
-    scores,
     sigmoid,
 )
 
@@ -86,57 +85,6 @@ def _check_fits(params: ModelParams, shape: NetworkShape) -> None:
     check_indices(params.n_entities, params.n_relations, n, n, k)
 
 
-def _universe_chunk(shape: NetworkShape, s: int, e: int):
-    """Slots s..e-1 of the universe, linear indices (h*N + t)*K + r.
-
-    Returns broadcastable index grids (heads, 1, 1), (1, N, 1),
-    (1, 1, K) over the head range that covers the chunk, and the
-    chunk's cut of their C-order ravel.
-    """
-    n, k = shape.n_entities, shape.n_relations
-    per_head = n * k
-    h0, h1 = s // per_head, (e - 1) // per_head + 1
-    return (np.arange(h0, h1, dtype=np.int64)[:, None, None],
-            np.arange(n, dtype=np.int64)[None, :, None],
-            np.arange(k, dtype=np.int64)[None, None, :],
-            slice(s - h0 * per_head, e - h0 * per_head))
-
-
-def _loss_scores(model: ScoreModel, truth: ModelParams, fitted: ModelParams,
-                 shape: Optional[NetworkShape], edges, total: int):
-    """``pair(s, e)``: the truth and fitted scores of slots s..e-1 of a
-    loss scan, over ``shape``'s universe in linear order when ``edges``
-    is None, else over the int64 (heads, tails, rels) ``edges``.
-
-    The compiled kernel writes them into two buffers that every call
-    reuses; without a kernel, numpy scores each chunk, a universe chunk
-    as one broadcast head x tail x relation grid.
-    """
-    from . import _kernel  # builds the C kernel on first use
-    kernel = _kernel.load()
-    both = (truth, fitted)
-    if kernel is not None:
-        buffers = np.empty((2, min(total, _CHUNK)))
-
-        def pair(s, e):
-            out = buffers[:, :e - s]
-            for params, row in zip(both, out):
-                if edges is None:
-                    kernel.slot_scores(model, params, shape, s, row)
-                else:
-                    kernel.edge_scores(model, params,
-                                       *(c[s:e] for c in edges), row)
-            return out
-    elif edges is None:
-        def pair(s, e):
-            *grid, cut = _universe_chunk(shape, s, e)
-            return [scores(model, p, *grid).ravel()[cut] for p in both]
-    else:
-        def pair(s, e):
-            return [scores(model, p, *(c[s:e] for c in edges)) for p in both]
-    return pair
-
-
 def evaluate_losses(model: ScoreModel, fitted: ModelParams,
                     truth: ModelParams, edges=None,
                     shape: Optional[NetworkShape] = None) -> EvalReport:
@@ -144,9 +92,9 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
     ``None`` with a ``shape`` to scan every slot of the edge universe.
-    Either way the slots are scored ``_CHUNK`` at a time, so memory
-    stays bounded, by the compiled kernel when one loads and else by
-    ``scores``; the two give the same scores bit for bit.  The link
+    Either way the engine that ``_kernel.engine()`` gives scores the
+    slots ``_CHUNK`` at a time into two reused buffers, so memory stays
+    bounded; both engines give the same scores bit for bit.  The link
     prediction for a slot is "present" iff the fitted probability is
     >= 1/2, and the link error is the fraction of slots where that
     disagrees with the truth.
@@ -167,7 +115,7 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         _check_fits(fitted, shape)
         total = shape.n_edges
     else:
-        edges = tuple(np.ascontiguousarray(a, dtype=np.int64) for a in edges)
+        edges = index_columns(*edges)
         total = len(edges[0])
         if not total:
             raise ValueError("no edges to evaluate")
@@ -175,10 +123,19 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
             raise ShapeError("edge columns have unequal lengths")
         check_indices(fitted.n_entities, fitted.n_relations, *edges)
 
-    pair = _loss_scores(model, truth, fitted, shape, edges, total)
+    from . import _kernel  # builds the C kernel on first use
+    engine = _kernel.engine()
+    buffers = np.empty((2, min(total, _CHUNK)))
     kl_sum = mse_sum = err_sum = 0.0
     for s in range(0, total, _CHUNK):
-        phi_true, phi_fit = pair(s, min(s + _CHUNK, total))
+        e = min(s + _CHUNK, total)
+        phi_true, phi_fit = both = buffers[:, :e - s]
+        for params, out in zip((truth, fitted), both):
+            if edges is None:
+                engine.slot_scores(model, params, shape, s, out)
+            else:
+                engine.edge_scores(model, params, *(c[s:e] for c in edges),
+                                   out)
         m_true = sigmoid(phi_true)
         m_fit = sigmoid(phi_fit)
         kl_sum += bernoulli_kl(m_true, m_fit).sum()
@@ -196,7 +153,7 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 # ``shape``.
 Validity = Callable[[int, np.ndarray, np.ndarray, NetworkShape], np.ndarray]
 
-# Ranking filters (and, without the kernel, scores) at most about this
+# Ranking filters (and, in the numpy engine, scores) at most about this
 # many candidates per block, so memory stays flat however large the test
 # set is.
 _RANK_BLOCK = 1 << 16
@@ -208,15 +165,18 @@ _TRIPLE_FORMS = ("an (n, 3) array or a collection of (head, tail, rel) "
 
 
 def _triple_columns(triples) -> np.ndarray:
-    """(n, 3) int64 (head, tail, relation) rows of ``_TRIPLE_FORMS``."""
+    """The (3, n) int64 head, tail and relation columns of triples in
+    ``_TRIPLE_FORMS``, each contiguous, in a new array; a non-integral
+    index raises ``ValueError``."""
     if isinstance(triples, np.ndarray):
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise ShapeError(f"triples must be {_TRIPLE_FORMS}, got an "
                              f"array of shape {triples.shape}")
-        return triples.astype(np.int64, copy=False)
-    if callable(triples):
+    elif callable(triples):
         raise TypeError(f"triples must be {_TRIPLE_FORMS}, got a callable")
-    return np.array(list(triples), dtype=np.int64).reshape(-1, 3)
+    else:
+        triples = np.array(list(triples)).reshape(-1, 3)
+    return np.stack(index_columns(*triples.T))
 
 
 def as_validity(truth_labels) -> Validity:
@@ -232,8 +192,8 @@ def as_validity(truth_labels) -> Validity:
     known triples against the shape (``EdgeIndexError``) and the shape
     against int64 keys (``check_keyable``).
     """
-    # a copy: the keys are built from it on first use
-    known = _triple_columns(truth_labels).copy()
+    # a new array: the keys are built from it on first use
+    known = _triple_columns(truth_labels)
     keys = {}  # (slot, sizes) -> that slot's sorted keys
 
     def lookup(slot, a, b, shape):
@@ -241,10 +201,10 @@ def as_validity(truth_labels) -> Validity:
         pa, pb = (i for i in range(3) if i != slot)  # key order
         nb, ns = sizes[pb], sizes[slot]
         if (slot, sizes) not in keys:
-            check_indices(shape.n_entities, shape.n_relations, *known.T)
+            check_indices(shape.n_entities, shape.n_relations, *known)
             check_keyable(shape.n_entities, shape.n_relations)
             keys[slot, sizes] = np.unique(edge_key(
-                known[:, pa], known[:, pb], known[:, slot], nb, ns))
+                known[pa], known[pb], known[slot], nb, ns))
         sorted_keys = keys[slot, sizes]
         first = edge_key(a, b, 0, nb, ns)  # the row's smallest key
         lo = np.searchsorted(sorted_keys, first)
@@ -267,20 +227,18 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
                     shape: NetworkShape) -> np.ndarray:
     """Filtered ranks of a block of test triples in one slot.
 
-    ``heads``/``tails``/``rels`` are parallel int64 arrays, one row per
-    test triple.  All rows' candidates are filtered with one ``valid``
-    call.  The compiled kernel then scores and counts them row by row,
-    with no (rows, width) score array; without a kernel, one broadcast
-    ``scores`` call on (rows, 1) / (1, width) columns scores them all.
+    ``heads``/``tails``/``rels`` are parallel contiguous int64 arrays,
+    one row per test triple.  All rows' candidates are filtered with one
+    ``valid`` call, then scored and counted with one ``rank_counts`` call
+    of the engine that ``_kernel.engine()`` gives: the compiled kernel
+    goes row by row, with no (rows, width) score array, and its numpy
+    twin scores the block with one broadcast ``scores`` call.
     """
     if slot not in _SLOT_COLUMN:
         raise ValueError(f"unknown slot {slot!r}")
-    heads, tails, rels = (np.ascontiguousarray(c, dtype=np.int64)
-                          for c in (heads, tails, rels))
     check_indices(shape.n_entities, shape.n_relations, heads, tails, rels)
     _check_fits(params, shape)
     col = _SLOT_COLUMN[slot]
-    width = shape.n_relations if slot == "relation" else shape.n_entities
     fixed = [heads, tails, rels]
     pos = fixed.pop(col)
     is_true = valid(col, *fixed, shape)
@@ -288,18 +246,8 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     if not is_true[row, pos].all():
         raise ValueError("target triple is not marked true in the filter")
     from . import _kernel  # builds the C kernel on first use
-    kernel = _kernel.load()
-    if kernel is not None:
-        above, tied = kernel.rank_counts(model, params, col, heads, tails,
-                                         rels, np.ascontiguousarray(is_true))
-        return 1.0 + above + 0.5 * tied
-    cols = [heads[:, None], tails[:, None], rels[:, None]]
-    cols[col] = np.arange(width, dtype=np.int64)[None, :]
-    s = scores(model, params, *cols)  # (rows, width) by broadcasting
-    target = s[row, pos][:, None]
-    false = ~is_true  # keeps only corruptions that are false; drops target too
-    above = np.count_nonzero((s > target) & false, axis=1)
-    tied = np.count_nonzero((s == target) & false, axis=1)
+    above, tied = _kernel.engine().rank_counts(
+        model, params, col, heads, tails, rels, np.ascontiguousarray(is_true))
     return 1.0 + above + 0.5 * tied
 
 
@@ -316,7 +264,7 @@ def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
     holding NaN or inf raise ``ValueError``.
     """
     params.check_finite()
-    one = _triple_columns([target]).T
+    one = _triple_columns([target])
     return float(_filtered_ranks(model, params, *one, slot,
                                  as_validity(truth_labels), shape)[0])
 
@@ -351,7 +299,7 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
     ``ValueError``, as in ``rank_edge``: a NaN score compares false with
     everything, so it would still get a rank.
     """
-    cols = _triple_columns(test_triples).T
+    cols = _triple_columns(test_triples)
     n_test = cols.shape[1]
     if not n_test:
         raise ValueError("empty test set")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._edges import check_indices
+from ._edges import check_indices, index_columns
 
 __all__ = [
     "MODEL_KINDS",
@@ -224,7 +224,7 @@ def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.nda
 
 def score(model: ScoreModel, params: ModelParams, edge: Triple) -> float:
     """Score of a single edge; exact match with the vectorized path."""
-    one = np.array([edge], dtype=np.int64).T
+    one = index_columns(*np.transpose([edge]))
     check_indices(params.n_entities, params.n_relations, *one)
     return float(scores(model, params, *one)[0])
 
@@ -251,7 +251,7 @@ def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
 
 def score_gradient(model: ScoreModel, params: ModelParams, edge: Triple):
     """Gradient of one edge's score: (d_head, d_tail, d_relation)."""
-    one = np.array([edge], dtype=np.int64).T
+    one = index_columns(*np.transpose([edge]))
     check_indices(params.n_entities, params.n_relations, *one)
     gh, gt, gr = score_gradients(model, params, *one)
     return gh[0], gt[0], gr[0]

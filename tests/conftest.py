@@ -5,5 +5,5 @@ from mrnet import _kernel
 
 @pytest.fixture
 def numpy_loop(monkeypatch):
-    """Train through the numpy step loop, as if no kernel could be built."""
+    """Run on the numpy engine, as if no kernel could be built."""
     monkeypatch.setattr(_kernel, "_loaded", None)

@@ -52,6 +52,28 @@ def test_observation_set_validation():
         ObservationSet(shape, [0, 1], [1], [0], [1])
 
 
+def test_observation_set_refuses_non_integral_values():
+    # an int64 / int8 cast would keep heads 0, 1, tail 2 and labels 1, 0
+    shape = NetworkShape(3, 2)
+    with pytest.raises(ValueError, match="head index 0.9 is not an integer"):
+        ObservationSet(shape, [0.9, 1], [1, 2], [0, 1], [1, 0])
+    with pytest.raises(ValueError, match="tail index 2.5 is not an integer"):
+        ObservationSet(shape, [0, 1], [1, 2.5], [0, 1], [1, 0])
+    with pytest.raises(ValueError, match="relation index nan"):
+        ObservationSet(shape, [0, 1], [1, 2], [0, np.nan], [1, 0])
+    for labels in (np.array([257, 256]), [0.7, 1], [np.nan, 1]):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ObservationSet(shape, [0, 1], [1, 2], [0, 1], labels)
+    # integral floats, bools and empty lists keep working
+    floats = ObservationSet(shape, [0.0, 1.0], [1.0, 2.0], [0.0, 1.0],
+                            [True, False])
+    assert floats.heads.dtype == np.int64 and floats.labels.dtype == np.int8
+    assert [c.tolist() for c in (floats.heads, floats.tails, floats.rels,
+                                 floats.labels)] == [[0, 1], [1, 2], [0, 1],
+                                                     [1, 0]]
+    assert len(ObservationSet(shape, [], [], [], [])) == 0
+
+
 def test_observation_set_round_trip():
     shape = NetworkShape(4, 2)
     oset = ObservationSet(shape, [0, 2], [1, 3], [0, 1], [1, 0])

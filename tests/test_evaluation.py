@@ -36,7 +36,7 @@ from mrnet.models import (
 
 
 def scoring_paths():
-    """The compiled kernel, when one loads, and None (the numpy path):
+    """The compiled kernel, when one loads, and None (the numpy engine):
     the values of ``_kernel._loaded`` that select them."""
     kernel = _kernel.load()
     return [None] if kernel is None else [kernel, None]
@@ -614,7 +614,7 @@ def test_full_scan_matches_decoded_scan(kind):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_explicit_edges_are_scored_in_chunks(kind, monkeypatch):
     # explicit edges used to be scored in one block, whatever their
-    # count; the compiled kernel and numpy both score 7 at a time here
+    # count; both engines score 7 at a time here
     rng = np.random.default_rng(16)
     n, k = 9, 3
     model = ScoreModel(kind, 2)
@@ -623,25 +623,18 @@ def test_explicit_edges_are_scored_in_chunks(kind, monkeypatch):
     edges = tuple(rng.integers(0, size, 100) for size in (n, n, k))
     whole = evaluate_losses(model, fitted, truth, edges=edges)
     sizes = []
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        engine = _kernel.engine()
+        real = engine.edge_scores
 
-    def spy(model, params, *columns):
-        sizes.append(len(columns[0]))
-        return scores(model, params, *columns)
-
-    kernel = _kernel.load()
-    if kernel is not None:
-        real = kernel.edge_scores
-
-        def kernel_spy(model, params, heads, tails, rels, out):
+        def spy(model, params, heads, tails, rels, out, real=real):
             sizes.append(len(out))
             return real(model, params, heads, tails, rels, out)
 
-        monkeypatch.setattr(kernel, "edge_scores", kernel_spy)
-    for loaded in scoring_paths():
-        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        monkeypatch.setattr(engine, "edge_scores", spy)
         sizes.clear()
-        with mock.patch.object(evaluation, "_CHUNK", 7), \
-                mock.patch.object(evaluation, "scores", spy):
+        with mock.patch.object(evaluation, "_CHUNK", 7):
             got = evaluate_losses(model, fitted, truth, edges=edges)
         assert max(sizes) == 7 and sum(sizes) == 200  # truth and fit
         assert got.avg_kl == pytest.approx(whole.avg_kl, rel=1e-12)
@@ -664,6 +657,44 @@ def test_evaluate_losses_range_checks_edges(column, bad):
     name = ("head", "tail", "relation")[column]
     with pytest.raises(IndexError, match=f"{name} index out of range"):
         evaluate_losses(model, fitted, truth, edges=tuple(edges))
+
+
+def test_evaluate_losses_refuses_non_integral_edges():
+    # an int64 cast would score edge (0, 1, 0) for (0.6, 1.7, 0.2)
+    rng = np.random.default_rng(25)
+    model = ScoreModel("distance", 2)
+    truth = make_params(model, 3, 2, rng)
+    fitted = make_params(model, 3, 2, rng)
+    for column, name in enumerate(("head", "tail", "relation")):
+        edges = [[0], [1], [0]]
+        edges[column] = [0.6]
+        with pytest.raises(ValueError, match=f"{name} index 0.6 is not an"):
+            evaluate_losses(model, fitted, truth, edges=tuple(edges))
+    with pytest.raises(ValueError, match="head index nan"):
+        evaluate_losses(model, fitted, truth, edges=([np.nan], [1], [0]))
+    # integral floats are the edges they name
+    assert evaluate_losses(model, fitted, truth, edges=([0.0], [1.0], [1.0])) \
+        == evaluate_losses(model, fitted, truth, edges=([0], [1], [1]))
+
+
+def test_ranking_refuses_non_integral_triples():
+    model, shape, params, valid = random_kb(26)
+    known = np.array(sorted(valid), dtype=float)
+    target = tuple(known[0])
+    bad = known.copy()
+    bad[0, 1] += 0.5
+    with pytest.raises(ValueError, match="tail index .* is not an integer"):
+        rank_report(model, params, bad[:1], known, shape)
+    with pytest.raises(ValueError, match="tail index .* is not an integer"):
+        rank_report(model, params, known[:1], bad, shape)
+    with pytest.raises(ValueError, match="tail index .* is not an integer"):
+        rank_edge(model, params, tuple(bad[0]), "head", known, shape)
+    # integral floats are the triples they name
+    assert rank_report(model, params, known[:5], known, shape) == \
+        rank_report(model, params, sorted(valid)[:5], valid, shape)
+    assert rank_edge(model, params, target, "tail", known, shape) == \
+        rank_edge(model, params, Triple(*sorted(valid)[0]), "tail", valid,
+                  shape)
 
 
 @pytest.mark.parametrize("which", ["entities", "relations"])

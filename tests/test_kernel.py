@@ -40,6 +40,13 @@ def kernel():
     return loaded
 
 
+def log_likelihood_via(engine, model, params, obs):
+    """``obs``' log-likelihood at ``params``, from ``engine``'s fit."""
+    g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
+    fit = engine.fit(model, params, *g2, obs, TrainConfig(epochs=1))
+    return fit.log_likelihood()
+
+
 VARIANTS = {"plain": {}, "rho1": {"rho1": 0.3}, "rho2": {"rho2": 0.5},
             "sparsity_cap": {"sparsity_cap": 20}}
 
@@ -68,6 +75,29 @@ def test_kernel_trajectory_matches_numpy_loop(kernel, monkeypatch, kind,
     assert not np.allclose(free.params.entities, fast.params.entities)
 
 
+@pytest.mark.parametrize("cap", [None, 20])
+def test_train_binds_one_fit_per_call(monkeypatch, cap):
+    # the sparsity cap writes into the bound arrays, so neither engine
+    # is bound again after an epoch
+    _, shape, obs = small_problem(seed=11)
+    model = ScoreModel("combined", 2)
+    config = TrainConfig(epochs=5, learning_rate=0.3, batch_size=50,
+                         radius=0.5, seed=4, sparsity_cap=cap)
+    for loaded in dict.fromkeys([_kernel.load(), None]):
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        engine, bound = _kernel.engine(), []
+
+        def spy(model, params, *rest, real=engine.fit):
+            bound.append(params)
+            return real(model, params, *rest)
+
+        monkeypatch.setattr(engine, "fit", spy)
+        result = train(model, shape, obs, config)
+        assert len(bound) == 1 and bound[0] is result.params
+        if cap is not None:
+            assert result.nnz_trace.max() == cap
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_kernel_log_likelihood_matches_numpy(kernel, kind):
     # bit for bit: the scores agree exactly, numpy's logaddexp takes
@@ -78,8 +108,9 @@ def test_kernel_log_likelihood_matches_numpy(kernel, kind):
     obs = full_observation_set(shape, rng)
     for scale in (0.5, 30.0):  # the second drives scores far past +-700
         params = make_params(model, 5, 2, rng, scale=scale)
-        want = log_likelihood(model, params, obs)
-        assert kernel.log_likelihood(model, params, obs) == want
+        want = log_likelihood_via(_kernel.Numpy, model, params, obs)
+        assert want == log_likelihood(model, params, obs)
+        assert log_likelihood_via(kernel, model, params, obs) == want
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -94,13 +125,17 @@ def test_kernel_scores_match_numpy_bitwise(kernel, kind, d):
     want = scores(model, params, lin // k // n, lin // k % n, lin % k)
     # the universe in chunks that start and end inside a head's block
     for start, stop in ((0, shape.n_edges), (5, 40), (130, shape.n_edges)):
-        out = np.empty(stop - start)
+        out, ref = np.empty((2, stop - start))
         kernel.slot_scores(model, params, shape, start, out)
-        assert_array_equal(out, want[start:stop])
+        _kernel.Numpy.slot_scores(model, params, shape, start, ref)
+        assert_array_equal(out, ref)
+        assert_array_equal(ref, want[start:stop])
     edges = tuple(rng.integers(0, m, 300) for m in (n, n, k))
-    out = np.empty(300)
+    out, ref = np.empty((2, 300))
     kernel.edge_scores(model, params, *edges, out)
-    assert_array_equal(out, scores(model, params, *edges))
+    _kernel.Numpy.edge_scores(model, params, *edges, ref)
+    assert_array_equal(out, ref)
+    assert_array_equal(ref, scores(model, params, *edges))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -120,12 +155,17 @@ def test_kernel_rank_counts_match_numpy(kernel, kind, d):
         mask = rng.random((rows, width)) < 0.2
         mask[np.arange(rows), edges[slot]] = True  # the target is filtered
         above, tied = kernel.rank_counts(model, params, slot, *edges, mask)
-        grid = [c[:, None] for c in edges]
-        grid[slot] = np.arange(width)[None, :]
-        s = scores(model, params, *grid)
-        target = s[np.arange(rows), edges[slot]][:, None]
-        assert_array_equal(above, np.count_nonzero((s > target) & ~mask, 1))
-        assert_array_equal(tied, np.count_nonzero((s == target) & ~mask, 1))
+        ref = _kernel.Numpy.rank_counts(model, params, slot, *edges, mask)
+        assert_array_equal(above, ref[0])
+        assert_array_equal(tied, ref[1])
+        # and the numpy twin against a per-row count
+        for i in range(rows):
+            row = [np.full(width, c[i]) for c in edges]
+            row[slot] = np.arange(width)
+            s = scores(model, params, *row)
+            target = s[edges[slot][i]]
+            assert ref[0][i] == np.count_nonzero((s > target) & ~mask[i])
+            assert ref[1][i] == np.count_nonzero((s == target) & ~mask[i])
         if slot == 0:  # the rows at head 0 tie its copy, entity N - 1
             assert tied[:10].any()
 
@@ -136,19 +176,19 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
     obs = ObservationSet(shape, [0, 1], [1, 2], [0, 0], [1, 0])
     params = ModelParams(np.ones((2, 3)).T, np.ones((1, 2)), 5.0)
     with pytest.raises(TypeError):  # column-major entity rows
-        kernel.log_likelihood(model, params, obs)
+        log_likelihood_via(kernel, model, params, obs)
     narrow = ModelParams(np.ones((3, 2)), np.ones((1, 2)), 5.0)
     with pytest.raises(ShapeError):  # combined rows need 2d relation entries
-        kernel.log_likelihood(ScoreModel("combined", 2), narrow, obs)
-    fit = _kernel.Fit(kernel, model, narrow, np.zeros((3, 2)),
-                      np.zeros((1, 2)), obs, TrainConfig(epochs=1))
+        log_likelihood_via(kernel, ScoreModel("combined", 2), narrow, obs)
+    fit = kernel.fit(model, narrow, np.zeros((3, 2)), np.zeros((1, 2)),
+                     obs, TrainConfig(epochs=1))
     with pytest.raises(ShapeError):  # an order that misses an observation
         fit.epoch(np.arange(1))
     with pytest.raises(TypeError):  # an int32 order
         fit.epoch(np.arange(2, dtype=np.int32))
     with pytest.raises(ShapeError):  # AdaGrad state of another shape
-        _kernel.Fit(kernel, model, narrow, np.zeros((2, 2)),
-                    np.zeros((1, 2)), obs, TrainConfig(epochs=1))
+        kernel.fit(model, narrow, np.zeros((2, 2)), np.zeros((1, 2)), obs,
+                   TrainConfig(epochs=1))
     # the scorer and the rank counter refuse the same way
     edges = np.array([[0, 1, 2], [1, 2, 0], [0, 0, 0]])
     with pytest.raises(TypeError):  # strided columns
@@ -221,8 +261,28 @@ def test_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
     assert os.listdir(scratch) == []  # and removed once the library loaded
     obs = ObservationSet(NetworkShape(2, 1), [0, 1], [1, 0], [0, 0], [1, 0])
     params = ModelParams(np.zeros((2, 2)), np.zeros((1, 2)), 1.0)
-    got = kernel.log_likelihood(ScoreModel("bilinear", 2), params, obs)
+    got = log_likelihood_via(kernel, ScoreModel("bilinear", 2), params, obs)
     assert got == pytest.approx(-2 * np.log(2.0), rel=1e-15)
+
+
+def test_build_deletes_only_stale_libraries(tmp_path, monkeypatch):
+    if shutil.which(_kernel._compiler()[0]) is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(_kernel, "_CACHE", tmp_path)
+    monkeypatch.setattr(_kernel, "_loaded", _kernel._UNSET)
+    stale = tmp_path / f"_epoch.{'0' * 16}{_kernel._SUFFIX}"
+    stale.write_bytes(b"an older build")
+    kept = [stale.name + ".a1b2c3.tmp",  # another process's build in progress
+            f"_epoch.{'0' * 16}.cpython-99-other.so",  # another interpreter's
+            f"_epoch.{'1' * 16}{_kernel._SUFFIX}"]  # cannot be unlinked
+    (tmp_path / kept[0]).write_bytes(b"")
+    (tmp_path / kept[1]).write_bytes(b"")
+    (tmp_path / kept[2]).mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kernel.load() is not None
+    built = _kernel._library_path().name
+    assert sorted(os.listdir(tmp_path)) == sorted(kept + [built])
 
 
 BUILD_AND_USE = """
@@ -230,7 +290,7 @@ import sys, time
 from pathlib import Path
 import numpy as np
 from mrnet import _kernel
-from mrnet.estimation import ObservationSet
+from mrnet.estimation import ObservationSet, TrainConfig
 from mrnet.models import ModelParams, NetworkShape, ScoreModel
 
 cache, me = Path(sys.argv[1]), sys.argv[2]
@@ -241,7 +301,10 @@ _kernel._CACHE = cache
 kernel = _kernel.load()
 obs = ObservationSet(NetworkShape(2, 1), [0, 1], [1, 0], [0, 0], [1, 0])
 params = ModelParams(np.zeros((2, 2)), np.zeros((1, 2)), 1.0)
-print(kernel.log_likelihood(ScoreModel("bilinear", 2), params, obs))
+g2 = (np.zeros((2, 2)), np.zeros((1, 2)))
+fit = kernel.fit(ScoreModel("bilinear", 2), params, *g2, obs,
+                 TrainConfig(epochs=1))
+print(fit.log_likelihood())
 """
 
 

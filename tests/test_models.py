@@ -182,6 +182,23 @@ def test_index_out_of_range():
         score(model, params, Triple(0, 0, 2))
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.6, np.nan])
+def test_score_refuses_non_integral_indices(column, bad):
+    # a cast to int64 would score (0, 1, 0) for (0.6, 1, 0)
+    model = ScoreModel("bilinear", 2)
+    params = random_params(model, 3, 2, np.random.default_rng(4))
+    edge = [0, 1, 0]
+    edge[column] = bad
+    name = ("head", "tail", "relation")[column]
+    for fn in (score, score_gradient):
+        with pytest.raises(ValueError, match=f"{name} index .* not an integer"):
+            fn(model, params, tuple(edge))
+    # an integral float is the edge it names
+    assert score(model, params, (0.0, 1.0, 1.0)) == \
+        score(model, params, Triple(0, 1, 1))
+
+
 def test_params_validate():
     params = ModelParams(np.ones((2, 2)), np.ones((1, 2)), radius=10.0)
     params.validate()
