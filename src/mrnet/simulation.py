@@ -126,9 +126,10 @@ class LabelSampler:
         return edge_probabilities(self.model, self.truth, heads, tails, rels)
 
     def labels(self, heads, tails, rels) -> np.ndarray:
+        p = self.probabilities(heads, tails, rels)  # checks the indices
         n, k = self.shape.n_entities, self.shape.n_relations
         u = counter_uniforms(self._key, edge_key(heads, tails, rels, n, k))
-        return (u < self.probabilities(heads, tails, rels)).astype(np.int8)
+        return (u < p).astype(np.int8)
 
 
 def sample_network(model: ScoreModel, truth: ModelParams,
@@ -248,8 +249,11 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     processes (never more than there are replicates), so a script that
     calls this must guard its entry point with
     ``if __name__ == "__main__":``.  A worker process that dies raises
-    ``BrokenProcessPool``; it is not a failed cell.
+    ``BrokenProcessPool``; it is not a failed cell.  ``n_workers`` below
+    1 raises ``ValueError``.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     jobs = [(grid, ci, n, rate, rep)
             for ci, (n, rate) in enumerate(grid.cells())
             for rep in range(grid.replicates)]

@@ -334,6 +334,16 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    # --threads 0 was rewritten to 1 and -2 ran on one worker
+    out = tmp_path / "grid.csv"
+    cfg = write(tmp_path / "sim.ini", SIM_CONFIG.format(out=out))
+    assert run_cli(["simulate", "--config", cfg, "--threads", threads]) == 2
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_flag_gives_same_csv(tmp_path):
     out = tmp_path / "grid.csv"
     cfg = write(tmp_path / "sim.ini", SIM_CONFIG.format(out=out))

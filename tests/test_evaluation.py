@@ -70,6 +70,15 @@ def test_bernoulli_kl_clamps_estimate():
         bernoulli_kl(-0.1, 0.5)
 
 
+@pytest.mark.parametrize("p, q", [(math.nan, 0.5), (0.5, math.nan),
+                                  ([0.2, math.nan], [0.5, 0.5]),
+                                  ([0.2, 0.3], [math.nan, 0.5])])
+def test_bernoulli_kl_refuses_nan(p, q):
+    # NaN fails neither p < 0 nor p > 1, so it used to come back as NaN
+    with pytest.raises(ValueError, match="must not be NaN"):
+        bernoulli_kl(p, q)
+
+
 def test_bernoulli_kl_vectorized_and_nonnegative():
     rng = np.random.default_rng(0)
     p = rng.random(500)

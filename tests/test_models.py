@@ -50,6 +50,18 @@ def test_network_shape_validation():
     assert shape.expected_observations == pytest.approx(0.25 * 147)
 
 
+@pytest.mark.parametrize("field, sizes", [("n_entities", (2.5, 1)),
+                                          ("n_entities", (3.0, 1)),
+                                          ("n_relations", (3, 1.5)),
+                                          ("n_relations", (3, "2"))])
+def test_network_shape_refuses_non_integral_sizes(field, sizes):
+    # NetworkShape(2.5, 1) had n_edges == 6.25
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        NetworkShape(*sizes)
+    shape = NetworkShape(np.int64(3), np.int32(2))  # numpy integers are
+    assert shape.n_edges == 18
+
+
 def test_score_model_validation():
     with pytest.raises(ValueError):
         ScoreModel("euclidean", 3)

@@ -246,6 +246,14 @@ def test_run_grid_rows_and_determinism():
                                                      b.link_err)
 
 
+@pytest.mark.parametrize("n_workers", [0, -2])
+def test_run_grid_refuses_fewer_than_one_worker(n_workers):
+    # min(-2, jobs) used to run the grid on one worker
+    with pytest.raises(ValueError, match=f"n_workers must be >= 1, got "
+                                         f"{n_workers}"):
+        run_grid(grid_for_test(), n_workers=n_workers)
+
+
 def test_run_grid_parallel_matches_serial():
     grid = grid_for_test()
     serial = run_grid(grid, n_workers=1)
