@@ -1,8 +1,8 @@
 """The edge index: one int64 key per (head, tail, relation) slot.
 
 An edge's key is its linear index (h*N + t)*K + r in the N^2 K
-universe.  Every module that linearizes, decodes, draws or range-checks
-edge indices does it here.
+universe.  Every module that linearizes, decodes, draws, range-checks
+or shape-checks edge indices does it here.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ DENSE_MAX = 1 << 22
 # A loss scan covers every slot of a universe up to this size, else a
 # uniform subsample of this many slots.
 EVAL_CAP = 1_000_000
+
+
+class ShapeError(ValueError):
+    """Array dimensions disagree with the declared model or network."""
 
 
 class EdgeIndexError(IndexError, ValueError):
@@ -53,6 +57,17 @@ def index_columns(heads, tails, rels) -> tuple:
                              "an integer")
         out.append(ints)
     return tuple(out)
+
+
+def check_columns(*columns) -> None:
+    """Raise ``ShapeError`` unless ``columns``, those of one edge
+    collection, are 1-d and of one length: ``len`` of a 2-d column
+    counts its rows, not its edges."""
+    if any(np.ndim(c) != 1 for c in columns) or \
+            len({len(c) for c in columns}) > 1:
+        shapes = ", ".join(str(np.shape(c)) for c in columns)
+        raise ShapeError(f"edge columns must be 1-d and of one length, "
+                         f"got shapes {shapes}")
 
 
 def check_keyable(n: int, k: int, error: type = ValueError,
@@ -112,13 +127,15 @@ def distinct_uniform(rng: np.random.Generator, total: int, count: int,
         raise ValueError("count exceeds population size")
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    if count == free or (avoid is not None and total <= DENSE_MAX):
+    if count == free or total <= DENSE_MAX or \
+            (avoid is None and 3 * count >= total):
         pool = np.arange(total, dtype=np.int64)  # the allowed values
         if avoid is not None:
             pool = np.setdiff1d(pool, avoid, assume_unique=True)
-        return pool if count == free else np.sort(rng.permutation(pool)[:count])
-    if avoid is None and (total <= DENSE_MAX or 3 * count >= total):
-        return np.sort(rng.permutation(total)[:count].astype(np.int64))
+        if count == free:
+            return pool
+        rng.shuffle(pool)  # in place: one array of the universe at most
+        return np.sort(pool[:count])
     # Rejection sampling, vectorized: keep the first `count` distinct
     # allowed values in draw order, which matches drawing one at a time.
     # Each round's draws are de-duplicated among themselves, then probed

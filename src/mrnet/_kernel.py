@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._edges import check_columns
 from .models import MODEL_KINDS, ShapeError, _scores
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
@@ -138,8 +139,7 @@ class Kernel:
 
     @staticmethod
     def _edges(heads, tails, rels):
-        if not len(heads) == len(tails) == len(rels):
-            raise ShapeError("edge columns have unequal lengths")
+        check_columns(heads, tails, rels)  # the kernel reads raw memory
         return tuple(_addr(c, np.int64) for c in (heads, tails, rels))
 
     def slot_scores(self, model, params, shape, start, out) -> None:

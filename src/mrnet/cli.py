@@ -3,16 +3,21 @@
 Each subcommand reads one section of an INI config file (section name =
 subcommand name) with a few flag overrides: ``run_cli`` resolves the
 settings all four share, then ``_cmd_<mode>`` parses its own keys before
-it reads any data file.  Exit codes: 0 success, 2 configuration problem,
-3 data problem (missing or malformed files, mismatched shapes).
+it reads any data file.  The library's settings dataclasses are the
+schema: ``_settings`` reads each of their fields from the key of its
+name, and their own checks hold the ranges.  Exit codes: 0 success,
+2 configuration problem, 3 data problem (missing or malformed files,
+mismatched shapes).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
-from typing import List, Optional, Sequence
+import typing
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,62 +43,51 @@ from .simulation import ExperimentGrid, GenSpec, run_grid, write_grid_csv
 __all__ = ["run_cli", "main"]
 
 
-def _get(section, key, conv, default, required, kind):
-    raw = section.get(key)
+def _boolean(raw: str) -> bool:
+    table = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+    try:
+        return table[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _items(conv):
+    return lambda raw: tuple(conv(p) for p in raw.replace(",", " ").split())
+
+
+# how a key's text converts, by the type of the value it gives
+_TYPES = {
+    int: (int, "an integer"),
+    Optional[int]: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "a string"),
+    bool: (_boolean, "a boolean"),
+    Sequence[int]: (_items(int), "a list of integers"),
+    Sequence[float]: (_items(float), "a list of numbers"),
+}
+
+
+def _cfg(sec, key, kind, default=None, required=False):
+    """Key ``key`` of section ``sec`` as a ``kind`` (a ``_TYPES`` key);
+    ``default`` if the section leaves it out or empty."""
+    conv, what = _TYPES[kind]
+    raw = sec.get(key)
     if raw is None or raw.strip() == "":
         if required:
-            raise ConfigError(f"missing required key '{key}' in [{section.name}]")
+            raise ConfigError(f"missing required key '{key}' in [{sec.name}]")
         return default
     try:
         return conv(raw.strip())
     except ValueError:
-        raise ConfigError(f"key '{key}' must be {kind}, got {raw!r}") from None
-
-
-def _cfg_int(sec, key, default=None, required=False):
-    return _get(sec, key, int, default, required, "an integer")
+        raise ConfigError(f"key '{key}' must be {what}, got {raw!r}") from None
 
 
 def _cfg_at_least(sec, key, low, default=None):
-    value = _cfg_int(sec, key, default)
+    value = _cfg(sec, key, int, default)
     if value is not None and value < low:
         raise ConfigError(f"key '{key}' must be >= {low}, got {value}")
     return value
-
-
-def _cfg_float(sec, key, default=None, required=False):
-    return _get(sec, key, float, default, required, "a number")
-
-
-def _cfg_str(sec, key, default=None, required=False):
-    return _get(sec, key, str, default, required, "a string")
-
-
-def _cfg_bool(sec, key):
-    table = {"true": True, "1": True, "yes": True,
-             "false": False, "0": False, "no": False}
-
-    def conv(raw):
-        try:
-            return table[raw.lower()]
-        except KeyError:
-            raise ValueError(raw) from None
-
-    return _get(sec, key, conv, None, False, "a boolean")
-
-
-def _split_list(raw: str) -> List[str]:
-    return [p for p in raw.replace(",", " ").split() if p]
-
-
-def _cfg_ints(sec, key, default=None, required=False):
-    conv = lambda raw: tuple(int(p) for p in _split_list(raw))
-    return _get(sec, key, conv, default, required, "a list of integers")
-
-
-def _cfg_floats(sec, key, default=None, required=False):
-    conv = lambda raw: tuple(float(p) for p in _split_list(raw))
-    return _get(sec, key, conv, default, required, "a list of numbers")
 
 
 def _set_only(**values) -> dict:
@@ -102,79 +96,44 @@ def _set_only(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _model_from(sec) -> ScoreModel:
-    kind = _cfg_str(sec, "kind", required=True)
-    dim = _cfg_int(sec, "latent_dim", required=True)
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` a ``ConfigError``."""
     try:
-        return ScoreModel(kind, dim)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _train_config_from(sec, seed: int) -> TrainConfig:
-    tc = TrainConfig(
-        epochs=_cfg_int(sec, "epochs", required=True),
-        seed=seed,
-        **_set_only(
-            learning_rate=_cfg_float(sec, "learning_rate"),
-            adagrad_eps=_cfg_float(sec, "adagrad_eps"),
-            batch_size=_cfg_int(sec, "batch_size"),
-            rho1=_cfg_float(sec, "rho1"),
-            rho2=_cfg_float(sec, "rho2"),
-            sparsity_cap=_cfg_int(sec, "sparsity_cap"),
-            radius=_cfg_float(sec, "radius"),
-            init_scale=_cfg_float(sec, "init_scale"),
-        ),
-    )
-    try:
-        tc.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return tc
+def _settings(cls, sec, **given):
+    """A ``cls`` (a settings dataclass) from section ``sec``.
 
-
-def _gen_from(sec, model: ScoreModel, shape: NetworkShape, seed: int,
-              truncation: Optional[float] = None) -> GenSpec:
-    """``truncation``, if given, holds when the section leaves that key out."""
-    try:
-        return GenSpec(
-            model=model,
-            shape=shape,
-            seed=seed,
-            **_set_only(
-                entity_sd=_cfg_float(sec, "entity_sd"),
-                shift_sd=_cfg_float(sec, "shift_sd"),
-                weight_sd=_cfg_float(sec, "weight_sd"),
-                truncation=_cfg_float(sec, "truncation", truncation),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    Each field not in ``given`` is read from the key of its name by its
+    annotated type.  A field with no default is a required key; a key
+    the section leaves out keeps the class's default.  The class checks
+    the values itself, and its ``ValueError`` becomes a ``ConfigError``.
+    """
+    types = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        if field.name not in given:
+            value = _cfg(sec, field.name, types[field.name],
+                         required=field.default is dataclasses.MISSING)
+            if value is not None:
+                given[field.name] = value
+    return _checked(cls, **given)
 
 
 def _cmd_simulate(sec, seed: int, args) -> int:
-    model = _model_from(sec)
-    entity_counts = _cfg_ints(sec, "entity_counts", required=True)
-    if not entity_counts or min(entity_counts) < 1:
-        raise ConfigError("key 'entity_counts' must list integers >= 1, "
-                          f"got {sec['entity_counts']!r}")
-    obs_rates = _cfg_floats(sec, "obs_rates", required=True)
-    if not obs_rates or not all(0.0 <= g <= 1.0 for g in obs_rates):
-        raise ConfigError("key 'obs_rates' must list rates in [0, 1], "
-                          f"got {sec['obs_rates']!r}")
-    grid_keys = _set_only(replicates=_cfg_at_least(sec, "replicates", 1),
-                          eval_cap=_cfg_at_least(sec, "eval_cap", 1))
-    timing = _set_only(include_timing=_cfg_bool(sec, "timing"))
-    output = _cfg_str(sec, "output", required=True)
-    n_rel = _cfg_int(sec, "n_relations", required=True)
-    try:
-        shape = NetworkShape(entity_counts[0], n_rel, obs_rates[0])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    grid = ExperimentGrid(
-        gen=_gen_from(sec, model, shape, seed),
-        train=_train_config_from(sec, seed),
-        entity_counts=entity_counts, obs_rates=obs_rates, **grid_keys)
+    model = _settings(ScoreModel, sec)
+    # the template's entity count and rate are placeholders: each cell
+    # sets its own
+    shape = _settings(NetworkShape, sec, n_entities=1, obs_rate=1.0)
+    grid = _settings(
+        ExperimentGrid, sec,
+        gen=_settings(GenSpec, sec, model=model, shape=shape, seed=seed),
+        train=_settings(TrainConfig, sec, seed=seed),
+        fit_radius_from_truth=True)
+    timing = _set_only(include_timing=_cfg(sec, "timing", bool))
+    output = _cfg(sec, "output", str, required=True)
     rows = run_grid(grid, n_workers=args.threads)
     failures = [r for r in rows if r.error]
     for r in failures:
@@ -186,14 +145,14 @@ def _cmd_simulate(sec, seed: int, args) -> int:
 
 
 def _cmd_train(sec, seed: int, args) -> int:
-    model = _model_from(sec)
-    train_path = _cfg_str(sec, "triples", required=True)
-    ratio = _cfg_float(sec, "negative_ratio", 1.0)
+    model = _settings(ScoreModel, sec)
+    train_path = _cfg(sec, "triples", str, required=True)
+    ratio = _cfg(sec, "negative_ratio", float, 1.0)
     if not (math.isfinite(ratio) and ratio >= 0):
         raise ConfigError(f"key 'negative_ratio' must be finite and >= 0, "
                           f"got {ratio!r}")
-    checkpoint = args.checkpoint or _cfg_str(sec, "checkpoint", required=True)
-    train_config = _train_config_from(sec, seed)
+    checkpoint = args.checkpoint or _cfg(sec, "checkpoint", str, required=True)
+    train_config = _settings(TrainConfig, sec, seed=seed)
 
     ds = load_triples(train_path, args.columns)
     if ds.duplicates:
@@ -213,15 +172,15 @@ def _cmd_train(sec, seed: int, args) -> int:
 
 
 def _cmd_evaluate(sec, seed: int, args) -> int:
-    checkpoint = args.checkpoint or _cfg_str(sec, "checkpoint", required=True)
-    paths = [_cfg_str(sec, "triples", required=True),
-             _cfg_str(sec, "valid_triples"),
-             _cfg_str(sec, "test_triples", required=True)]
-    hits = _set_only(entity_hits=_cfg_ints(sec, "hits_entity"),
-                     relation_hits=_cfg_ints(sec, "hits_relation"))
-    truth_path = _cfg_str(sec, "truth_checkpoint")
+    checkpoint = args.checkpoint or _cfg(sec, "checkpoint", str, required=True)
+    paths = [_cfg(sec, "triples", str, required=True),
+             _cfg(sec, "valid_triples", str),
+             _cfg(sec, "test_triples", str, required=True)]
+    hits = _set_only(entity_hits=_cfg(sec, "hits_entity", Sequence[int]),
+                     relation_hits=_cfg(sec, "hits_relation", Sequence[int]))
+    truth_path = _cfg(sec, "truth_checkpoint", str)
     eval_cap = _cfg_at_least(sec, "eval_cap", 1, EVAL_CAP)
-    output = _cfg_str(sec, "output", required=True)
+    output = _cfg(sec, "output", str, required=True)
 
     params, model = load_checkpoint(checkpoint)
     splits = load_triple_split([p for p in paths if p], args.columns)
@@ -259,50 +218,38 @@ def _cmd_evaluate(sec, seed: int, args) -> int:
 
 
 def _cmd_bounds(sec, seed: int, args) -> int:
-    direct = all(sec.get(k) for k in ("n", "m", "sup_score", "lipschitz",
-                                      "radius"))
-    t_values = _cfg_floats(sec, "t_values", (0.5, 1.0))
+    direct = all(sec.get(f.name) for f in dataclasses.fields(BoundInputs))
+    t_values = _cfg(sec, "t_values", Sequence[float], (0.5, 1.0))
     replicates = _cfg_at_least(sec, "replicates", 0, 0)
     grid = None
-    try:
-        if direct:
-            inputs = BoundInputs(
-                n=_cfg_float(sec, "n", required=True),
-                m=_cfg_int(sec, "m", required=True),
-                sup_score=_cfg_float(sec, "sup_score", required=True),
-                lipschitz=_cfg_float(sec, "lipschitz", required=True),
-                radius=_cfg_float(sec, "radius", required=True),
-            )
-            if replicates > 0:
-                raise ConfigError(
-                    "empirical replicates need model keys (kind, "
-                    "latent_dim, n_entities, n_relations, obs_rate)")
-        else:
-            model = _model_from(sec)
-            shape = NetworkShape(
-                _cfg_int(sec, "n_entities", required=True),
-                _cfg_int(sec, "n_relations", required=True),
-                **_set_only(obs_rate=_cfg_float(sec, "obs_rate")),
-            )
-            radius = _cfg_float(sec, "radius", required=True)
-            inputs = BoundInputs.from_model(model, shape, radius)
-            # truths and fits stay inside the ball whose radius the
-            # printed bounds assume
-            root_d = float(np.sqrt(max(model.latent_dim, model.relation_dim)))
-            gen = _gen_from(sec, model, shape, seed,
-                            truncation=radius / root_d)
-            if gen.truncation > radius / root_d:
-                raise ConfigError(
-                    f"truncation {gen.truncation:.9g} implies a radius of "
-                    f"{gen.radius:.9g}, above radius = {radius:.9g}")
-            if replicates > 0:
-                grid = ExperimentGrid(
-                    gen=gen, train=_train_config_from(sec, seed),
-                    entity_counts=[shape.n_entities],
-                    obs_rates=[shape.obs_rate], replicates=replicates,
-                    fit_radius_from_truth=False)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if direct:
+        inputs = _settings(BoundInputs, sec)
+        if replicates > 0:
+            keys = [f.name for cls in (ScoreModel, NetworkShape)
+                    for f in dataclasses.fields(cls)]
+            raise ConfigError(f"empirical replicates need model keys "
+                              f"({', '.join(keys)})")
+    else:
+        model = _settings(ScoreModel, sec)
+        shape = _settings(NetworkShape, sec)
+        radius = _cfg(sec, "radius", float, required=True)
+        inputs = _checked(BoundInputs.from_model, model, shape, radius)
+        # truths and fits stay inside the ball whose radius the
+        # printed bounds assume
+        root_d = float(np.sqrt(max(model.latent_dim, model.relation_dim)))
+        widest = radius / root_d
+        gen = _settings(GenSpec, sec, model=model, shape=shape, seed=seed,
+                        truncation=_cfg(sec, "truncation", float, widest))
+        if gen.truncation > widest:
+            raise ConfigError(
+                f"truncation {gen.truncation:.9g} implies a radius of "
+                f"{gen.radius:.9g}, above radius = {radius:.9g}")
+        if replicates > 0:
+            grid = ExperimentGrid(
+                gen=gen, train=_settings(TrainConfig, sec, seed=seed),
+                entity_counts=[shape.n_entities],
+                obs_rates=[shape.obs_rate], replicates=replicates,
+                fit_radius_from_truth=False)
 
     freqs = {t: float("nan") for t in t_values}
     emp_risk = float("nan")
@@ -368,10 +315,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         sec = read_config(args.config, args.mode)
-        seed = _cfg_int(sec, "seed", 0)
+        seed = _cfg(sec, "seed", int, 0)
         if args.seed is not None:
             seed = args.seed
-        col_key = args.columns or _cfg_str(sec, "columns", "hrt")
+        col_key = args.columns or _cfg(sec, "columns", str, "hrt")
         if col_key not in COLUMN_ORDERS:
             raise ConfigError(f"columns must be one of "
                               f"{sorted(COLUMN_ORDERS)}, got {col_key!r}")

@@ -19,12 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._edges import check_indices, check_keyable, edge_key, index_columns
+from ._edges import (check_columns, check_indices, check_keyable, edge_key,
+                     index_columns)
 from .models import (
     ModelParams,
     NetworkShape,
     ScoreModel,
     ShapeError,
+    _require_int,
     _score_gradients,
     _scores,
     scores,
@@ -52,9 +54,7 @@ class ObservationSet:
         self.shape = shape
         self.heads, self.tails, self.rels = index_columns(heads, tails, rels)
         labels = np.ascontiguousarray(labels)
-        size = len(self.heads)
-        if not (len(self.tails) == len(self.rels) == len(labels) == size):
-            raise ShapeError("observation columns have unequal lengths")
+        check_columns(self.heads, self.tails, self.rels, labels)
         if validate:
             n, k = shape.n_entities, shape.n_relations
             check_indices(n, k, self.heads, self.tails, self.rels)
@@ -74,13 +74,17 @@ class ObservationSet:
         return float(self.labels.mean()) if len(self) else float("nan")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings.
+    """Optimizer settings, checked when made.
 
     ``sparsity_cap`` (if set) keeps at most that many nonzero scalars
     across all parameters, re-imposed by hard thresholding once per
     epoch.  ``radius`` is the row-norm budget U for the fitted model.
+    ``epochs`` and ``batch_size`` are integers >= 1, ``sparsity_cap``
+    one >= 0; the step settings, ``radius`` and ``init_scale`` are
+    finite and positive, the penalty weights finite and nonnegative.
+    Any other value raises ``ValueError`` naming the field.
     """
 
     epochs: int
@@ -94,9 +98,11 @@ class TrainConfig:
     init_scale: float = 0.1
     seed: int = 0
 
-    def validate(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            _require_int(name, getattr(self, name), 1)
+        if self.sparsity_cap is not None:
+            _require_int("sparsity_cap", self.sparsity_cap, 0)
         for name in ("learning_rate", "adagrad_eps", "radius", "init_scale"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -107,10 +113,6 @@ class TrainConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"got {value!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.sparsity_cap is not None and self.sparsity_cap < 0:
-            raise ValueError("sparsity_cap must be nonnegative")
 
 
 @dataclasses.dataclass
@@ -291,7 +293,6 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     outside ``shape`` and for an objective that is not finite, rather
     than fit on a wrapped index or return a NaN fit.
     """
-    config.validate()
     if len(obs) == 0:
         raise ValueError("cannot train on an empty observation set")
     if obs.shape.n_entities != shape.n_entities or \

@@ -17,7 +17,8 @@ from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
-from ._edges import check_indices, check_keyable, edge_key, index_columns
+from ._edges import (check_columns, check_indices, check_keyable, edge_key,
+                     index_columns)
 from .models import (
     ModelParams,
     NetworkShape,
@@ -123,11 +124,10 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         total = shape.n_edges
     else:
         edges = index_columns(*edges)
+        check_columns(*edges)
         total = len(edges[0])
         if not total:
             raise ValueError("no edges to evaluate")
-        if any(len(c) != total for c in edges):
-            raise ShapeError("edge columns have unequal lengths")
         check_indices(fitted.n_entities, fitted.n_relations, *edges)
 
     from . import _kernel  # builds the C kernel on first use

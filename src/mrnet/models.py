@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._edges import check_indices, index_columns
+from ._edges import ShapeError, check_indices, index_columns
 
 __all__ = [
     "MODEL_KINDS",
@@ -53,16 +53,19 @@ _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
 
 
-class ShapeError(ValueError):
-    """Array dimensions disagree with the declared model or network."""
-
-
 class Triple(NamedTuple):
     """One edge slot: (head entity, tail entity, relation type), a row."""
 
     head: int
     tail: int
     rel: int
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= ``low``: a
+    count of 2.5 would be cut to 2, or fail far from where it was set."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,11 +78,7 @@ class NetworkShape:
 
     def __post_init__(self):
         for name in ("n_entities", "n_relations"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_entities < 1 or self.n_relations < 1:
-            raise ValueError("need at least one entity and one relation")
+            _require_int(name, getattr(self, name), 1)
         if not 0.0 <= self.obs_rate <= 1.0:
             raise ValueError(f"obs_rate must be in [0, 1], got {self.obs_rate}")
 
@@ -102,8 +101,7 @@ class ScoreModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        _require_int("latent_dim", self.latent_dim, 1)
 
     @property
     def relation_dim(self) -> int:

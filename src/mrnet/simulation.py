@@ -24,7 +24,8 @@ from ._rng import (TAG_EVAL, TAG_LABELS, TAG_MASK, TAG_TRAIN, TAG_TRUTH,
                    counter_uniforms, derive_seed)
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses
-from .models import ModelParams, NetworkShape, ScoreModel, edge_probabilities
+from .models import (ModelParams, NetworkShape, ScoreModel, _require_int,
+                     edge_probabilities)
 
 __all__ = [
     "GenSpec",
@@ -170,6 +171,12 @@ class ExperimentGrid:
     overridden per cell; its seed is the master seed for the whole
     grid).  Evaluation covers every edge slot when the universe has at
     most ``eval_cap`` slots, else a uniform subsample of that size.
+
+    A grid has at least one cell and one replicate: ``entity_counts``
+    lists integers >= 1, ``obs_rates`` rates in [0, 1], and
+    ``replicates`` and ``eval_cap`` are integers >= 1; else
+    ``ValueError`` names the field.  ``GridRow.error`` records a failed
+    cell, never a bad setting.
     """
 
     gen: GenSpec
@@ -179,6 +186,20 @@ class ExperimentGrid:
     replicates: int = 1
     eval_cap: int = EVAL_CAP
     fit_radius_from_truth: bool = True
+
+    def __post_init__(self):
+        for name in ("replicates", "eval_cap"):
+            _require_int(name, getattr(self, name), 1)
+        for name, values in (("entity_counts", self.entity_counts),
+                             ("obs_rates", self.obs_rates)):
+            if not len(values):
+                raise ValueError(f"{name} must list at least one value")
+        for i, n in enumerate(self.entity_counts):
+            _require_int(f"entity_counts[{i}]", n, 1)
+        for i, rate in enumerate(self.obs_rates):
+            if not 0.0 <= rate <= 1.0:  # NaN fails too
+                raise ValueError(f"obs_rates[{i}] must be in [0, 1], "
+                                 f"got {rate!r}")
 
     def cells(self) -> List[Tuple[int, float]]:
         return [(int(n), float(g)) for n in self.entity_counts

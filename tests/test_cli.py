@@ -1,11 +1,15 @@
+import dataclasses
 import signal
 
 import numpy as np
 import pytest
 
+from mrnet.bounds import BoundInputs
 from mrnet.cli import run_cli
+from mrnet.estimation import TrainConfig
 from mrnet.io import load_checkpoint
-from mrnet.models import ScoreModel
+from mrnet.models import NetworkShape, ScoreModel
+from mrnet.simulation import ExperimentGrid, GenSpec
 
 
 def write(path, text):
@@ -292,9 +296,6 @@ def test_unset_keys_take_the_library_defaults(tmp_path, monkeypatch):
     # a section with only its required keys hands the library nothing
     # else, so every other setting is the library's own default
     import mrnet.cli
-    from mrnet.estimation import TrainConfig
-    from mrnet.models import NetworkShape
-    from mrnet.simulation import ExperimentGrid, GenSpec
 
     configs, grids = [], []
     real_train = mrnet.cli.train
@@ -324,8 +325,10 @@ output = {tmp_path / "grid.csv"}
 """)
     assert run_cli(["simulate", "--config", cfg]) == 0
     model = ScoreModel("combined", 2)
+    # the template shape's entity count and rate are placeholders; each
+    # cell sets its own
     assert grids == [ExperimentGrid(
-        gen=GenSpec(model, NetworkShape(6, 2, 0.5)),
+        gen=GenSpec(model, NetworkShape(1, 2)),
         train=TrainConfig(epochs=3), entity_counts=(6,), obs_rates=(0.5,))]
 
 
@@ -464,9 +467,11 @@ def test_count_below_range_exits_2(tmp_path, capsys, mode, key, value):
             "bounds": BOUNDS_EMPIRICAL}[mode]
     cfg = write(tmp_path / "c.ini", config_with(text, key, value))
     assert run_cli([mode, "--config", cfg]) == 2
-    low = 0 if mode == "bounds" else 1
-    assert capsys.readouterr().err.startswith(
-        f"config error: key '{key}' must be >= {low}, got {value}")
+    # simulate's counts are ExperimentGrid's fields, which check themselves
+    want = {"simulate": f"{key} must be an integer >= 1, got {value}",
+            "evaluate": f"key '{key}' must be >= 1, got {value}",
+            "bounds": f"key '{key}' must be >= 0, got {value}"}[mode]
+    assert capsys.readouterr().err == f"config error: {want}\n"
     assert not out.exists()
 
 
@@ -516,8 +521,11 @@ def test_bad_grid_list_exits_2(tmp_path, capsys, key, value):
     cfg = write(tmp_path / "sim.ini",
                 config_with(SIM_CONFIG.format(out=out), key, value))
     assert run_cli(["simulate", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"config error: key '{key}' must list")
+    want = {",": f"{key} must list at least one value",
+            "6, 0": "entity_counts[1] must be an integer >= 1, got 0",
+            "1.0, 1.5": "obs_rates[1] must be in [0, 1], got 1.5",
+            "nan": "obs_rates[0] must be in [0, 1], got nan"}[value]
+    assert capsys.readouterr().err == f"config error: {want}\n"
     assert not out.exists()
 
 
@@ -536,3 +544,136 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: {bad_cfg}: line 2: not UTF-8 text\n")
     assert not ckpt.exists()
+
+
+# The keys each section reads, besides the ``seed`` and ``columns`` that
+# every subcommand reads.  They are the config format users write, so a
+# renamed settings field must not rename a key unnoticed.
+TRAIN_KEYS = {"epochs", "learning_rate", "adagrad_eps", "batch_size", "rho1",
+              "rho2", "sparsity_cap", "radius", "init_scale"}
+GEN_KEYS = {"entity_sd", "shift_sd", "weight_sd", "truncation"}
+DIRECT_BOUND_KEYS = {"n", "m", "sup_score", "lipschitz", "radius"}
+MODEL_BOUND_KEYS = {"n", "radius", "t_values", "replicates", "kind",
+                    "latent_dim", "n_entities", "n_relations",
+                    "obs_rate"} | GEN_KEYS
+KEYS_READ = {
+    "simulate": {"kind", "latent_dim", "n_relations", "entity_counts",
+                 "obs_rates", "replicates", "eval_cap", "timing", "output"}
+                | TRAIN_KEYS | GEN_KEYS,
+    "train": {"kind", "latent_dim", "triples", "negative_ratio",
+              "checkpoint"} | TRAIN_KEYS,
+    "evaluate": {"checkpoint", "triples", "valid_triples", "test_triples",
+                 "hits_entity", "hits_relation", "truth_checkpoint",
+                 "eval_cap", "output"},
+    "bounds direct": DIRECT_BOUND_KEYS | {"t_values", "replicates"},
+    # the first direct key it lacks ("n") sends bounds down the model path
+    "bounds model": MODEL_BOUND_KEYS,
+    "bounds replicates": MODEL_BOUND_KEYS | TRAIN_KEYS,
+}
+
+
+class _Recording:
+    """A config section that notes every key read from it."""
+
+    def __init__(self, section, seen):
+        self.name, self._section, self._seen = section.name, section, seen
+
+    def get(self, key, default=None):
+        self._seen.add(key)
+        return self._section.get(key, default)
+
+
+@pytest.fixture
+def spied_cli(monkeypatch):
+    """The CLI with the keys it reads and the settings it builds noted,
+    and with no grid run and no checkpoint written."""
+    import mrnet.cli
+
+    seen = {"keys": set()}
+    read_config = mrnet.cli.read_config
+    monkeypatch.setattr(mrnet.cli, "read_config", lambda path, mode:
+                        _Recording(read_config(path, mode), seen["keys"]))
+
+    def run_grid(grid, n_workers):
+        seen["grid"] = grid
+        return []
+
+    def tail_bound(inputs, t):
+        seen["inputs"] = inputs
+        return 0.5
+
+    monkeypatch.setattr(mrnet.cli, "run_grid", run_grid)
+    monkeypatch.setattr(mrnet.cli, "tail_bound", tail_bound)
+    return seen
+
+
+def _section_configs(tmp_path):
+    """A config per ``KEYS_READ`` entry; data files are never read."""
+    absent = tmp_path / "absent"
+    evaluate = EVAL_CONFIG.format(ckpt=absent, train=absent, test=absent,
+                                  out=tmp_path / "m.csv")
+    return {
+        "simulate": (SIM_CONFIG.format(out=tmp_path / "grid.csv"), 0),
+        "train": (TRAIN_CONFIG.format(triples=absent, ckpt=absent), 3),
+        "evaluate": (evaluate + f"truth_checkpoint = {absent}\n", 3),
+        "bounds direct": (BOUNDS_CONFIG, 0),
+        "bounds model": (config_with(BOUNDS_EMPIRICAL, "replicates", "0"), 0),
+        "bounds replicates": (BOUNDS_EMPIRICAL, 0),
+    }
+
+
+@pytest.mark.parametrize("section", sorted(KEYS_READ))
+def test_each_section_reads_its_keys(tmp_path, spied_cli, section):
+    text, code = _section_configs(tmp_path)[section]
+    mode = section.split()[0]
+    assert run_cli([mode, "--config", write(tmp_path / "c.ini", text)]) == code
+    assert spied_cli["keys"] == KEYS_READ[section] | {"seed", "columns"}
+
+
+# every settings class the CLI reads: the subcommand and config that read
+# it, and where the object it built ends up
+SETTINGS_READ = {
+    ScoreModel: ("simulate", SIM_CONFIG, lambda s: s["grid"].gen.model),
+    TrainConfig: ("simulate", SIM_CONFIG, lambda s: s["grid"].train),
+    GenSpec: ("simulate", SIM_CONFIG, lambda s: s["grid"].gen),
+    ExperimentGrid: ("simulate", SIM_CONFIG, lambda s: s["grid"]),
+    NetworkShape: ("bounds", BOUNDS_EMPIRICAL, lambda s: s["grid"].gen.shape),
+    BoundInputs: ("bounds", BOUNDS_CONFIG, lambda s: s["inputs"]),
+}
+
+# fields the CLI passes itself rather than reads
+GIVEN = {"seed", "model", "shape", "gen", "train", "fit_radius_from_truth"}
+
+# a valid value for each read field, other than its default and than the
+# configs above set
+OTHER_VALUE = {
+    "kind": ("bilinear", "bilinear"), "latent_dim": ("3", 3),
+    "epochs": ("7", 7), "learning_rate": ("0.25", 0.25),
+    "adagrad_eps": ("1e-6", 1e-6), "batch_size": ("17", 17),
+    "rho1": ("0.5", 0.5), "rho2": ("0.75", 0.75),
+    "sparsity_cap": ("9", 9), "radius": ("3.5", 3.5),
+    "init_scale": ("0.05", 0.05), "entity_sd": ("0.3", 0.3),
+    "shift_sd": ("0.4", 0.4), "weight_sd": ("0.6", 0.6),
+    "truncation": ("0.25", 0.25), "n_entities": ("7", 7),
+    "n_relations": ("3", 3), "obs_rate": ("0.5", 0.5),
+    "entity_counts": ("5, 7", (5, 7)), "obs_rates": ("0.5, 0.25", (0.5, 0.25)),
+    "replicates": ("4", 4), "eval_cap": ("33", 33),
+    "n": ("5000", 5000.0), "m": ("40", 40), "sup_score": ("8", 8.0),
+    "lipschitz": ("4", 4.0),
+}
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, field.name, id=f"{cls.__name__}.{field.name}")
+    for cls in SETTINGS_READ for field in dataclasses.fields(cls)
+    if field.name not in GIVEN])
+def test_each_settings_field_is_read_from_its_key(tmp_path, spied_cli, cls,
+                                                  name):
+    mode, text, built = SETTINGS_READ[cls]
+    raw, value = OTHER_VALUE[name]
+    field = {f.name: f for f in dataclasses.fields(cls)}[name]
+    assert value != field.default
+    body = text.format(out=tmp_path / "grid.csv")
+    cfg = write(tmp_path / "c.ini", config_with(body, name, raw))
+    assert run_cli([mode, "--config", cfg]) == 0
+    assert getattr(built(spied_cli), name) == value

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrnet import _edges
 from mrnet._edges import (EdgeIndexError, check_indices, check_keyable,
-                          decode, edge_key, loss_edges)
+                          decode, distinct_uniform, edge_key, loss_edges)
 from mrnet.estimation import ObservationSet
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple, score
 
@@ -104,3 +105,42 @@ def test_triple_is_a_row():
     assert (edge.head, edge.tail, edge.rel) == (2, 0, 1)
     np.testing.assert_array_equal(np.array([edge, (0, 1, 0)]),
                                   [[2, 0, 1], [0, 1, 0]])
+
+
+def _two_branch_draw(rng, total, count, avoid, dense_max):
+    """``distinct_uniform``'s draw as two permutation branches, as it was
+    written before they became one; ``None`` where it draws by rejection."""
+    free = total if avoid is None else total - len(avoid)
+    if count == free or (avoid is not None and total <= dense_max):
+        pool = np.arange(total, dtype=np.int64)
+        if avoid is not None:
+            pool = np.setdiff1d(pool, avoid, assume_unique=True)
+        return pool if count == free else np.sort(rng.permutation(pool)[:count])
+    if avoid is None and (total <= dense_max or 3 * count >= total):
+        return np.sort(rng.permutation(total)[:count].astype(np.int64))
+    return None
+
+
+@pytest.mark.parametrize("dense_max", [_edges.DENSE_MAX, 64],
+                         ids=["below DENSE_MAX", "above DENSE_MAX"])
+@pytest.mark.parametrize("with_avoid", [False, True],
+                         ids=["no avoid", "avoid"])
+@pytest.mark.parametrize("count", [1, 10, 333, 334, 500, None],
+                         ids=lambda c: "all" if c is None else str(c))
+def test_one_permutation_branch_draws_as_the_two_did(monkeypatch, dense_max,
+                                                     with_avoid, count):
+    total = 1000
+    avoid = np.arange(0, total, 10) if with_avoid else None
+    if count is None:  # every allowed value
+        count = total - (len(avoid) if with_avoid else 0)
+    monkeypatch.setattr(_edges, "DENSE_MAX", dense_max)
+    for seed in range(3):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        want = _two_branch_draw(ref_rng, total, count, avoid, dense_max)
+        if want is None:  # the rejection branch, which did not change
+            continue
+        got = distinct_uniform(rng, total, count, avoid)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        # and the generators are left in the same state
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -312,11 +313,11 @@ def test_train_rejects_bad_inputs():
         train(model, NetworkShape(shape.n_entities + 1, shape.n_relations),
               obs, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(epochs=1, learning_rate=0.0).validate()
+        TrainConfig(epochs=1, learning_rate=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(epochs=1, radius=-1.0).validate()
+        TrainConfig(epochs=1, radius=-1.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -324,7 +325,27 @@ def test_train_rejects_bad_inputs():
                                  "radius", "init_scale"])
 def test_train_config_rejects_non_finite_values(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be finite"):
-        TrainConfig(epochs=1, **{key: value}).validate()
+        TrainConfig(epochs=1, **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 0), ("epochs", 2.5), ("epochs", "3"), ("batch_size", 0),
+    ("batch_size", 1.5), ("sparsity_cap", -1), ("sparsity_cap", 2.5)])
+def test_train_config_refuses_counts_when_made(key, value):
+    # epochs = 2.5 used to fail in train with range()'s TypeError, and
+    # batch_size = 1.5 with a ctypes ArgumentError
+    low = 0 if key == "sparsity_cap" else 1
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer >= "
+                                         rf"{low}, got {value!r}$"):
+        TrainConfig(**{"epochs": 1, key: value})
+
+
+def test_train_config_is_frozen():
+    # a setting changed after the checks would go unchecked
+    config = TrainConfig(epochs=1, batch_size=np.int64(4), sparsity_cap=0)
+    with pytest.raises(AttributeError):
+        config.epochs = 0
+    assert dataclasses.replace(config, seed=3).seed == 3
 
 
 def test_train_l1_penalty_shrinks_parameters():

@@ -104,6 +104,32 @@ def test_every_entry_refuses_bad_indices(entry, engine, bad, error, match,
             call(*cols)
 
 
+@pytest.mark.parametrize("engine", ["kernel", "numpy"])
+def test_an_edge_collection_is_one_dimensional(engine, monkeypatch):
+    # len() of a 2x2 column counts 2 of its 4 edges: evaluate_losses
+    # scored 2 of them, and the kernel trained on the first 2 raw entries
+    # of such an ObservationSet where the numpy engine took all 4
+    if engine == "kernel" and _kernel.load() is None:
+        pytest.skip("no compiled kernel")
+    if engine == "numpy":
+        monkeypatch.setattr(_kernel, "_loaded", None)
+    square = np.array([[0, 0], [1, 1]])
+    with pytest.raises(ShapeError, match=r"1-d .* got shapes \(2, 2\)"):
+        evaluate_losses(MODEL, PARAMS, PARAMS, edges=(square,) * 3)
+    with pytest.raises(ShapeError, match="1-d"):
+        ObservationSet(SHAPE, square, square.T, square, np.eye(2))
+    with pytest.raises(ShapeError, match="1-d"):  # labels too
+        ObservationSet(SHAPE, [0, 1], [1, 2], [0, 0], [[1], [0]])
+    with pytest.raises(ShapeError, match="one length"):
+        evaluate_losses(MODEL, PARAMS, PARAMS, edges=([0, 1], [1], [0, 1]))
+    with pytest.raises(ShapeError, match="one length"):
+        ObservationSet(SHAPE, [0, 1], [1, 2], [0, 0], [1, 0, 1])
+    # the same edges as 1-d columns are all scored
+    flat = square.ravel()
+    report = evaluate_losses(MODEL, PARAMS, PARAMS, edges=(flat,) * 3)
+    assert report.n_evaluated == 4
+
+
 def test_scores_shapes_are_unchanged():
     h = np.arange(N)
     # a scalar edge gives a 0-d score and a float probability

@@ -198,6 +198,9 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
                            np.empty(3))
     with pytest.raises(ShapeError):
         kernel.edge_scores(model, narrow, *edges, np.empty(2))
+    square = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ShapeError, match="1-d"):  # 4 edges, len() of 2
+        kernel.edge_scores(model, narrow, square, square, square, np.empty(2))
     with pytest.raises(ShapeError):  # 4 slots past a 3-entity fit
         kernel.slot_scores(model, narrow, NetworkShape(3, 1), 6, np.empty(4))
     with pytest.raises(ShapeError):

@@ -67,6 +67,10 @@ def test_score_model_validation():
         ScoreModel("euclidean", 3)
     with pytest.raises(ValueError):
         ScoreModel("distance", 0)
+    # latent_dim 2.5 was accepted, with relation_dim 3.5
+    with pytest.raises(ValueError, match="latent_dim must be an integer"):
+        ScoreModel("distance", 2.5)
+    assert ScoreModel("distance", np.int64(2)).relation_dim == 3
 
 
 def test_distance_score_by_hand():

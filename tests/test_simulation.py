@@ -229,6 +229,34 @@ def grid_for_test(**overrides):
     return ExperimentGrid(**defaults)
 
 
+@pytest.mark.parametrize("key, value, message", [pytest.param(
+    *case, id=f"{case[0]}={case[1]!r}") for case in [
+    ("replicates", 0, "replicates must be an integer >= 1, got 0"),
+    ("replicates", 1.5, "replicates must be an integer >= 1, got 1.5"),
+    ("eval_cap", 0, "eval_cap must be an integer >= 1, got 0"),
+    ("entity_counts", [], "entity_counts must list at least one value"),
+    ("entity_counts", [6, 6.5],
+     "entity_counts[1] must be an integer >= 1, got 6.5"),
+    ("entity_counts", [0], "entity_counts[0] must be an integer >= 1, got 0"),
+    ("obs_rates", (), "obs_rates must list at least one value"),
+    ("obs_rates", [1.5], "obs_rates[0] must be in [0, 1], got 1.5"),
+    ("obs_rates", [0.5, float("nan")],
+     "obs_rates[1] must be in [0, 1], got nan"),
+]])
+def test_grid_refuses_bad_settings_when_made(key, value, message):
+    # these used to give no rows (a header-only CSV), NaN rows for every
+    # cell, or, for 6.5, cells of N = 6
+    with pytest.raises(ValueError) as err:
+        grid_for_test(**{key: value})
+    assert str(err.value) == message
+
+
+def test_grid_takes_numpy_counts():
+    grid = grid_for_test(entity_counts=np.array([6, 8]),
+                         replicates=np.int64(1), obs_rates=np.array([0.5]))
+    assert grid.cells() == [(6, 0.5), (8, 0.5)]
+
+
 def test_run_grid_rows_and_determinism():
     grid = grid_for_test()
     rows = run_grid(grid)
@@ -289,7 +317,8 @@ def test_run_grid_marks_failed_cells():
     assert all(np.isnan(r.avg_kl) for r in parallel)
     # a worker process that dies is not a failed cell: the pool error
     # propagates instead of becoming NaN rows
-    poisoned = grid_for_test(replicates=1, eval_cap=_ExitOnUnpickle())
+    poisoned = grid_for_test(replicates=1,
+                             fit_radius_from_truth=_ExitOnUnpickle())
     with pytest.raises(BrokenProcessPool):
         run_grid(poisoned, n_workers=2)
 
