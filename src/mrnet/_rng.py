@@ -38,11 +38,14 @@ def derive_seed(*parts: int) -> int:
 
     Used wherever one user-facing seed has to fan out into independent
     streams (truth / labels / mask / training, replicate grids).  Parts
-    are reduced mod 2^64 before mixing.
+    are reduced mod 2^64 before mixing; one that is not an integer, which
+    ``int`` would truncate onto another seed, raises ``ValueError``.
     """
     with np.errstate(over="ignore"):
         acc = _INIT
         for part in parts:
+            if not isinstance(part, (int, np.integer)):
+                raise ValueError(f"seed must be an integer, got {part!r}")
             word = np.uint64(int(part) & 0xFFFFFFFFFFFFFFFF)
             acc = _finalize((acc ^ word) * _GOLDEN + _GOLDEN)
     return int(acc)

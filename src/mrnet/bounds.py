@@ -20,6 +20,8 @@ from .evaluation import bernoulli_kl
 from .models import (
     NetworkShape,
     ScoreModel,
+    _require_int,
+    _require_real,
     lipschitz_bound,
     score_sup_bound,
     sigmoid,
@@ -41,14 +43,6 @@ _SLACK = 1e-12  # numerical slack for the inequality checkers
 _EXP_CAP = 700.0  # exp() overflows just above this; beyond it report inf
 
 
-def _require_finite(inputs, names) -> None:
-    # NaN slips through every ordering test below (max(c, nan) is c)
-    for name in names:
-        value = getattr(inputs, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class BoundInputs:
     """Constants the upper bounds depend on.
@@ -66,15 +60,11 @@ class BoundInputs:
     radius: float
 
     def __post_init__(self):
-        _require_finite(self, ("n", "radius", "sup_score", "lipschitz"))
-        if self.n <= 0:
-            raise ValueError("n must be positive")
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.sup_score < 2:
-            raise ValueError("sup_score must be at least 2")
-        if self.lipschitz <= 0 or self.radius <= 0:
-            raise ValueError("lipschitz and radius must be positive")
+        _require_real("n", self.n, 0, strict=True)
+        _require_int("m", self.m, 1)
+        _require_real("sup_score", self.sup_score, 2)
+        _require_real("lipschitz", self.lipschitz, 0, strict=True)
+        _require_real("radius", self.radius, 0, strict=True)
 
     @classmethod
     def from_model(cls, model: ScoreModel, shape: NetworkShape,
@@ -107,14 +97,13 @@ class LowerBoundInputs:
     neighborhood_radius: float
 
     def __post_init__(self):
-        _require_finite(self, ("n", "kappa", "b", "lipschitz",
-                               "neighborhood_radius"))
-        if self.n <= 0 or self.m < 1:
-            raise ValueError("n must be positive and m at least 1")
-        if not 0 < self.b < 1:
-            raise ValueError("b must lie strictly inside (0, 1)")
-        if self.kappa <= 0 or self.neighborhood_radius <= 0:
-            raise ValueError("kappa and neighborhood_radius must be positive")
+        _require_int("m", self.m, 1)
+        _require_real("n", self.n, 0, strict=True)
+        _require_real("kappa", self.kappa, 0, strict=True)
+        _require_real("b", self.b, 0, 1, strict=True)
+        _require_real("lipschitz", self.lipschitz, 0, strict=True)
+        _require_real("neighborhood_radius", self.neighborhood_radius, 0,
+                      strict=True)
         if self.kappa > self.lipschitz:
             raise ValueError("kappa cannot exceed the Lipschitz upper constant")
 
@@ -152,17 +141,14 @@ def tail_bound(inputs: BoundInputs, t: float, s: Optional[float] = None,
     result can exceed 1, in which case the bound is vacuous; it is
     returned unclamped.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _require_real("t", t, 0, strict=True)
     n, m = inputs.n, inputs.m
     if s is None:
         s = n * t / 2.0
     if beta is None:
         beta = 1.0 + t
-    if not 0 < s < n * t:
-        raise ValueError(f"s must lie in (0, n*t) = (0, {n * t:g}); got {s:g}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_real("s", s, 0, n * t, strict=True)
+    _require_real("beta", beta, 0, strict=True)
     cover = m * math.log1p(
         2.0 * math.sqrt(3.0) * inputs.lipschitz * inputs.radius
         * n * (1.0 + beta) / s)
@@ -246,8 +232,8 @@ def check_variance_inequality(x: float, y: float, sup_score: float) -> bool:
 
 def check_kl_quadratic_upper(p: float, q: float) -> bool:
     """Does D(p||q) <= (p-q)^2 / (q(1-q)) for interior p, q?"""
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("p and q must lie strictly inside (0, 1)")
+    _require_real("p", p, 0, 1, strict=True)
+    _require_real("q", q, 0, 1, strict=True)
     lhs = bernoulli_kl(p, q)
     rhs = (p - q) ** 2 / (q * (1.0 - q))
     return bool(lhs <= rhs + _SLACK)

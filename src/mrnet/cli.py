@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import typing
 from typing import Optional, Sequence
@@ -37,7 +36,8 @@ from .io import (
     sample_negatives,
     save_checkpoint,
 )
-from .models import NetworkShape, ScoreModel, ShapeError
+from .models import (NetworkShape, ScoreModel, ShapeError, _require_int,
+                     _require_real)
 from .simulation import ExperimentGrid, GenSpec, run_grid, write_grid_csv
 
 __all__ = ["run_cli", "main"]
@@ -81,13 +81,6 @@ def _cfg(sec, key, kind, default=None, required=False):
         return conv(raw.strip())
     except ValueError:
         raise ConfigError(f"key '{key}' must be {what}, got {raw!r}") from None
-
-
-def _cfg_at_least(sec, key, low, default=None):
-    value = _cfg(sec, key, int, default)
-    if value is not None and value < low:
-        raise ConfigError(f"key '{key}' must be >= {low}, got {value}")
-    return value
 
 
 def _set_only(**values) -> dict:
@@ -148,9 +141,7 @@ def _cmd_train(sec, seed: int, args) -> int:
     model = _settings(ScoreModel, sec)
     train_path = _cfg(sec, "triples", str, required=True)
     ratio = _cfg(sec, "negative_ratio", float, 1.0)
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise ConfigError(f"key 'negative_ratio' must be finite and >= 0, "
-                          f"got {ratio!r}")
+    _checked(_require_real, "negative_ratio", ratio, 0)
     checkpoint = args.checkpoint or _cfg(sec, "checkpoint", str, required=True)
     train_config = _settings(TrainConfig, sec, seed=seed)
 
@@ -179,7 +170,8 @@ def _cmd_evaluate(sec, seed: int, args) -> int:
     hits = _set_only(entity_hits=_cfg(sec, "hits_entity", Sequence[int]),
                      relation_hits=_cfg(sec, "hits_relation", Sequence[int]))
     truth_path = _cfg(sec, "truth_checkpoint", str)
-    eval_cap = _cfg_at_least(sec, "eval_cap", 1, EVAL_CAP)
+    eval_cap = _cfg(sec, "eval_cap", int, EVAL_CAP)
+    _checked(_require_int, "eval_cap", eval_cap, 1)
     output = _cfg(sec, "output", str, required=True)
 
     params, model = load_checkpoint(checkpoint)
@@ -220,7 +212,8 @@ def _cmd_evaluate(sec, seed: int, args) -> int:
 def _cmd_bounds(sec, seed: int, args) -> int:
     direct = all(sec.get(f.name) for f in dataclasses.fields(BoundInputs))
     t_values = _cfg(sec, "t_values", Sequence[float], (0.5, 1.0))
-    replicates = _cfg_at_least(sec, "replicates", 0, 0)
+    replicates = _cfg(sec, "replicates", int, 0)
+    _checked(_require_int, "replicates", replicates, 0)
     grid = None
     if direct:
         inputs = _settings(BoundInputs, sec)
@@ -312,8 +305,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own usage text
         return int(exc.code or 0)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        _checked(_require_int, "--threads", args.threads, 1)
         sec = read_config(args.config, args.mode)
         seed = _cfg(sec, "seed", int, 0)
         if args.seed is not None:

@@ -14,7 +14,6 @@ by a minibatch are updated, so cost per step is independent of N.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -27,6 +26,7 @@ from .models import (
     ScoreModel,
     ShapeError,
     _require_int,
+    _require_real,
     _score_gradients,
     _scores,
     scores,
@@ -47,24 +47,27 @@ __all__ = [
 
 
 class ObservationSet:
-    """Columnar store of distinct labeled edges for one network."""
+    """Columnar store of distinct labeled edges for one network.
 
-    def __init__(self, shape: NetworkShape, heads, tails, rels, labels,
-                 validate: bool = True):
+    Every set is checked when made: indices inside ``shape``, labels
+    0 or 1, and no edge twice.
+    """
+
+    def __init__(self, shape: NetworkShape, heads, tails, rels, labels):
         self.shape = shape
         self.heads, self.tails, self.rels = index_columns(heads, tails, rels)
         labels = np.ascontiguousarray(labels)
         check_columns(self.heads, self.tails, self.rels, labels)
-        if validate:
-            n, k = shape.n_entities, shape.n_relations
-            check_indices(n, k, self.heads, self.tails, self.rels)
-            # before the int8 cast, which would wrap 257 to 1 and cut 0.7 to 0
-            if not np.all((labels == 0) | (labels == 1)):
-                raise ValueError("labels must be 0 or 1")
-            check_keyable(n, k)
-            lin = edge_key(self.heads, self.tails, self.rels, n, k)
-            if len(np.unique(lin)) != len(lin):
-                raise ValueError("observations contain duplicate edges")
+        n, k = shape.n_entities, shape.n_relations
+        check_indices(n, k, self.heads, self.tails, self.rels)
+        # before the int8 cast, which would wrap 257 to 1 and cut 0.7 to 0
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("labels must be 0 or 1")
+        check_keyable(n, k)
+        lin = edge_key(self.heads, self.tails, self.rels, n, k)
+        lin.sort()  # a fresh array; far cheaper than np.unique
+        if np.any(lin[1:] == lin[:-1]):
+            raise ValueError("observations contain duplicate edges")
         self.labels = np.ascontiguousarray(labels, dtype=np.int8)
 
     def __len__(self) -> int:
@@ -104,15 +107,9 @@ class TrainConfig:
         if self.sparsity_cap is not None:
             _require_int("sparsity_cap", self.sparsity_cap, 0)
         for name in ("learning_rate", "adagrad_eps", "radius", "init_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {value!r}")
+            _require_real(name, getattr(self, name), 0, strict=True)
         for name in ("rho1", "rho2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, "
-                                 f"got {value!r}")
+            _require_real(name, getattr(self, name), 0)
 
 
 @dataclasses.dataclass
@@ -157,8 +154,8 @@ def penalized_objective(model: ScoreModel, params: ModelParams,
                         obs: ObservationSet, rho1: float = 0.0,
                         rho2: float = 0.0) -> float:
     """Log-likelihood minus elastic-net penalty (to be maximized)."""
-    if rho1 < 0 or rho2 < 0:
-        raise ValueError("penalty weights must be nonnegative")
+    for name, value in (("rho1", rho1), ("rho2", rho2)):
+        _require_real(name, value, 0)
     return log_likelihood(model, params, obs) - _penalty(params, rho1, rho2)
 
 
@@ -173,20 +170,29 @@ def objective_gradient(model: ScoreModel, params: ModelParams,
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    if batch_scale <= 0:
-        raise ValueError("batch_scale must be positive")
-    p = sigmoid(_scores(model, params, batch.heads, batch.tails, batch.rels))
-    resid = (batch.labels - p) * batch_scale
-    gh, gt, gr = _score_gradients(model, params, batch.heads, batch.tails, batch.rels)
+    for name, value in (("rho1", rho1), ("rho2", rho2)):
+        _require_real(name, value, 0)
+    _require_real("batch_scale", batch_scale, 0, strict=True)
+    return _gradient(model, params, batch.heads, batch.tails, batch.rels,
+                     batch.labels, rho1, rho2, batch_scale)
 
-    nb = len(batch)
+
+def _gradient(model: ScoreModel, params: ModelParams, heads, tails, rels,
+              labels, rho1: float, rho2: float,
+              batch_scale: float) -> SparseGradient:
+    """``objective_gradient`` of checked, nonempty columns."""
+    p = sigmoid(_scores(model, params, heads, tails, rels))
+    resid = (labels - p) * batch_scale
+    gh, gt, gr = _score_gradients(model, params, heads, tails, rels)
+
+    nb = len(heads)
     ent_rows, ent_inv = np.unique(
-        np.concatenate([batch.heads, batch.tails]), return_inverse=True)
+        np.concatenate([heads, tails]), return_inverse=True)
     ent_grad = np.zeros((len(ent_rows), model.latent_dim))
     np.add.at(ent_grad, ent_inv[:nb], resid[:, None] * gh)
     np.add.at(ent_grad, ent_inv[nb:], resid[:, None] * gt)
 
-    rel_rows, rel_inv = np.unique(batch.rels, return_inverse=True)
+    rel_rows, rel_inv = np.unique(rels, return_inverse=True)
     rel_grad = np.zeros((len(rel_rows), model.relation_dim))
     np.add.at(rel_grad, rel_inv, resid[:, None] * gr)
 
@@ -207,8 +213,7 @@ def _scale_rows(arr: np.ndarray, rows: np.ndarray, radius: float) -> None:
 
 def project_ball(params: ModelParams, radius: float) -> ModelParams:
     """Rescale rows with norm above ``radius`` back onto the sphere."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _require_real("radius", radius, 0, strict=True)
     out = ModelParams(params.entities.copy(), params.relations.copy(), radius)
     _scale_rows(out.entities, np.arange(len(out.entities)), radius)
     _scale_rows(out.relations, np.arange(len(out.relations)), radius)
@@ -223,8 +228,7 @@ def project_l0(params: ModelParams, cap: int) -> ModelParams:
     """
     ne = params.entities.size
     total = ne + params.relations.size
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
+    _require_int("cap", cap, 0)
     if cap >= total:
         return params.copy()
     flat = np.concatenate([params.entities.ravel(), params.relations.ravel()])
@@ -264,10 +268,9 @@ def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
     lr, eps = config.learning_rate, config.adagrad_eps
     for start in range(0, n_obs, config.batch_size):
         idx = perm[start:start + config.batch_size]
-        batch = ObservationSet(obs.shape, obs.heads[idx], obs.tails[idx],
-                               obs.rels[idx], obs.labels[idx], validate=False)
-        grad = objective_gradient(model, params, batch, config.rho1,
-                                  config.rho2, batch_scale=n_obs / len(idx))
+        grad = _gradient(model, params, obs.heads[idx], obs.tails[idx],
+                         obs.rels[idx], obs.labels[idx], config.rho1,
+                         config.rho2, n_obs / len(idx))
         for rows, g, block, g2 in (
             (grad.entity_rows, grad.entity_grad, params.entities, g2_ent),
             (grad.relation_rows, grad.relation_grad, params.relations, g2_rel),

@@ -19,7 +19,7 @@ import numpy as np
 from ._edges import (check_indices, check_keyable, decode, distinct_uniform,
                      edge_key)
 from ._rng import TAG_NEGATIVES, derive_seed
-from .models import ModelParams, ScoreModel, NetworkShape
+from .models import ModelParams, ScoreModel, NetworkShape, _require_real
 
 __all__ = [
     "TripleParseError",
@@ -173,8 +173,7 @@ def sample_negatives(dataset: TripleDataset, ratio: float,
     is negative or not finite raises ``ValueError``, and a positive
     outside ``shape`` raises ``EdgeIndexError``.
     """
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise ValueError(f"ratio must be finite and nonnegative, got {ratio!r}")
+    _require_real("ratio", ratio, 0)
     n, k = shape.n_entities, shape.n_relations
     check_indices(n, k, *dataset.positives.T)
     check_keyable(n, k)

@@ -21,6 +21,7 @@ Three score forms are supported:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +69,21 @@ def _require_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _require_real(name: str, value, low: float, high: float = math.inf,
+                  strict: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and in [low, high],
+    or (low, high) if ``strict``: NaN passes a bare ``<= 0`` test, and
+    ``max(2.0, nan)`` is 2.0."""
+    inside = low < value < high if strict else low <= value <= high
+    if not (inside and math.isfinite(value)):
+        if high < math.inf:
+            left, right = "()" if strict else "[]"
+            rule = f"in {left}{low:g}, {high:g}{right}"
+        else:
+            rule = f"{'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class NetworkShape:
     """Size of the edge universe plus the observation rate."""
@@ -79,8 +95,7 @@ class NetworkShape:
     def __post_init__(self):
         for name in ("n_entities", "n_relations"):
             _require_int(name, getattr(self, name), 1)
-        if not 0.0 <= self.obs_rate <= 1.0:
-            raise ValueError(f"obs_rate must be in [0, 1], got {self.obs_rate}")
+        _require_real("obs_rate", self.obs_rate, 0, 1)
 
     @property
     def n_edges(self) -> int:
@@ -163,8 +178,7 @@ class ModelParams:
                 raise ValueError(f"{label} {name} hold NaN or inf")
 
     def validate(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _require_real("radius", self.radius, 0, strict=True)
         self.check_finite()
         for name, arr in (("entities", self.entities), ("relations", self.relations)):
             if arr.ndim != 2:
@@ -285,8 +299,7 @@ def score_sup_bound(model: ScoreModel, radius: float) -> float:
     max(2, 9U^3).  The 9U^2 / 9U^3 terms come from ||head + shift -
     tail|| <= 3U.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _require_real("radius", radius, 0, strict=True)
     u = float(radius)
     if model.kind == "distance":
         return max(2.0, u + 9.0 * u * u)
@@ -303,8 +316,7 @@ def lipschitz_bound(model: ScoreModel, radius: float) -> float:
     sqrt(189) U^2 (shift/entity blocks <= 6U^2 each, quadratic block
     <= 9U^2, so 3*(6U^2)^2 + (9U^2)^2 = 189 U^4).
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _require_real("radius", radius, 0)
     u = float(radius)
     if model.kind == "distance":
         return float(np.sqrt(1.0 + 108.0 * u * u))

@@ -12,7 +12,6 @@ as much as the slots actually examined.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +24,7 @@ from ._rng import (TAG_EVAL, TAG_LABELS, TAG_MASK, TAG_TRAIN, TAG_TRUTH,
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses
 from .models import (ModelParams, NetworkShape, ScoreModel, _require_int,
-                     edge_probabilities)
+                     _require_real, edge_probabilities)
 
 __all__ = [
     "GenSpec",
@@ -59,13 +58,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # NaN passes a "<= 0" test, and an infinite sd or truncation makes
-        # the rejection sampler spin or the radius meaningless
         for name in ("entity_sd", "shift_sd", "weight_sd", "truncation"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value!r}")
+            _require_real(name, getattr(self, name), 0, strict=True)
 
     @property
     def radius(self) -> float:
@@ -160,10 +154,10 @@ def sample_observations(shape: NetworkShape, labels: LabelSampler,
     chosen = (_flip if total <= DENSE_MAX else _binomial)(rng, total, rate)
     heads, tails, rels = decode(chosen, shape.n_entities, shape.n_relations)
     ys = labels.labels(heads, tails, rels)
-    return ObservationSet(shape, heads, tails, rels, ys, validate=False)
+    return ObservationSet(shape, heads, tails, rels, ys)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentGrid:
     """A sweep over network sizes and observation rates.
 
@@ -175,8 +169,9 @@ class ExperimentGrid:
     A grid has at least one cell and one replicate: ``entity_counts``
     lists integers >= 1, ``obs_rates`` rates in [0, 1], and
     ``replicates`` and ``eval_cap`` are integers >= 1; else
-    ``ValueError`` names the field.  ``GridRow.error`` records a failed
-    cell, never a bad setting.
+    ``ValueError`` names the field.  The grid is frozen, its lists kept
+    as tuples, so what it checks when made still holds when it runs,
+    and ``GridRow.error`` records a failed cell, never a bad setting.
     """
 
     gen: GenSpec
@@ -190,16 +185,14 @@ class ExperimentGrid:
     def __post_init__(self):
         for name in ("replicates", "eval_cap"):
             _require_int(name, getattr(self, name), 1)
-        for name, values in (("entity_counts", self.entity_counts),
-                             ("obs_rates", self.obs_rates)):
-            if not len(values):
+        for name in ("entity_counts", "obs_rates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if not getattr(self, name):
                 raise ValueError(f"{name} must list at least one value")
         for i, n in enumerate(self.entity_counts):
             _require_int(f"entity_counts[{i}]", n, 1)
         for i, rate in enumerate(self.obs_rates):
-            if not 0.0 <= rate <= 1.0:  # NaN fails too
-                raise ValueError(f"obs_rates[{i}] must be in [0, 1], "
-                                 f"got {rate!r}")
+            _require_real(f"obs_rates[{i}]", rate, 0, 1)
 
     def cells(self) -> List[Tuple[int, float]]:
         return [(int(n), float(g)) for n in self.entity_counts
@@ -270,11 +263,10 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     processes (never more than there are replicates), so a script that
     calls this must guard its entry point with
     ``if __name__ == "__main__":``.  A worker process that dies raises
-    ``BrokenProcessPool``; it is not a failed cell.  ``n_workers`` below
-    1 raises ``ValueError``.
+    ``BrokenProcessPool``; it is not a failed cell.  An ``n_workers``
+    that is not an integer >= 1 raises ``ValueError``.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    _require_int("n_workers", n_workers, 1)
     jobs = [(grid, ci, n, rate, rep)
             for ci, (n, rate) in enumerate(grid.cells())
             for rep in range(grid.replicates)]

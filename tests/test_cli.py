@@ -254,7 +254,8 @@ def test_bad_negative_ratio_exits_2(tmp_path, capsys, value):
     cfg, ckpt = train_config_with(tmp_path, "negative_ratio", value)
     assert run_cli(["train", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: key 'negative_ratio' must be finite")
+    assert err.startswith("config error: negative_ratio must be finite and "
+                          ">= 0, got ")
     assert not ckpt.exists()
 
 
@@ -342,8 +343,13 @@ def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     # --threads 0 was rewritten to 1 and -2 ran on one worker
     out = tmp_path / "grid.csv"
     cfg = write(tmp_path / "sim.ini", SIM_CONFIG.format(out=out))
-    assert run_cli(["simulate", "--config", cfg, "--threads", threads]) == 2
-    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    bounds = write(tmp_path / "b.ini", BOUNDS_EMPIRICAL)
+    for mode, path in (("simulate", cfg), ("bounds", bounds)):
+        assert run_cli([mode, "--config", path, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: --threads must be an "
+                                f"integer >= 1, got {threads}\n")
+        assert captured.out == ""
     assert not out.exists()
 
 
@@ -467,10 +473,8 @@ def test_count_below_range_exits_2(tmp_path, capsys, mode, key, value):
             "bounds": BOUNDS_EMPIRICAL}[mode]
     cfg = write(tmp_path / "c.ini", config_with(text, key, value))
     assert run_cli([mode, "--config", cfg]) == 2
-    # simulate's counts are ExperimentGrid's fields, which check themselves
-    want = {"simulate": f"{key} must be an integer >= 1, got {value}",
-            "evaluate": f"key '{key}' must be >= 1, got {value}",
-            "bounds": f"key '{key}' must be >= 0, got {value}"}[mode]
+    low = 0 if mode == "bounds" else 1
+    want = f"{key} must be an integer >= {low}, got {value}"
     assert capsys.readouterr().err == f"config error: {want}\n"
     assert not out.exists()
 
@@ -493,7 +497,7 @@ def test_non_finite_generator_setting_exits_2(tmp_path, capsys, value):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old_handler)
     assert capsys.readouterr().err.startswith(
-        "config error: weight_sd must be finite and positive")
+        "config error: weight_sd must be finite and > 0, got ")
     assert not out.exists()
 
 
@@ -523,8 +527,8 @@ def test_bad_grid_list_exits_2(tmp_path, capsys, key, value):
     assert run_cli(["simulate", "--config", cfg]) == 2
     want = {",": f"{key} must list at least one value",
             "6, 0": "entity_counts[1] must be an integer >= 1, got 0",
-            "1.0, 1.5": "obs_rates[1] must be in [0, 1], got 1.5",
-            "nan": "obs_rates[0] must be in [0, 1], got nan"}[value]
+            "1.0, 1.5": "obs_rates[1] must be finite and in [0, 1], got 1.5",
+            "nan": "obs_rates[0] must be finite and in [0, 1], got nan"}[value]
     assert capsys.readouterr().err == f"config error: {want}\n"
     assert not out.exists()
 

@@ -53,6 +53,22 @@ def test_observation_set_validation():
         ObservationSet(shape, [0, 1], [1], [0], [1])
 
 
+def test_observation_set_is_always_checked():
+    # a set made with validate=False used to train on a duplicate edge, a
+    # label 2, or a label 257 wrapped to 1
+    shape = NetworkShape(3, 2)
+    with pytest.raises(TypeError):
+        ObservationSet(shape, [0], [1], [0], [1], validate=False)
+    # the duplicate check sorts a copy of the keys: a duplicate far from
+    # its twin is found, and the columns keep their order
+    with pytest.raises(ValueError, match="duplicate edges"):
+        ObservationSet(shape, [0, 2, 1, 0], [1, 0, 2, 1], [0, 1, 0, 0],
+                       [1, 0, 1, 1])
+    oset = ObservationSet(shape, [2, 0, 1], [0, 1, 2], [1, 0, 0], [0, 1, 1])
+    assert [oset.heads.tolist(), oset.tails.tolist(), oset.rels.tolist()] \
+        == [[2, 0, 1], [0, 1, 2], [1, 0, 0]]
+
+
 def test_observation_set_refuses_non_integral_values():
     # an int64 / int8 cast would keep heads 0, 1, tail 2 and labels 1, 0
     shape = NetworkShape(3, 2)
@@ -362,16 +378,15 @@ def test_train_l1_penalty_shrinks_parameters():
 
 
 def test_train_rejects_out_of_range_indices():
-    # unvalidated sets reach train; numpy would wrap -1 to the last row
-    model, shape, obs = small_problem(seed=9)
+    # a set's columns stay writable after it is made; numpy would wrap -1
+    # to the last row, and the kernel reads raw memory
+    model, shape, _ = small_problem(seed=9)
     n, k = shape.n_entities, shape.n_relations
     config = TrainConfig(epochs=1, radius=5.0)
     for column, bad in (("heads", -1), ("tails", n), ("rels", k),
                         ("rels", -1)):
-        cols = {c: getattr(obs, c).copy() for c in ("heads", "tails", "rels")}
-        cols[column][len(obs) // 2] = bad
-        broken = ObservationSet(shape, cols["heads"], cols["tails"],
-                                cols["rels"], obs.labels, validate=False)
+        _, _, broken = small_problem(seed=9)
+        getattr(broken, column)[len(broken) // 2] = bad
         with pytest.raises(ValueError, match="index out of range"):
             train(model, shape, broken, config)
 

@@ -239,9 +239,9 @@ def grid_for_test(**overrides):
      "entity_counts[1] must be an integer >= 1, got 6.5"),
     ("entity_counts", [0], "entity_counts[0] must be an integer >= 1, got 0"),
     ("obs_rates", (), "obs_rates must list at least one value"),
-    ("obs_rates", [1.5], "obs_rates[0] must be in [0, 1], got 1.5"),
+    ("obs_rates", [1.5], "obs_rates[0] must be finite and in [0, 1], got 1.5"),
     ("obs_rates", [0.5, float("nan")],
-     "obs_rates[1] must be in [0, 1], got nan"),
+     "obs_rates[1] must be finite and in [0, 1], got nan"),
 ]])
 def test_grid_refuses_bad_settings_when_made(key, value, message):
     # these used to give no rows (a header-only CSV), NaN rows for every
@@ -249,6 +249,18 @@ def test_grid_refuses_bad_settings_when_made(key, value, message):
     with pytest.raises(ValueError) as err:
         grid_for_test(**{key: value})
     assert str(err.value) == message
+
+
+def test_grid_is_frozen():
+    # replicates = 0 set after the checks made run_grid return no rows
+    grid = grid_for_test(obs_rates=[1.0])
+    for name, value in (("replicates", 0), ("obs_rates", [2.0])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, name, value)
+    # the lists are kept as tuples, so no entry changes in place either
+    with pytest.raises(TypeError):
+        grid.obs_rates[0] = 2.0
+    assert dataclasses.replace(grid, replicates=1).replicates == 1
 
 
 def test_grid_takes_numpy_counts():
@@ -277,8 +289,8 @@ def test_run_grid_rows_and_determinism():
 @pytest.mark.parametrize("n_workers", [0, -2])
 def test_run_grid_refuses_fewer_than_one_worker(n_workers):
     # min(-2, jobs) used to run the grid on one worker
-    with pytest.raises(ValueError, match=f"n_workers must be >= 1, got "
-                                         f"{n_workers}"):
+    with pytest.raises(ValueError, match=f"n_workers must be an integer "
+                                         f">= 1, got {n_workers}"):
         run_grid(grid_for_test(), n_workers=n_workers)
 
 
