@@ -20,11 +20,17 @@ If the compiler is missing or fails, ``load()`` warns once and returns
 ``None``, and ``engine()`` gives ``Numpy``, as it does after ``_loaded =
 None``.  The callers import this module when they are called, never at
 import time, so ``import mrnet`` runs no compiler.
+
+``helper(work)`` gives the callers a second core: tasks submitted to it
+run on one background thread when the process may use two cores and a
+task is large enough to pay for the handoff, and inline otherwise, with
+the same calls either way.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import hashlib
 import os
@@ -35,6 +41,7 @@ import sysconfig
 import tempfile
 import types
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +57,10 @@ _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 _PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _UNSET = object()
 _loaded = _UNSET  # a Kernel, or None when no build could be loaded
+
+# the least work (observations or slots) per task that ``helper`` hands
+# to its thread: below it the handoff costs more than the overlap saves
+_HELPER_WORK = 1 << 12
 
 
 def _compiler() -> list:
@@ -190,13 +201,22 @@ class Kernel:
         return Fit(self, model, params, g2_ent, g2_rel, obs, config)
 
 
+def _copy_into(snap, params):
+    np.copyto(snap.entities, params.entities)
+    np.copyto(snap.relations, params.relations)
+    return snap
+
+
 class Fit:
     """The kernel bound to one fit's arrays, their addresses taken once.
 
     ``epoch(perm)`` runs one AdaGrad epoch over ``obs`` in the order
     ``perm``, updating the parameters and ``g2_ent`` / ``g2_rel`` in
-    place; ``log_likelihood()`` is that of ``obs`` at the current
-    parameters.  Whoever changes the parameters between epochs changes
+    place.  ``snapshot()`` copies the parameters into the fit's own
+    snapshot and returns it; ``log_likelihood()`` is that of ``obs`` at
+    the snapshot (at the parameters as bound, before the first
+    ``snapshot()``), so another thread can compute it while the next
+    epoch runs.  Whoever changes the parameters between epochs changes
     them in place.  The caller has checked that every index in ``obs``
     is in range.
     """
@@ -205,17 +225,21 @@ class Fit:
         if g2_ent.shape != params.entities.shape or \
                 g2_rel.shape != params.relations.shape:
             raise ShapeError("epoch kernel arguments disagree in shape")
-        kind, d, rd, ent, rel = rows = kernel._params(model, params)
+        kind, d, rd, ent, rel = kernel._params(model, params)
         columns = kernel._edges(obs.heads, obs.tails, obs.rels) \
             + (_addr(obs.labels, np.int8),)
         self._kernel, self._n = kernel, len(obs)
+        self._params = params
+        self._snapshot = snap = params.copy()
         self._epoch_args = (kind, params.n_entities, params.n_relations, d,
                             rd, ent, rel, _addr(g2_ent, np.float64),
                             _addr(g2_rel, np.float64), *columns)
         self._settings = (config.batch_size, config.learning_rate,
                           config.adagrad_eps, config.rho1, config.rho2,
                           config.radius)
-        self._loglik_args = rows + columns + (self._n,)
+        self._loglik_args = (kind, d, rd, _addr(snap.entities, np.float64),
+                             _addr(snap.relations, np.float64), *columns,
+                             self._n)
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
                         obs.heads, obs.tails, obs.rels, obs.labels)
@@ -226,6 +250,9 @@ class Fit:
         if self._kernel._epoch(*self._epoch_args, _addr(perm, np.int64),
                                self._n, *self._settings):
             raise MemoryError("epoch kernel could not allocate its work space")
+
+    def snapshot(self):
+        return _copy_into(self._snapshot, self._params)
 
     def log_likelihood(self) -> float:
         out = _F64()
@@ -266,15 +293,81 @@ class Numpy:
     @staticmethod
     def fit(model, params, g2_ent, g2_rel, obs, config):
         from .estimation import _numpy_epoch, log_likelihood  # no import cycle
+        snap = params.copy()
         return types.SimpleNamespace(
             epoch=lambda perm: _numpy_epoch(model, params, g2_ent, g2_rel,
                                             obs, perm, config),
-            log_likelihood=lambda: log_likelihood(model, params, obs))
+            snapshot=lambda: _copy_into(snap, params),
+            log_likelihood=lambda: log_likelihood(model, snap, obs))
 
 
 def engine():
     """The compiled kernel when one loads, else ``Numpy``."""
     return load() or Numpy
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Done:
+    """The result of a task that ran when it was submitted: a ``Future``
+    would cost a lock per task, which tiny fits pay thousands of times."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self, timeout=None):
+        return self._value
+
+
+class _Inline:
+    """``helper``'s pool on one core: each task runs when submitted."""
+
+    @staticmethod
+    def submit(fn, *args) -> _Done:
+        return _Done(fn(*args))
+
+
+class _Thread:
+    """``helper``'s pool on two cores: one thread, tasks in order."""
+
+    def __init__(self, pool: ThreadPoolExecutor):
+        self._pool = pool
+
+    def submit(self, fn, *args) -> Future:
+        # in the submitter's context, so its numpy errstate holds
+        return self._pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+@contextlib.contextmanager
+def helper(work: int):
+    """A pool whose ``submit(fn, *args)`` gives a future of ``fn(*args)``,
+    an object whose ``result()`` returns it.
+
+    The tasks run in submission order on one background thread when this
+    process may use at least two cores and ``work``, the observations or
+    slots of one task, is at least ``_HELPER_WORK``; otherwise each runs
+    when it is submitted.  A task's exception is raised by ``submit``
+    inline and by the future's ``result()`` on the thread, so a caller
+    reads every result.  Leaving the block cancels the tasks not yet
+    started and joins the thread, also when the block raises, so no
+    thread outlives it.
+    """
+    if work < _HELPER_WORK or _cores() < 2:
+        yield _Inline
+        return
+    pool = ThreadPoolExecutor(1, thread_name_prefix="mrnet-helper")
+    try:
+        yield _Thread(pool)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def load():

@@ -33,6 +33,12 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer (any sign)."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def derive_seed(*parts: int) -> int:
     """Mix integer parts into a single 64-bit seed, order-sensitively.
 
@@ -44,8 +50,7 @@ def derive_seed(*parts: int) -> int:
     with np.errstate(over="ignore"):
         acc = _INIT
         for part in parts:
-            if not isinstance(part, (int, np.integer)):
-                raise ValueError(f"seed must be an integer, got {part!r}")
+            check_seed(part)
             word = np.uint64(int(part) & 0xFFFFFFFFFFFFFFFF)
             acc = _finalize((acc ^ word) * _GOLDEN + _GOLDEN)
     return int(acc)

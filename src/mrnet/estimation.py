@@ -20,6 +20,7 @@ import numpy as np
 
 from ._edges import (check_columns, check_indices, check_keyable, edge_key,
                      index_columns)
+from ._rng import check_seed
 from .models import (
     ModelParams,
     NetworkShape,
@@ -86,8 +87,10 @@ class TrainConfig:
     epoch.  ``radius`` is the row-norm budget U for the fitted model.
     ``epochs`` and ``batch_size`` are integers >= 1, ``sparsity_cap``
     one >= 0; the step settings, ``radius`` and ``init_scale`` are
-    finite and positive, the penalty weights finite and nonnegative.
-    Any other value raises ``ValueError`` naming the field.
+    finite and positive, the penalty weights finite and nonnegative;
+    ``seed`` is an integer, by ``_rng.check_seed``.  Any other value
+    raises ``ValueError`` naming the field.  ``train`` seeds numpy with
+    ``seed`` itself, so it still refuses a negative one.
     """
 
     epochs: int
@@ -110,6 +113,7 @@ class TrainConfig:
             _require_real(name, getattr(self, name), 0, strict=True)
         for name in ("rho1", "rho2"):
             _require_real(name, getattr(self, name), 0)
+        check_seed(self.seed)
 
 
 @dataclasses.dataclass
@@ -292,9 +296,13 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     Each epoch runs in the engine that ``_kernel.engine()`` gives: the
     compiled kernel, or its numpy twin if no kernel could be built; the
     two agree to rounding.  The fit is bound once, and the sparsity cap
-    writes into the bound arrays.  Raises ValueError for an index
-    outside ``shape`` and for an objective that is not finite, rather
-    than fit on a wrapped index or return a NaN fit.
+    writes into the bound arrays.  On two cores, for a large enough
+    ``obs`` (``_kernel.helper``), a helper thread draws the next epoch's
+    order and computes the last epoch's objective on the fit's snapshot
+    while the epoch runs; the results do not depend on it.  Raises
+    ValueError for an index outside ``shape`` and for an objective that
+    is not finite, rather than fit on a wrapped index or return a NaN
+    fit.
     """
     if len(obs) == 0:
         raise ValueError("cannot train on an empty observation set")
@@ -314,22 +322,30 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     g2_rel = np.zeros_like(params.relations)
     fit = _kernel.engine().fit(model, params, g2_ent, g2_rel, obs, config)
 
-    def objective(epoch: int) -> float:
-        value = fit.log_likelihood() - _penalty(params, config.rho1,
-                                                config.rho2)
+    def objective(epoch: int, snap: ModelParams) -> float:
+        value = fit.log_likelihood() - _penalty(snap, config.rho1, config.rho2)
         if not np.isfinite(value):
             raise ValueError(f"objective is {value} after {epoch} epochs")
         return value
 
-    trace = [objective(0)]
+    trace = []
     nnz = [_nnz(params)]
-    for epoch in range(1, config.epochs + 1):
-        fit.epoch(rng.permutation(len(obs)))
-        if cap is not None:
-            capped = project_l0(params, cap)
-            params.entities[...] = capped.entities
-            params.relations[...] = capped.relations
-        trace.append(objective(epoch))
-        nnz.append(_nnz(params))
+    # every draw from rng after _init_params is a permutation on the helper
+    with _kernel.helper(len(obs)) as helper:
+        order = helper.submit(rng.permutation, len(obs))
+        pending = helper.submit(objective, 0, fit.snapshot())
+        for epoch in range(1, config.epochs + 1):
+            perm = order.result()
+            if epoch < config.epochs:
+                order = helper.submit(rng.permutation, len(obs))
+            fit.epoch(perm)
+            if cap is not None:
+                capped = project_l0(params, cap)
+                params.entities[...] = capped.entities
+                params.relations[...] = capped.relations
+            trace.append(pending.result())  # frees the snapshot
+            pending = helper.submit(objective, epoch, fit.snapshot())
+            nnz.append(_nnz(params))
+        trace.append(pending.result())
 
     return TrainResult(params, np.asarray(trace), np.asarray(nnz, dtype=np.int64))

@@ -25,7 +25,7 @@ from .models import (
     ScoreModel,
     ShapeError,
     Triple,
-    sigmoid,
+    _sigmoid_into,
 )
 
 __all__ = [
@@ -59,6 +59,25 @@ def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``bernoulli_kl`` of float arrays, unchecked."""
     qc = np.clip(q, KL_CLAMP, 1.0 - KL_CLAMP)
     return _rel_entr(p, qc) + _rel_entr(1.0 - p, 1.0 - qc)
+
+
+def _rel_entr_into(x, y, out) -> None:
+    np.divide(x, y, out=out)
+    np.log(out, out=out)
+    np.multiply(x, out, out=out)
+
+
+def _kl_into(p, q, out, work) -> None:
+    """``_kl(p, q)`` into ``out``, bit for bit, for ``p`` strictly inside
+    (0, 1), as ``sigmoid`` gives, so ``_rel_entr``'s zero branch never
+    applies.  Overwrites ``p`` with 1 - p and ``q`` with 1 - its clamp,
+    and uses ``work``; no temporaries."""
+    np.clip(q, KL_CLAMP, 1.0 - KL_CLAMP, out=q)
+    _rel_entr_into(p, q, out)
+    np.subtract(1.0, p, out=p)
+    np.subtract(1.0, q, out=q)
+    _rel_entr_into(p, q, work)
+    np.add(out, work, out=out)
 
 
 def bernoulli_kl(p, q):
@@ -101,11 +120,16 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
     ``None`` with a ``shape`` to scan every slot of the edge universe.
     Either way the engine that ``_kernel.engine()`` gives scores the
-    slots ``_CHUNK`` at a time into two reused buffers, so memory stays
-    bounded; both engines give the same scores bit for bit.  The link
-    prediction for a slot is "present" iff the fitted probability is
-    >= 1/2, and the link error is the fraction of slots where that
-    disagrees with the truth.
+    slots ``_CHUNK`` at a time, and each chunk's terms go to buffers
+    allocated once per scan, so memory stays bounded; both engines give
+    the same scores bit for bit.  On two cores, for a large enough chunk
+    (``_kernel.helper``), a helper thread scores the fit while this
+    thread scores the truth, and then computes the terms of the chunk's
+    second half while this thread does the first; each total adds whole
+    chunks' pairwise sums, so the totals do not depend on the split.
+    The link prediction for a slot is "present" iff the fitted
+    probability is >= 1/2, and the link error is the fraction of slots
+    where that disagrees with the truth.
     Non-finite parameters raise ``ValueError``; an edge index (or a
     ``shape``) outside the fit's entities or relations raises
     ``IndexError``.
@@ -132,23 +156,46 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     from . import _kernel  # builds the C kernel on first use
     engine = _kernel.engine()
-    buffers = np.empty((2, min(total, _CHUNK)))
+    size = min(total, _CHUNK)
+    # per slot of a chunk: the two scores, which become the true and the
+    # fitted probabilities, a work value, the KL term and the squared
+    # error; then a work flag and the link mismatch
+    real = np.empty((5, size))
+    flags = np.empty((2, size), dtype=bool)
+
+    def score(params: ModelParams, out: np.ndarray, s: int, e: int) -> None:
+        if edges is None:
+            engine.slot_scores(model, params, shape, s, out)
+        else:
+            engine.edge_scores(model, params, *(c[s:e] for c in edges), out)
+
+    def terms(lo: int, hi: int) -> None:
+        """The terms of the chunk's slots lo, ..., hi - 1, from their scores."""
+        p, q, work, kl, sq = real[:, lo:hi]
+        flag, mismatch = flags[:, lo:hi]
+        np.subtract(q, p, out=sq)
+        np.multiply(sq, sq, out=sq)
+        _sigmoid_into(p, work, flag)
+        _sigmoid_into(q, work, flag)
+        np.greater_equal(q, 0.5, out=mismatch)
+        np.greater_equal(p, 0.5, out=flag)
+        np.not_equal(mismatch, flag, out=mismatch)
+        _kl_into(p, q, kl, work)  # sigmoids of checked params
+
     kl_sum = mse_sum = err_sum = 0.0
-    for s in range(0, total, _CHUNK):
-        e = min(s + _CHUNK, total)
-        phi_true, phi_fit = both = buffers[:, :e - s]
-        for params, out in zip((truth, fitted), both):
-            if edges is None:
-                engine.slot_scores(model, params, shape, s, out)
-            else:
-                engine.edge_scores(model, params, *(c[s:e] for c in edges),
-                                   out)
-        m_true = sigmoid(phi_true)
-        m_fit = sigmoid(phi_fit)
-        kl_sum += _kl(m_true, m_fit).sum()  # sigmoids of checked params
-        diff = phi_fit - phi_true
-        mse_sum += (diff * diff).sum()
-        err_sum += np.count_nonzero((m_fit >= 0.5) != (m_true >= 0.5))
+    with _kernel.helper(size // 2) as helper:
+        for s in range(0, total, _CHUNK):
+            e = min(s + _CHUNK, total)
+            n = e - s
+            fit_scores = helper.submit(score, fitted, real[1, :n], s, e)
+            score(truth, real[0, :n], s, e)
+            fit_scores.result()
+            half = helper.submit(terms, n // 2, n)
+            terms(0, n // 2)
+            half.result()
+            kl_sum += real[3, :n].sum()
+            mse_sum += real[4, :n].sum()
+            err_sum += np.count_nonzero(flags[1, :n])
     return EvalReport(kl_sum / total, mse_sum / total, err_sum / total, total)
 
 

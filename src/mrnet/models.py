@@ -203,6 +203,21 @@ def sigmoid(x):
     return float(out) if arr.ndim == 0 else out
 
 
+def _sigmoid_into(x: np.ndarray, work: np.ndarray, flag: np.ndarray) -> None:
+    """``sigmoid`` of a float64 array, in place, bit for bit: the same
+    operations in the same order, through the caller's ``work`` (float64)
+    and ``flag`` (bool) arrays of ``x``'s shape instead of temporaries."""
+    np.greater_equal(x, 0, out=flag)
+    np.abs(x, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=work)
+    np.copyto(x, work)
+    np.copyto(x, 1.0, where=flag)
+    np.add(1.0, work, out=work)
+    np.divide(x, work, out=x)
+    np.clip(x, _P_LO, _P_HI, out=x)
+
+
 def _rows(model: ScoreModel, params: ModelParams, heads, tails, rels):
     """The head, tail and relation parameter rows of int64 index arrays."""
     params.check_model(model)

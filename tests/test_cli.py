@@ -1,9 +1,13 @@
 import dataclasses
+import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mrnet
 from mrnet.bounds import BoundInputs
 from mrnet.cli import run_cli
 from mrnet.estimation import TrainConfig
@@ -47,6 +51,23 @@ def test_simulate_writes_csv_deterministically(tmp_path, capsys):
     assert lines[1].startswith("6,1,0,")
     assert run_cli(["simulate", "--config", cfg]) == 0
     assert out.read_bytes() == text1  # byte-identical rerun
+
+
+@pytest.mark.parametrize("module", ["mrnet", "mrnet.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    # both used to exit 0 having done nothing
+    out = tmp_path / "grid.csv"
+    cfg = write(tmp_path / "sim.ini", SIM_CONFIG.format(out=out))
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(mrnet.__file__))}
+    for argv, code in ((["simulate", "--config", cfg], 0), (["nonsense"], 2)):
+        done = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+    assert "usage: mrnet" in done.stderr
+    written = out.read_bytes()
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert out.read_bytes() == written
 
 
 def triple_file(tmp_path, name, n=12, k=2, seed=0, count=60):

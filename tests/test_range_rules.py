@@ -177,3 +177,13 @@ def test_seeds_have_no_floor_and_take_numpy_integers():
     assert derive_seed(np.int64(3), np.uint8(4)) == derive_seed(3, 4)
     assert len(sample_observations(GEN.shape, sample_network(
         MODEL, TRUTH, GEN.shape, -1), -2)) > 0
+
+
+def test_train_config_takes_the_seed_rule():
+    # a non-integral seed used to pass and fail in train with a TypeError
+    for bad in (1.5, NAN, "3"):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(epochs=1, seed=bad)
+        assert str(err.value) == f"seed must be an integer, got {bad!r}"
+    for good in (-1, 0, np.int64(3), 2 ** 70):
+        assert TrainConfig(epochs=1, seed=good).seed == good
