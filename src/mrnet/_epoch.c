@@ -1,17 +1,19 @@
 /* Compiled inner loops of mrnet, loaded by _kernel.py.
 
-   mrnet_epoch runs one epoch of projected AdaGrad ascent on the
-   penalized Bernoulli log-likelihood; mrnet_log_likelihood evaluates
-   the log-likelihood term of the objective.  Both follow the numpy
-   reference in estimation.py operation for operation:
+   mrnet_epochs runs a block of epochs of projected AdaGrad ascent on
+   the penalized Bernoulli log-likelihood, and after each epoch imposes
+   the sparsity cap and writes the nonzero count and, when asked, the
+   objective; mrnet_objective evaluates that objective alone.  Both
+   follow the numpy reference in estimation.py operation for operation:
 
    - a step's gradient is taken at the parameters before the step, and
      is accumulated per row in batch order, heads before tails, as
      np.add.at does;
    - the elastic-net term, the AdaGrad update and the ball projection
      of each touched row use the same expressions in the same order;
-   - row norms and the log-likelihood total use numpy's pairwise
-     summation.
+   - row norms, the log-likelihood total and the penalty's sums use
+     numpy's pairwise summation;
+   - the cap keeps what project_l0's stable argsort keeps.
 
    mrnet_scores writes the scores of a loss-scan chunk and
    mrnet_rank_counts counts, per test edge, the unfiltered candidates
@@ -129,33 +131,37 @@ static void update_rows(const int64_t *rows, int64_t n_rows, int64_t width,
     }
 }
 
-/* One epoch over the observations in the order ``perm``, in batches of
-   ``batch_size``; updates ent, rel, g2_ent and g2_rel in place.
-   Returns 0, or -1 if the work space cannot be allocated. */
-int mrnet_epoch(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
-                int64_t rd, double *ent, double *rel, double *g2_ent,
-                double *g2_rel, const int64_t *heads, const int64_t *tails,
-                const int64_t *rels, const int8_t *labels,
-                const int64_t *perm, int64_t n_obs, int64_t batch_size,
-                double lr, double eps, double rho1, double rho2,
-                double radius)
-{
-    int64_t nb_max = batch_size < n_obs ? batch_size : n_obs;
-    double *grad_e = calloc((size_t)(n_ent * d), sizeof(double));
-    double *grad_r = calloc((size_t)(n_rel * rd), sizeof(double));
-    unsigned char *mark_e = calloc((size_t)n_ent, 1);
-    unsigned char *mark_r = calloc((size_t)n_rel, 1);
-    int64_t *rows_e = malloc((size_t)(2 * nb_max) * sizeof(int64_t));
-    int64_t *rows_r = malloc((size_t)nb_max * sizeof(int64_t));
-    double *resid = malloc((size_t)nb_max * sizeof(double));
-    double *work = malloc((size_t)(d > rd ? d : rd) * sizeof(double));
-    int status = -1;
-    if (!grad_e || !grad_r || !mark_e || !mark_r || !rows_e || !rows_r ||
-        !resid || !work)
-        goto done;
+/* One fit: its parameters, AdaGrad state, observations and settings. */
+struct fit {
+    int kind;
+    int64_t n_ent, n_rel, d, rd;
+    double *ent, *rel, *g2_ent, *g2_rel;
+    const int64_t *heads, *tails, *rels;
+    const int8_t *labels;
+    int64_t n_obs, batch_size;
+    double lr, eps, rho1, rho2, radius;
+};
 
-    for (int64_t start = 0; start < n_obs; start += batch_size) {
-        int64_t nb = n_obs - start < batch_size ? n_obs - start : batch_size;
+/* Work space of the epochs: gradient rows, their marks and lists, the
+   residuals of a batch and one parameter row. */
+struct work {
+    double *grad_e, *grad_r, *resid, *row;
+    unsigned char *mark_e, *mark_r;
+    int64_t *rows_e, *rows_r;
+};
+
+/* One epoch over the observations in the order ``perm``, in batches of
+   ``batch_size``; updates ent, rel, g2_ent and g2_rel in place. */
+static void epoch(const struct fit *f, const struct work *w,
+                  const int64_t *perm)
+{
+    int kind = f->kind;
+    int64_t d = f->d, rd = f->rd, n_obs = f->n_obs;
+    const double *ent = f->ent, *rel = f->rel;
+    const int64_t *heads = f->heads, *tails = f->tails, *rels = f->rels;
+    for (int64_t start = 0; start < n_obs; start += f->batch_size) {
+        int64_t nb = n_obs - start < f->batch_size ? n_obs - start
+                                                   : f->batch_size;
         const int64_t *idx = perm + start;
         double scale = (double)n_obs / (double)nb;
         int64_t ne = 0, nr = 0;
@@ -164,21 +170,21 @@ int mrnet_epoch(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
         for (int64_t b = 0; b < nb; b++) {
             int64_t o = idx[b], r = rels[o];
             const double *h = ent + heads[o] * d, *t = ent + tails[o] * d;
-            const double *w = rel + r * rd;
-            double *gh = grad_e + heads[o] * d, *gr = grad_r + r * rd;
-            double c = ((double)labels[o] -
-                        sigmoid(edge_score(kind, d, h, t, w))) * scale;
-            resid[b] = c;
-            touch(heads[o], mark_e, rows_e, &ne);
-            touch(r, mark_r, rows_r, &nr);
+            const double *wr = rel + r * rd;
+            double *gh = w->grad_e + heads[o] * d, *gr = w->grad_r + r * rd;
+            double c = ((double)f->labels[o] -
+                        sigmoid(edge_score(kind, d, h, t, wr))) * scale;
+            w->resid[b] = c;
+            touch(heads[o], w->mark_e, w->rows_e, &ne);
+            touch(r, w->mark_r, w->rows_r, &nr);
             for (int64_t j = 0; j < d; j++) {
                 if (kind == BILINEAR) {
-                    gh[j] += c * (w[j] * t[j]);
+                    gh[j] += c * (wr[j] * t[j]);
                     gr[j] += c * (h[j] * t[j]);
                 } else {
-                    double v = h[j] + w[j] - t[j];
+                    double v = h[j] + wr[j] - t[j];
                     double g = kind == DISTANCE ? -2.0 * v
-                                                : 2.0 * w[d + j] * v;
+                                                : 2.0 * wr[d + j] * v;
                     gh[j] += c * g;
                     gr[j] += c * g;
                     if (kind == COMBINED)
@@ -192,58 +198,228 @@ int mrnet_epoch(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
         for (int64_t b = 0; b < nb; b++) {
             int64_t o = idx[b];
             const double *h = ent + heads[o] * d, *t = ent + tails[o] * d;
-            const double *w = rel + rels[o] * rd;
-            double *gt = grad_e + tails[o] * d;
-            double c = resid[b];
-            touch(tails[o], mark_e, rows_e, &ne);
+            const double *wr = rel + rels[o] * rd;
+            double *gt = w->grad_e + tails[o] * d;
+            double c = w->resid[b];
+            touch(tails[o], w->mark_e, w->rows_e, &ne);
             for (int64_t j = 0; j < d; j++) {
                 if (kind == BILINEAR) {
-                    gt[j] += c * (w[j] * h[j]);
+                    gt[j] += c * (wr[j] * h[j]);
                 } else {
-                    double v = h[j] + w[j] - t[j];
+                    double v = h[j] + wr[j] - t[j];
                     gt[j] += c * (kind == DISTANCE ? 2.0 * v
-                                                   : -(2.0 * w[d + j] * v));
+                                                   : -(2.0 * wr[d + j] * v));
                 }
             }
         }
-        update_rows(rows_e, ne, d, ent, g2_ent, grad_e, mark_e, work, lr, eps,
-                    rho1, rho2, radius);
-        update_rows(rows_r, nr, rd, rel, g2_rel, grad_r, mark_r, work, lr,
-                    eps, rho1, rho2, radius);
+        update_rows(w->rows_e, ne, d, f->ent, f->g2_ent, w->grad_e,
+                    w->mark_e, w->row, f->lr, f->eps, f->rho1, f->rho2,
+                    f->radius);
+        update_rows(w->rows_r, nr, rd, f->rel, f->g2_rel, w->grad_r,
+                    w->mark_r, w->row, f->lr, f->eps, f->rho1, f->rho2,
+                    f->radius);
     }
-    status = 0;
-done:
-    free(grad_e);
-    free(grad_r);
-    free(mark_e);
-    free(mark_r);
-    free(rows_e);
-    free(rows_r);
-    free(resid);
-    free(work);
-    return status;
 }
 
-/* Bernoulli log-likelihood of the labels, written to *out: minus the
-   sum of logaddexp(0, s) with s = -score for label 1 and s = score for
-   label 0.  Returns 0, or -1 if the work space cannot be allocated. */
-int mrnet_log_likelihood(int kind, int64_t d, int64_t rd, const double *ent,
-                         const double *rel, const int64_t *heads,
-                         const int64_t *tails, const int64_t *rels,
-                         const int8_t *labels, int64_t n, double *out)
+/* The k-th smallest (from 0) of a[0], ..., a[n - 1], none of them NaN;
+   reorders a. */
+static double kth_smallest(double *a, int64_t n, int64_t k)
 {
-    double *terms = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (!terms)
-        return -1;
-    for (int64_t i = 0; i < n; i++) {
-        double phi = edge_score(kind, d, ent + heads[i] * d,
-                                ent + tails[i] * d, rel + rels[i] * rd);
-        double s = labels[i] == 1 ? -phi : phi;
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        double pivot = a[lo + (hi - lo) / 2];
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < pivot)
+                i++;
+            while (a[j] > pivot)
+                j--;
+            if (i <= j) {
+                double tmp = a[i];
+                a[i++] = a[j];
+                a[j--] = tmp;
+            }
+        }
+        if (k <= j)
+            hi = j;
+        else if (k >= i)
+            lo = i;
+        else
+            return a[k]; /* between the two parts: equal to the pivot */
+    }
+    return a[k];
+}
+
+/* estimation.project_l0 in place: of the values of ent then rel, keep
+   the first cap in the order of (-|x|, position), as numpy's stable
+   argsort of -|x| ranks them (NaN last), and set the others to 0.0.
+   work holds one value per parameter. */
+static void cap_params(const struct fit *f, int64_t cap, double *work)
+{
+    double *blocks[2] = {f->ent, f->rel};
+    int64_t sizes[2] = {f->n_ent * f->d, f->n_rel * f->rd};
+    int64_t m = 0;
+    if (cap >= sizes[0] + sizes[1])
+        return;
+    for (int b = 0; b < 2; b++)
+        for (int64_t i = 0; i < sizes[b]; i++)
+            if (!isnan(blocks[b][i]))
+                work[m++] = fabs(blocks[b][i]);
+    /* keep every |x| above t, the first ties equal to t, the first NaNs */
+    double t = INFINITY;
+    int64_t ties = 0, nans = 0;
+    if (cap > m) {
+        t = -1.0;
+        nans = cap - m;
+    } else if (cap > 0) {
+        t = kth_smallest(work, m, m - cap);
+        ties = cap;
+        for (int64_t i = 0; i < m; i++)
+            ties -= work[i] > t;
+    }
+    for (int b = 0; b < 2; b++)
+        for (int64_t i = 0; i < sizes[b]; i++) {
+            double a = fabs(blocks[b][i]);
+            int keep = isnan(a) ? nans-- > 0 : a > t || (a == t && ties-- > 0);
+            if (!keep)
+                blocks[b][i] = 0.0;
+        }
+}
+
+/* np.count_nonzero of the parameters */
+static int64_t count_nonzero(const struct fit *f)
+{
+    int64_t count = 0;
+    for (int64_t i = 0; i < f->n_ent * f->d; i++)
+        count += f->ent[i] != 0.0;
+    for (int64_t i = 0; i < f->n_rel * f->rd; i++)
+        count += f->rel[i] != 0.0;
+    return count;
+}
+
+/* numpy's x.sum() of |x| (square == 0) or of x * x (square == 1) over
+   n values; work holds n values */
+static double block_sum(const double *x, int64_t n, int square,
+                        double *work)
+{
+    for (int64_t i = 0; i < n; i++)
+        work[i] = square ? x[i] * x[i] : fabs(x[i]);
+    return pairwise_sum(work, n);
+}
+
+/* estimation.penalized_objective at the fit's parameters: the
+   log-likelihood, minus the sum of logaddexp(0, s) with s = -score for
+   label 1 and s = score for label 0, less the penalty rho1 * sum |x| +
+   rho2 * sum x * x, whose sums run per block as numpy's x.sum() does.
+   terms holds one value per observation, work one per parameter. */
+static double objective(const struct fit *f, double *terms, double *work)
+{
+    for (int64_t i = 0; i < f->n_obs; i++) {
+        double phi = edge_score(f->kind, f->d, f->ent + f->heads[i] * f->d,
+                                f->ent + f->tails[i] * f->d,
+                                f->rel + f->rels[i] * f->rd);
+        double s = f->labels[i] == 1 ? -phi : phi;
         terms[i] = (s > 0 ? s : 0.0) + log1p(exp(-fabs(s)));
     }
-    *out = -pairwise_sum(terms, n);
+    double loglik = -pairwise_sum(terms, f->n_obs), penalty = 0.0;
+    if (f->rho1 != 0.0 || f->rho2 != 0.0) {
+        int64_t ne = f->n_ent * f->d, nr = f->n_rel * f->rd;
+        double l1 = block_sum(f->ent, ne, 0, work) +
+                    block_sum(f->rel, nr, 0, work);
+        double sq = block_sum(f->ent, ne, 1, work) +
+                    block_sum(f->rel, nr, 1, work);
+        penalty = f->rho1 * l1 + f->rho2 * sq;
+    }
+    return loglik - penalty;
+}
+
+/* n zeroed items of size bytes; never a NULL for n == 0 */
+static void *zeroed(int64_t n, size_t size)
+{
+    return calloc((size_t)(n > 0 ? n : 1), size);
+}
+
+/* n_epochs epochs over the observations, epoch e in the order
+   perms[e * n_obs], ..., perms[e * n_obs + n_obs - 1].  After each, it
+   imposes the sparsity cap (none when cap < 0), writes the nonzero
+   count to nnz[e] and, when obj is not NULL, the objective to obj[e],
+   and it stops after the first objective that is not finite.  Returns
+   the number of epochs run, or -1 if the work space cannot be
+   allocated. */
+int64_t mrnet_epochs(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
+                     int64_t rd, double *ent, double *rel, double *g2_ent,
+                     double *g2_rel, const int64_t *heads,
+                     const int64_t *tails, const int64_t *rels,
+                     const int8_t *labels, int64_t n_obs,
+                     int64_t batch_size, double lr, double eps, double rho1,
+                     double rho2, double radius, int64_t cap,
+                     const int64_t *perms, int64_t n_epochs, int64_t *nnz,
+                     double *obj)
+{
+    struct fit f = {kind, n_ent, n_rel, d, rd, ent, rel, g2_ent, g2_rel,
+                    heads, tails, rels, labels, n_obs, batch_size, lr, eps,
+                    rho1, rho2, radius};
+    int64_t nb_max = batch_size < n_obs ? batch_size : n_obs;
+    struct work w = {zeroed(n_ent * d, sizeof(double)),
+                     zeroed(n_rel * rd, sizeof(double)),
+                     zeroed(nb_max, sizeof(double)),
+                     zeroed(d > rd ? d : rd, sizeof(double)),
+                     zeroed(n_ent, 1), zeroed(n_rel, 1),
+                     zeroed(2 * nb_max, sizeof(int64_t)),
+                     zeroed(nb_max, sizeof(int64_t))};
+    double *terms = obj ? zeroed(n_obs, sizeof(double)) : NULL;
+    double *flat = zeroed(n_ent * d + n_rel * rd, sizeof(double));
+    int64_t done = -1;
+    if (w.grad_e && w.grad_r && w.resid && w.row && w.mark_e && w.mark_r &&
+        w.rows_e && w.rows_r && (terms || !obj) && flat) {
+        for (done = 0; done < n_epochs; done++) {
+            epoch(&f, &w, perms + done * n_obs);
+            if (cap >= 0)
+                cap_params(&f, cap, flat);
+            nnz[done] = count_nonzero(&f);
+            if (obj) {
+                obj[done] = objective(&f, terms, flat);
+                if (!isfinite(obj[done])) {
+                    done++;
+                    break;
+                }
+            }
+        }
+    }
+    free(w.grad_e);
+    free(w.grad_r);
+    free(w.resid);
+    free(w.row);
+    free(w.mark_e);
+    free(w.mark_r);
+    free(w.rows_e);
+    free(w.rows_r);
     free(terms);
-    return 0;
+    free(flat);
+    return done;
+}
+
+/* The objective of mrnet_epochs at the parameters ent and rel, written
+   to *out.  Returns 0, or -1 if the work space cannot be allocated. */
+int mrnet_objective(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
+                    int64_t rd, const double *ent, const double *rel,
+                    const int64_t *heads, const int64_t *tails,
+                    const int64_t *rels, const int8_t *labels, int64_t n_obs,
+                    double rho1, double rho2, double *out)
+{
+    struct fit f = {kind, n_ent, n_rel, d, rd, (double *)ent, (double *)rel,
+                    NULL, NULL, heads, tails, rels, labels, n_obs, 0,
+                    0.0, 0.0, rho1, rho2, 0.0};
+    double *terms = zeroed(n_obs, sizeof(double));
+    double *work = zeroed(n_ent * d + n_rel * rd, sizeof(double));
+    int status = -1;
+    if (terms && work) {
+        *out = objective(&f, terms, work);
+        status = 0;
+    }
+    free(terms);
+    free(work);
+    return status;
 }
 
 /* Calls f with kind as a constant: an always-inlined f then gets one

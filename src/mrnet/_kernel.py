@@ -2,6 +2,10 @@
 
 ``engine()`` gives the kernel, or ``Numpy`` if none loads.  The two have
 the same methods and the same scores bit for bit, so callers never branch.
+A fit bound by ``fit`` runs a block of training epochs per call
+(``run``), imposing the sparsity cap and writing each epoch's nonzero
+count and, when asked, its objective in the same call, so a small fit
+pays one call per block rather than Python work per epoch.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -32,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -122,14 +127,14 @@ class Kernel:
     """The exported functions of ``_epoch.c``, on numpy arrays."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._epoch = lib.mrnet_epoch
-        self._epoch.argtypes = [ctypes.c_int] + [_I64] * 4 + [_PTR] * 9 \
-            + [_I64] * 2 + [_F64] * 5
-        self._epoch.restype = ctypes.c_int
-        self._loglik = lib.mrnet_log_likelihood
-        self._loglik.argtypes = [ctypes.c_int, _I64, _I64] + [_PTR] * 6 \
-            + [_I64, ctypes.POINTER(_F64)]
-        self._loglik.restype = ctypes.c_int
+        self._epochs = lib.mrnet_epochs
+        self._epochs.argtypes = [ctypes.c_int] + [_I64] * 4 + [_PTR] * 8 \
+            + [_I64] * 2 + [_F64] * 5 + [_I64, _PTR, _I64, _PTR, _PTR]
+        self._epochs.restype = _I64
+        self._objective = lib.mrnet_objective
+        self._objective.argtypes = [ctypes.c_int] + [_I64] * 4 + [_PTR] * 6 \
+            + [_I64] + [_F64] * 2 + [ctypes.POINTER(_F64)]
+        self._objective.restype = ctypes.c_int
         self._scores = lib.mrnet_scores
         self._scores.argtypes = [ctypes.c_int, _I64, _I64] + [_PTR] * 5 \
             + [_I64] * 4 + [_PTR]
@@ -201,24 +206,27 @@ class Kernel:
         return Fit(self, model, params, g2_ent, g2_rel, obs, config)
 
 
-def _copy_into(snap, params):
+def _copy_into(snap, params) -> None:
     np.copyto(snap.entities, params.entities)
     np.copyto(snap.relations, params.relations)
-    return snap
 
 
 class Fit:
     """The kernel bound to one fit's arrays, their addresses taken once.
 
-    ``epoch(perm)`` runs one AdaGrad epoch over ``obs`` in the order
-    ``perm``, updating the parameters and ``g2_ent`` / ``g2_rel`` in
-    place.  ``snapshot()`` copies the parameters into the fit's own
-    snapshot and returns it; ``log_likelihood()`` is that of ``obs`` at
-    the snapshot (at the parameters as bound, before the first
+    ``run(perms, nnz_out, obj_out=None)`` runs one AdaGrad epoch over
+    ``obs`` per row of ``perms``, in that row's order, updating the
+    parameters and ``g2_ent`` / ``g2_rel`` in place.  After each epoch it
+    imposes ``config.sparsity_cap`` as ``estimation.project_l0`` does,
+    writes the nonzero count to ``nnz_out`` and, when ``obj_out`` is
+    given, the penalized objective to ``obj_out``, and it stops after
+    the first objective that is not finite.  It returns the number of
+    epochs run.  ``snapshot()`` copies the parameters into the fit's own
+    snapshot; ``objective()`` is the penalized objective
+    at the snapshot (at the parameters as bound, before the first
     ``snapshot()``), so another thread can compute it while the next
-    epoch runs.  Whoever changes the parameters between epochs changes
-    them in place.  The caller has checked that every index in ``obs``
-    is in range.
+    epoch runs.  The caller has checked that every index in ``obs`` is
+    in range, and each row of ``perms`` orders ``range(len(obs))``.
     """
 
     def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
@@ -227,37 +235,46 @@ class Fit:
             raise ShapeError("epoch kernel arguments disagree in shape")
         kind, d, rd, ent, rel = kernel._params(model, params)
         columns = kernel._edges(obs.heads, obs.tails, obs.rels) \
-            + (_addr(obs.labels, np.int8),)
+            + (_addr(obs.labels, np.int8), len(obs))
+        sizes = (kind, params.n_entities, params.n_relations, d, rd)
+        cap = -1 if config.sparsity_cap is None else config.sparsity_cap
         self._kernel, self._n = kernel, len(obs)
         self._params = params
         self._snapshot = snap = params.copy()
-        self._epoch_args = (kind, params.n_entities, params.n_relations, d,
-                            rd, ent, rel, _addr(g2_ent, np.float64),
-                            _addr(g2_rel, np.float64), *columns)
-        self._settings = (config.batch_size, config.learning_rate,
+        self._run_args = (*sizes, ent, rel, _addr(g2_ent, np.float64),
+                          _addr(g2_rel, np.float64), *columns,
+                          config.batch_size, config.learning_rate,
                           config.adagrad_eps, config.rho1, config.rho2,
-                          config.radius)
-        self._loglik_args = (kind, d, rd, _addr(snap.entities, np.float64),
-                             _addr(snap.relations, np.float64), *columns,
-                             self._n)
+                          config.radius, cap)
+        self._objective_args = (*sizes, _addr(snap.entities, np.float64),
+                                _addr(snap.relations, np.float64), *columns,
+                                config.rho1, config.rho2)
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
                         obs.heads, obs.tails, obs.rels, obs.labels)
 
-    def epoch(self, perm) -> None:
-        if len(perm) != self._n:
-            raise ShapeError("epoch order does not cover the observations")
-        if self._kernel._epoch(*self._epoch_args, _addr(perm, np.int64),
-                               self._n, *self._settings):
+    def run(self, perms, nnz_out, obj_out=None) -> int:
+        epochs = len(perms)
+        if perms.shape != (epochs, self._n):
+            raise ShapeError("epoch orders do not cover the observations")
+        if nnz_out.shape != (epochs,) or \
+                obj_out is not None and obj_out.shape != (epochs,):
+            raise ShapeError("need one output per epoch")
+        done = self._kernel._epochs(
+            *self._run_args, _addr(perms, np.int64), epochs,
+            _addr(nnz_out, np.int64),
+            None if obj_out is None else _addr(obj_out, np.float64))
+        if done < 0:
             raise MemoryError("epoch kernel could not allocate its work space")
+        return done
 
-    def snapshot(self):
-        return _copy_into(self._snapshot, self._params)
+    def snapshot(self) -> None:
+        _copy_into(self._snapshot, self._params)
 
-    def log_likelihood(self) -> float:
+    def objective(self) -> float:
         out = _F64()
-        if self._kernel._loglik(*self._loglik_args, ctypes.byref(out)):
-            raise MemoryError("log-likelihood kernel could not allocate")
+        if self._kernel._objective(*self._objective_args, ctypes.byref(out)):
+            raise MemoryError("objective kernel could not allocate")
         return out.value
 
 
@@ -292,13 +309,14 @@ class Numpy:
 
     @staticmethod
     def fit(model, params, g2_ent, g2_rel, obs, config):
-        from .estimation import _numpy_epoch, log_likelihood  # no import cycle
+        from .estimation import _numpy_epochs, penalized_objective  # no cycle
         snap = params.copy()
         return types.SimpleNamespace(
-            epoch=lambda perm: _numpy_epoch(model, params, g2_ent, g2_rel,
-                                            obs, perm, config),
+            run=functools.partial(_numpy_epochs, model, params, g2_ent,
+                                  g2_rel, obs, config),
             snapshot=lambda: _copy_into(snap, params),
-            log_likelihood=lambda: log_likelihood(model, snap, obs))
+            objective=lambda: penalized_objective(model, snap, obs,
+                                                  config.rho1, config.rho2))
 
 
 def engine():

@@ -265,9 +265,7 @@ def _nnz(params: ModelParams) -> int:
 def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
                  g2_rel: np.ndarray, obs: ObservationSet, perm: np.ndarray,
                  config: TrainConfig) -> None:
-    """One epoch of AdaGrad steps in numpy, in place: the reference the
-    compiled kernel's epoch is tested against, and the fallback when no
-    kernel can be built."""
+    """One epoch of AdaGrad steps in numpy, in place."""
     n_obs = len(obs)
     lr, eps = config.learning_rate, config.adagrad_eps
     for start in range(0, n_obs, config.batch_size):
@@ -284,6 +282,40 @@ def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
             _scale_rows(block, rows, config.radius)
 
 
+def _numpy_epochs(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
+                  g2_rel: np.ndarray, obs: ObservationSet,
+                  config: TrainConfig, perms: np.ndarray,
+                  nnz_out: np.ndarray, obj_out=None) -> int:
+    """``_kernel.Fit.run`` in numpy: the reference the compiled kernel's
+    epochs are tested against, and the fallback when no kernel can be
+    built."""
+    for epoch, perm in enumerate(perms):
+        _numpy_epoch(model, params, g2_ent, g2_rel, obs, perm, config)
+        if config.sparsity_cap is not None:
+            capped = project_l0(params, config.sparsity_cap)
+            params.entities[...] = capped.entities
+            params.relations[...] = capped.relations
+        nnz_out[epoch] = _nnz(params)
+        if obj_out is not None:
+            obj_out[epoch] = penalized_objective(model, params, obs,
+                                                 config.rho1, config.rho2)
+            if not np.isfinite(obj_out[epoch]):
+                return epoch + 1
+    return len(perms)
+
+
+# the most bytes of epoch orders that ``train`` draws at once
+_ORDER_BYTES = 1 << 23
+
+
+def _orders(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` epoch orders of ``n`` observations, one per row: the
+    draws, and the generator's state after them, of ``count`` calls of
+    ``rng.permutation(n)``."""
+    orders = np.tile(np.arange(n), (count, 1))
+    return rng.permuted(orders, axis=1, out=orders)
+
+
 def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
           config: TrainConfig) -> TrainResult:
     """Projected AdaGrad ascent on the penalized log-likelihood.
@@ -293,16 +325,20 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     untouched rows stay feasible); the sparsity cap, if any, is
     re-imposed once per epoch and at the end.
 
-    Each epoch runs in the engine that ``_kernel.engine()`` gives: the
+    The epochs run in the engine that ``_kernel.engine()`` gives: the
     compiled kernel, or its numpy twin if no kernel could be built; the
-    two agree to rounding.  The fit is bound once, and the sparsity cap
-    writes into the bound arrays.  On two cores, for a large enough
-    ``obs`` (``_kernel.helper``), a helper thread draws the next epoch's
-    order and computes the last epoch's objective on the fit's snapshot
-    while the epoch runs; the results do not depend on it.  Raises
-    ValueError for an index outside ``shape`` and for an objective that
-    is not finite, rather than fit on a wrapped index or return a NaN
-    fit.
+    two agree to rounding.  The fit is bound once; it imposes the cap
+    and counts the nonzeros after each epoch.  When ``_kernel.helper``
+    runs inline (one core, or fewer than its size rule's observations),
+    each call runs a block of epochs, as many as ``_ORDER_BYTES`` of
+    drawn orders allow, and writes their objectives too.  Otherwise each
+    call runs one epoch, while the helper thread draws the next epoch's
+    order and computes the last epoch's objective on the fit's snapshot.
+    The block's orders come from one ``rng.permuted`` call, which draws
+    what as many ``rng.permutation`` calls would, so the results depend
+    on neither the path nor the block size.  Raises ValueError for an
+    index outside ``shape`` and for an objective that is not finite,
+    rather than fit on a wrapped index or return a NaN fit.
     """
     if len(obs) == 0:
         raise ValueError("cannot train on an empty observation set")
@@ -321,31 +357,41 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     g2_ent = np.zeros_like(params.entities)
     g2_rel = np.zeros_like(params.relations)
     fit = _kernel.engine().fit(model, params, g2_ent, g2_rel, obs, config)
+    n, epochs = len(obs), config.epochs
+    trace = np.empty(epochs + 1)
+    nnz = np.empty(epochs + 1, dtype=np.int64)
+    nnz[0] = _nnz(params)
 
-    def objective(epoch: int, snap: ModelParams) -> float:
-        value = fit.log_likelihood() - _penalty(snap, config.rho1, config.rho2)
+    def checked(value: float, epoch: int) -> float:
         if not np.isfinite(value):
             raise ValueError(f"objective is {value} after {epoch} epochs")
         return value
 
-    trace = []
-    nnz = [_nnz(params)]
-    # every draw from rng after _init_params is a permutation on the helper
-    with _kernel.helper(len(obs)) as helper:
-        order = helper.submit(rng.permutation, len(obs))
-        pending = helper.submit(objective, 0, fit.snapshot())
-        for epoch in range(1, config.epochs + 1):
-            perm = order.result()
-            if epoch < config.epochs:
-                order = helper.submit(rng.permutation, len(obs))
-            fit.epoch(perm)
-            if cap is not None:
-                capped = project_l0(params, cap)
-                params.entities[...] = capped.entities
-                params.relations[...] = capped.relations
-            trace.append(pending.result())  # frees the snapshot
-            pending = helper.submit(objective, epoch, fit.snapshot())
-            nnz.append(_nnz(params))
-        trace.append(pending.result())
+    def objective(epoch: int) -> float:  # at the fit's snapshot
+        return checked(fit.objective(), epoch)
 
-    return TrainResult(params, np.asarray(trace), np.asarray(nnz, dtype=np.int64))
+    # every draw from rng after _init_params is an epoch order on the helper
+    with _kernel.helper(n) as helper:
+        threaded = helper is not _kernel._Inline
+        block = 1 if threaded else max(1, _ORDER_BYTES // (8 * n))
+        order = helper.submit(_orders, rng, n, min(block, epochs))
+        pending = helper.submit(objective, 0)
+        done = 0
+        while done < epochs:
+            perms = order.result()
+            end = done + len(perms)
+            if end < epochs:
+                order = helper.submit(_orders, rng, n,
+                                      min(block, epochs - end))
+            new = slice(done + 1, end + 1)
+            ran = fit.run(perms, nnz[new], None if threaded else trace[new])
+            trace[done] = pending.result()  # frees the snapshot
+            if threaded:  # the objective after this epoch, on the helper
+                fit.snapshot()
+                pending = helper.submit(objective, end)
+            else:  # the run wrote trace[new] up to its first bad objective
+                pending = helper.submit(checked, trace[done + ran], done + ran)
+            done = end
+        trace[epochs] = pending.result()
+
+    return TrainResult(params, trace, nnz)

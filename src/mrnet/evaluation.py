@@ -125,8 +125,9 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     the same scores bit for bit.  On two cores, for a large enough chunk
     (``_kernel.helper``), a helper thread scores the fit while this
     thread scores the truth, and then computes the terms of the chunk's
-    second half while this thread does the first; each total adds whole
-    chunks' pairwise sums, so the totals do not depend on the split.
+    second half while this thread does the first; inline, the terms of
+    a chunk are computed whole.  Each total adds whole chunks' pairwise
+    sums, so the totals do not depend on the split.
     The link prediction for a slot is "present" iff the fitted
     probability is >= 1/2, and the link error is the fraction of slots
     where that disagrees with the truth.
@@ -184,15 +185,19 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     kl_sum = mse_sum = err_sum = 0.0
     with _kernel.helper(size // 2) as helper:
+        threaded = helper is not _kernel._Inline
         for s in range(0, total, _CHUNK):
             e = min(s + _CHUNK, total)
             n = e - s
             fit_scores = helper.submit(score, fitted, real[1, :n], s, e)
             score(truth, real[0, :n], s, e)
             fit_scores.result()
-            half = helper.submit(terms, n // 2, n)
-            terms(0, n // 2)
-            half.result()
+            if threaded:
+                half = helper.submit(terms, n // 2, n)
+                terms(0, n // 2)
+                half.result()
+            else:
+                terms(0, n)
             kl_sum += real[3, :n].sum()
             mse_sum += real[4, :n].sum()
             err_sum += np.count_nonzero(flags[1, :n])

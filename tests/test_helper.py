@@ -2,6 +2,7 @@
 the same results bit for bit on one core and on two, and no thread
 outlives them."""
 
+import dataclasses
 import sys
 import threading
 
@@ -10,8 +11,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from mrnet import _kernel, evaluation, estimation
-from mrnet.estimation import (TrainConfig, _init_params, _nnz, _penalty,
-                              log_likelihood, project_l0, train)
+from mrnet.estimation import (TrainConfig, _init_params, _nnz, _orders,
+                              _penalty, log_likelihood, project_l0, train)
 from mrnet.evaluation import _kl, _kl_into, evaluate_losses
 from mrnet.models import (MODEL_KINDS, NetworkShape, ScoreModel,
                           _sigmoid_into, scores, sigmoid)
@@ -39,12 +40,15 @@ def take_path(monkeypatch, path):
 
 
 def sequential_train(model, shape, obs, config):
-    """``train``'s loop on one thread, with no snapshot: every epoch's
-    order drawn just before it, every objective at the live parameters."""
+    """``train``'s loop on one thread, one epoch per call, with no
+    snapshot: every epoch's order drawn just before it by
+    ``rng.permutation``, and the cap, the nonzero count and the
+    objective in numpy, at the live parameters."""
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
-    fit = _kernel.engine().fit(model, params, *g2, obs, config)
+    uncapped = dataclasses.replace(config, sparsity_cap=None)
+    fit = _kernel.engine().fit(model, params, *g2, obs, uncapped)
 
     def objective():
         return (log_likelihood(model, params, obs)
@@ -52,7 +56,7 @@ def sequential_train(model, shape, obs, config):
 
     trace, nnz = [objective()], [_nnz(params)]
     for _ in range(config.epochs):
-        fit.epoch(rng.permutation(len(obs)))
+        fit.run(rng.permutation(len(obs))[None], np.empty(1, dtype=np.int64))
         if config.sparsity_cap is not None:
             capped = project_l0(params, config.sparsity_cap)
             params.entities[...] = capped.entities
@@ -68,6 +72,41 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_same_fit(got, params, trace, nnz):
+    assert_same_bits(got.params.entities, params.entities)
+    assert_same_bits(got.params.relations, params.relations)
+    assert_same_bits(got.objective_trace, trace)
+    assert_same_bits(got.nnz_trace, nnz)
+
+
+def spy_on_fits(monkeypatch):
+    """Record each call of the engine's fits: ("run", epochs, whether it
+    writes objectives, thread) and ("objective", thread)."""
+    engine, calls = _kernel.engine(), []
+
+    class Spy:
+        def __init__(self, fit):
+            self.fit = fit
+
+        def run(self, perms, nnz_out, obj_out=None):
+            calls.append(("run", len(perms), obj_out is not None,
+                          threading.current_thread().name))
+            return self.fit.run(perms, nnz_out, obj_out)
+
+        def snapshot(self):
+            self.fit.snapshot()
+
+        def objective(self):
+            calls.append(("objective", threading.current_thread().name))
+            return self.fit.objective()
+
+    def fit(*args, real=engine.fit):
+        return Spy(real(*args))
+
+    monkeypatch.setattr(engine, "fit", fit)
+    return calls
+
+
 @pytest.mark.parametrize("cap", [None, 20])
 @pytest.mark.parametrize("loaded", scoring_paths())
 def test_train_is_bit_identical_inline_and_on_the_helper(monkeypatch, loaded,
@@ -78,23 +117,75 @@ def test_train_is_bit_identical_inline_and_on_the_helper(monkeypatch, loaded,
                          rho1=0.01, rho2=0.02, radius=0.8, seed=9,
                          sparsity_cap=cap)
     params, trace, nnz = sequential_train(model, shape, obs, config)
-    threads = {}
-    real_penalty = estimation._penalty
-
-    def spy(params, rho1, rho2):  # where each objective is computed
-        threads.setdefault(path, set()).add(threading.current_thread().name)
-        return real_penalty(params, rho1, rho2)
-
-    monkeypatch.setattr(estimation, "_penalty", spy)
+    calls = spy_on_fits(monkeypatch)
+    main = threading.current_thread().name
     for path in ("inline", "thread"):
         take_path(monkeypatch, path)
-        got = train(model, shape, obs, config)
-        assert_same_bits(got.params.entities, params.entities)
-        assert_same_bits(got.params.relations, params.relations)
-        assert_same_bits(got.objective_trace, trace)
-        assert_same_bits(got.nnz_trace, nnz)
-    assert threads["inline"] == {threading.current_thread().name}
-    assert all(name.startswith("mrnet-helper") for name in threads["thread"])
+        calls.clear()
+        assert_same_fit(train(model, shape, obs, config), params, trace, nnz)
+        objectives = [c for c in calls if c[0] == "objective"]
+        runs = [c for c in calls if c[0] == "run"]
+        if path == "inline":  # the initial objective, then all in one run
+            assert objectives == [("objective", main)]
+            assert runs == [("run", 4, True, main)]
+        else:  # one epoch per run, each objective on the helper
+            assert len(objectives) == 5
+            assert all(name.startswith("mrnet-helper")
+                       for _, name in objectives)
+            assert runs == [("run", 1, False, main)] * 4
+
+
+@pytest.mark.parametrize("rho", [(0.0, 0.0), (0.01, 0.02)])
+@pytest.mark.parametrize("cap", [None, 9])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("loaded", scoring_paths())
+def test_blocks_of_epochs_are_bit_identical_to_one_at_a_time(
+        monkeypatch, loaded, kind, cap, rho):
+    monkeypatch.setattr(_kernel, "_loaded", loaded)
+    _, shape, obs = small_problem(seed=15)
+    model = ScoreModel(kind, 2)
+    config = TrainConfig(epochs=7, learning_rate=0.3, batch_size=50,
+                         rho1=rho[0], rho2=rho[1], radius=0.8, seed=3,
+                         sparsity_cap=cap)
+    params, trace, nnz = sequential_train(model, shape, obs, config)
+    if cap is not None:  # the cap binds
+        assert nnz.max() == cap
+    calls = spy_on_fits(monkeypatch)
+    order_bytes = 8 * len(obs)
+    for block, runs in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7]), (100, [7])):
+        monkeypatch.setattr(estimation, "_ORDER_BYTES", block * order_bytes)
+        for path in ("inline", "thread"):
+            take_path(monkeypatch, path)
+            calls.clear()
+            got = train(model, shape, obs, config)
+            assert_same_fit(got, params, trace, nnz)
+            got_runs = [c[1] for c in calls if c[0] == "run"]
+            assert got_runs == (runs if path == "inline" else [1] * 7)
+    # the budget in bytes: a block never holds fewer than one order
+    monkeypatch.setattr(estimation, "_ORDER_BYTES", order_bytes - 1)
+    take_path(monkeypatch, "inline")
+    calls.clear()
+    assert_same_fit(train(model, shape, obs, config), params, trace, nnz)
+    assert [c[1] for c in calls if c[0] == "run"] == [1] * 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 72, 1000, 63612])
+def test_block_orders_are_sequential_permutations(n):
+    for count in (1, 3):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        orders = _orders(rng, n, count)
+        assert orders.dtype == np.int64 and orders.flags.c_contiguous
+        want = np.stack([ref.permutation(n) for _ in range(count)])
+        assert_array_equal(orders, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# plain gradient steps, one per epoch: an adagrad_eps far above every
+# sqrt(g2) leaves a step of learning_rate / adagrad_eps times the full
+# gradient, under which the scores grow until they overflow; each rate
+# sits at least a factor 10^3 inside the span of rates that make the
+# given epoch the first with a NaN objective, on both engines
+OVERFLOW_RATES = {2: 1e242, 4: 1e210}
 
 
 @pytest.mark.parametrize("path", ["inline", "thread"])
@@ -102,18 +193,26 @@ def test_train_is_bit_identical_inline_and_on_the_helper(monkeypatch, loaded,
 def test_non_finite_objective_names_its_epoch(monkeypatch, path, bad_epoch):
     take_path(monkeypatch, path)
     model, shape, obs = small_problem(seed=13)
-    calls = []
-
-    def penalty(params, rho1, rho2):  # called once per epoch, in order
-        calls.append(len(calls))
-        return np.nan if calls[-1] == bad_epoch else 0.0
-
-    monkeypatch.setattr(estimation, "_penalty", penalty)
+    config = TrainConfig(epochs=4, batch_size=len(obs), radius=1e300,
+                         adagrad_eps=1e200,
+                         learning_rate=OVERFLOW_RATES[bad_epoch])
     before = threading.active_count()
-    with pytest.raises(ValueError,
-                       match=f"objective is nan after {bad_epoch} epochs$"):
-        train(model, shape, obs, TrainConfig(epochs=4, batch_size=50))
-    assert threading.active_count() == before
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        # blocks of 1, 3 and 4 epochs: the bad epoch alone in its block,
+        # or in the middle or at the end of one
+        for block in (1, 3, 4):
+            monkeypatch.setattr(estimation, "_ORDER_BYTES",
+                                block * 8 * len(obs))
+            with np.errstate(all="ignore"), pytest.raises(
+                    ValueError,
+                    match=f"^objective is nan after {bad_epoch} epochs$"):
+                train(model, shape, obs, config)
+            assert threading.active_count() == before
+    # one epoch fewer is finite
+    finite = train(model, shape, obs,
+                   dataclasses.replace(config, epochs=bad_epoch - 1))
+    assert np.isfinite(finite.objective_trace).all()
 
 
 @pytest.mark.parametrize("path", ["inline", "thread"])

@@ -13,7 +13,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mrnet import _kernel
-from mrnet.estimation import ObservationSet, TrainConfig, log_likelihood, train
+from mrnet.estimation import (ObservationSet, TrainConfig, _penalty,
+                              log_likelihood, project_l0, train)
 from mrnet.models import (MODEL_KINDS, ModelParams, NetworkShape, ScoreModel,
                           ShapeError, scores)
 
@@ -41,10 +42,11 @@ def kernel():
 
 
 def log_likelihood_via(engine, model, params, obs):
-    """``obs``' log-likelihood at ``params``, from ``engine``'s fit."""
+    """``obs``' log-likelihood at ``params``, from ``engine``'s fit: its
+    objective with no penalty."""
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
     fit = engine.fit(model, params, *g2, obs, TrainConfig(epochs=1))
-    return fit.log_likelihood()
+    return fit.objective()
 
 
 VARIANTS = {"plain": {}, "rho1": {"rho1": 0.3}, "rho2": {"rho2": 0.5},
@@ -182,10 +184,26 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
         log_likelihood_via(kernel, ScoreModel("combined", 2), narrow, obs)
     fit = kernel.fit(model, narrow, np.zeros((3, 2)), np.zeros((1, 2)),
                      obs, TrainConfig(epochs=1))
+    nnz, objective = np.zeros(1, dtype=np.int64), np.zeros(1)
     with pytest.raises(ShapeError):  # an order that misses an observation
-        fit.epoch(np.arange(1))
+        fit.run(np.arange(1)[None], nnz, objective)
+    with pytest.raises(ShapeError):  # one order, not a block of them
+        fit.run(np.arange(2), nnz, objective)
     with pytest.raises(TypeError):  # an int32 order
-        fit.epoch(np.arange(2, dtype=np.int32))
+        fit.run(np.arange(2, dtype=np.int32)[None], nnz, objective)
+    with pytest.raises(TypeError):  # column-major orders
+        fit.run(np.asfortranarray(np.zeros((2, 2), dtype=np.int64)),
+                np.zeros(2, dtype=np.int64))
+    with pytest.raises(ShapeError):  # two epochs, one count
+        fit.run(np.zeros((2, 2), dtype=np.int64), nnz)
+    with pytest.raises(ShapeError):  # two epochs, one objective
+        fit.run(np.zeros((2, 2), dtype=np.int64), np.zeros(2, np.int64),
+                objective)
+    with pytest.raises(TypeError):  # float counts
+        fit.run(np.arange(2)[None], np.zeros(1))
+    with pytest.raises(TypeError):  # float32 objectives
+        fit.run(np.arange(2)[None], nnz, np.zeros(1, dtype=np.float32))
+    assert_array_equal(narrow.entities, 1.0)  # no refused call ran
     with pytest.raises(ShapeError):  # AdaGrad state of another shape
         kernel.fit(model, narrow, np.zeros((2, 2)), np.zeros((1, 2)), obs,
                    TrainConfig(epochs=1))
@@ -307,7 +325,7 @@ params = ModelParams(np.zeros((2, 2)), np.zeros((1, 2)), 1.0)
 g2 = (np.zeros((2, 2)), np.zeros((1, 2)))
 fit = kernel.fit(ScoreModel("bilinear", 2), params, *g2, obs,
                  TrainConfig(epochs=1))
-print(fit.log_likelihood())
+print(fit.objective())
 """
 
 
@@ -350,3 +368,67 @@ def test_import_builds_nothing():
                          env={**os.environ, "PYTHONPATH": SRC}, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def kernel_cap(kernel, model, params, obs, cap):
+    """``params`` after one kernel epoch over ``obs`` with the sparsity
+    cap ``cap``, and the nonzero count the kernel wrote."""
+    g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
+    config = TrainConfig(epochs=1, radius=1e3, sparsity_cap=cap)
+    fit = kernel.fit(model, params, *g2, obs, config)
+    nnz = np.zeros(1, dtype=np.int64)
+    assert fit.run(np.arange(len(obs))[None], nnz) == 1
+    return params, nnz[0]
+
+
+def test_kernel_cap_keeps_what_project_l0_keeps(kernel):
+    # one observation touches entity 0 and relation 0 only; every other
+    # row reaches the cap as made: ties, signed zeros, NaNs and infinities
+    model = ScoreModel("combined", 3)
+    obs = ObservationSet(NetworkShape(9, 3), [0], [0], [0], [1])
+    rng = np.random.default_rng(8)
+    params = ModelParams(rng.integers(-3, 4, (9, 3)) / 2.0,
+                         rng.integers(-3, 4, (3, 6)) / 2.0, 1e3)
+    flat = params.entities.reshape(-1)
+    flat[[3, 7, 20]] = -0.0
+    flat[[4, 11, 25]] = np.nan
+    flat[[5, 12]] = [np.inf, -np.inf]
+    params.relations[2, [0, 4]] = [np.nan, -0.0]
+    total = params.entities.size + params.relations.size
+    not_nan = int(np.count_nonzero(~np.isnan(params.entities))
+                 + np.count_nonzero(~np.isnan(params.relations)))
+    # the cap cuts above, inside and below each run of ties, the zeros,
+    # and the NaNs, which rank last
+    caps = [0, 1, 2, 3, 7, 20, 33, 40, not_nan - 1, not_nan, not_nan + 1,
+            total - 1, total, total + 5]
+    # and a larger network, coarsely rounded: long runs of ties
+    big = ModelParams(np.round(rng.normal(0, 2, (400, 3))),
+                      np.round(rng.normal(0, 2, (3, 6))), 1e3)
+    big_caps = rng.integers(0, big.entities.size + big.relations.size, 20)
+    for start, caps in ((params, caps), (big, big_caps)):
+        total = start.entities.size + start.relations.size
+        epoch, _ = kernel_cap(kernel, model, start.copy(), obs, None)
+        for cap in caps:
+            got, nnz = kernel_cap(kernel, model, start.copy(), obs, int(cap))
+            want = project_l0(epoch, min(int(cap), total))
+            assert got.entities.tobytes() == want.entities.tobytes(), cap
+            assert got.relations.tobytes() == want.relations.tobytes(), cap
+            assert nnz == (np.count_nonzero(want.entities)
+                           + np.count_nonzero(want.relations))
+
+
+def test_kernel_penalty_is_numpy_penalty_bit_for_bit(kernel):
+    # no observations: the objective is minus the penalty alone; blocks
+    # past numpy's 8-wide unrolled sums (128) and past 8,192 values
+    model = ScoreModel("combined", 3)
+    rng = np.random.default_rng(9)
+    for n, k in ((5, 2), (50, 2), (3000, 1500)):
+        empty = ObservationSet(NetworkShape(n, k), [], [], [], [])
+        params = ModelParams(rng.normal(0, 3, (n, 3)) ** 3,
+                             rng.normal(0, 1e-3, (k, 6)), 1e3)
+        g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
+        for rho1, rho2 in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)):
+            config = TrainConfig(epochs=1, rho1=rho1, rho2=rho2)
+            got = kernel.fit(model, params, *g2, empty, config).objective()
+            want = -_penalty(params, rho1, rho2)
+            assert float(want).hex() == got.hex(), (n, k, rho1, rho2)
