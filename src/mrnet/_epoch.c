@@ -19,6 +19,10 @@
    mrnet_rank_counts counts, per test edge, the unfiltered candidates
    scoring above and tied with it, for mrnet.evaluation.
 
+   Every export takes one argument record, struct fit, by pointer.
+   _kernel.py mirrors it in a ctypes Structure whose layout it checks
+   against mrnet_fit_layout when it loads the library.
+
    Every score sums the latent axis in order, as models.scores'
    three-operand einsum does, so scores agree with numpy bit for bit.
    What remains different is libm's exp, which numpy replaces with its
@@ -27,6 +31,7 @@
    does not fuse a*b+c into an FMA. */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -60,6 +65,8 @@ static double pairwise_sum(const double *a, int64_t n)
     n2 -= n2 % 8;
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
+
+#define INLINE static inline __attribute__((always_inline))
 
 /* models.scores for one edge, bit for bit; w is the relation row */
 static double edge_score(int kind, int64_t d, const double *h,
@@ -131,7 +138,8 @@ static void update_rows(const int64_t *rows, int64_t n_rows, int64_t width,
     }
 }
 
-/* One fit: its parameters, AdaGrad state, observations and settings. */
+/* The argument record of every export: one fit's parameters, AdaGrad
+   state, observations and settings; cap < 0 is no sparsity cap. */
 struct fit {
     int kind;
     int64_t n_ent, n_rel, d, rd;
@@ -140,7 +148,29 @@ struct fit {
     const int8_t *labels;
     int64_t n_obs, batch_size;
     double lr, eps, rho1, rho2, radius;
+    int64_t cap;
 };
+
+/* edge_score of the edge (h, t, r) at the parameters of f */
+INLINE double fit_score(int kind, const struct fit *f, int64_t h, int64_t t,
+                        int64_t r)
+{
+    return edge_score(kind, f->d, f->ent + h * f->d, f->ent + t * f->d,
+                      f->rel + r * f->rd);
+}
+
+/* offsetof(struct fit, name), or sizeof(struct fit) for name "", or -1
+   if the record has no such field: _kernel.py checks its mirror by it. */
+int64_t mrnet_fit_layout(const char *name)
+{
+#define FIELD(x) !strcmp(name, #x) ? (int64_t)offsetof(struct fit, x) :
+    return FIELD(kind) FIELD(n_ent) FIELD(n_rel) FIELD(d) FIELD(rd)
+        FIELD(ent) FIELD(rel) FIELD(g2_ent) FIELD(g2_rel) FIELD(heads)
+        FIELD(tails) FIELD(rels) FIELD(labels) FIELD(n_obs) FIELD(batch_size)
+        FIELD(lr) FIELD(eps) FIELD(rho1) FIELD(rho2) FIELD(radius) FIELD(cap)
+        *name ? -1 : (int64_t)sizeof(struct fit);
+#undef FIELD
+}
 
 /* Work space of the epochs: gradient rows, their marks and lists, the
    residuals of a batch and one parameter row. */
@@ -251,11 +281,12 @@ static double kth_smallest(double *a, int64_t n, int64_t k)
 }
 
 /* estimation.project_l0 in place: of the values of ent then rel, keep
-   the first cap in the order of (-|x|, position), as numpy's stable
+   the first f->cap in the order of (-|x|, position), as numpy's stable
    argsort of -|x| ranks them (NaN last), and set the others to 0.0.
    work holds one value per parameter. */
-static void cap_params(const struct fit *f, int64_t cap, double *work)
+static void cap_params(const struct fit *f, double *work)
 {
+    int64_t cap = f->cap;
     double *blocks[2] = {f->ent, f->rel};
     int64_t sizes[2] = {f->n_ent * f->d, f->n_rel * f->rd};
     int64_t m = 0;
@@ -315,9 +346,8 @@ static double block_sum(const double *x, int64_t n, int square,
 static double objective(const struct fit *f, double *terms, double *work)
 {
     for (int64_t i = 0; i < f->n_obs; i++) {
-        double phi = edge_score(f->kind, f->d, f->ent + f->heads[i] * f->d,
-                                f->ent + f->tails[i] * f->d,
-                                f->rel + f->rels[i] * f->rd);
+        double phi = fit_score(f->kind, f, f->heads[i], f->tails[i],
+                               f->rels[i]);
         double s = f->labels[i] == 1 ? -phi : phi;
         terms[i] = (s > 0 ? s : 0.0) + log1p(exp(-fabs(s)));
     }
@@ -339,46 +369,37 @@ static void *zeroed(int64_t n, size_t size)
     return calloc((size_t)(n > 0 ? n : 1), size);
 }
 
-/* n_epochs epochs over the observations, epoch e in the order
-   perms[e * n_obs], ..., perms[e * n_obs + n_obs - 1].  After each, it
-   imposes the sparsity cap (none when cap < 0), writes the nonzero
-   count to nnz[e] and, when obj is not NULL, the objective to obj[e],
-   and it stops after the first objective that is not finite.  Returns
-   the number of epochs run, or -1 if the work space cannot be
+/* n_epochs epochs of the fit f over its observations, epoch e in the
+   order perms[e * n_obs], ..., perms[e * n_obs + n_obs - 1].  After
+   each, it imposes the sparsity cap (none when f->cap < 0), writes the
+   nonzero count to nnz[e] and, when obj is not NULL, the objective to
+   obj[e], and it stops after the first objective that is not finite.
+   Returns the number of epochs run, or -1 if the work space cannot be
    allocated. */
-int64_t mrnet_epochs(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
-                     int64_t rd, double *ent, double *rel, double *g2_ent,
-                     double *g2_rel, const int64_t *heads,
-                     const int64_t *tails, const int64_t *rels,
-                     const int8_t *labels, int64_t n_obs,
-                     int64_t batch_size, double lr, double eps, double rho1,
-                     double rho2, double radius, int64_t cap,
-                     const int64_t *perms, int64_t n_epochs, int64_t *nnz,
-                     double *obj)
+int64_t mrnet_epochs(const struct fit *f, const int64_t *perms,
+                     int64_t n_epochs, int64_t *nnz, double *obj)
 {
-    struct fit f = {kind, n_ent, n_rel, d, rd, ent, rel, g2_ent, g2_rel,
-                    heads, tails, rels, labels, n_obs, batch_size, lr, eps,
-                    rho1, rho2, radius};
-    int64_t nb_max = batch_size < n_obs ? batch_size : n_obs;
-    struct work w = {zeroed(n_ent * d, sizeof(double)),
-                     zeroed(n_rel * rd, sizeof(double)),
+    int64_t n_obs = f->n_obs, d = f->d, rd = f->rd;
+    int64_t nb_max = f->batch_size < n_obs ? f->batch_size : n_obs;
+    struct work w = {zeroed(f->n_ent * d, sizeof(double)),
+                     zeroed(f->n_rel * rd, sizeof(double)),
                      zeroed(nb_max, sizeof(double)),
                      zeroed(d > rd ? d : rd, sizeof(double)),
-                     zeroed(n_ent, 1), zeroed(n_rel, 1),
+                     zeroed(f->n_ent, 1), zeroed(f->n_rel, 1),
                      zeroed(2 * nb_max, sizeof(int64_t)),
                      zeroed(nb_max, sizeof(int64_t))};
     double *terms = obj ? zeroed(n_obs, sizeof(double)) : NULL;
-    double *flat = zeroed(n_ent * d + n_rel * rd, sizeof(double));
+    double *flat = zeroed(f->n_ent * d + f->n_rel * rd, sizeof(double));
     int64_t done = -1;
     if (w.grad_e && w.grad_r && w.resid && w.row && w.mark_e && w.mark_r &&
         w.rows_e && w.rows_r && (terms || !obj) && flat) {
         for (done = 0; done < n_epochs; done++) {
-            epoch(&f, &w, perms + done * n_obs);
-            if (cap >= 0)
-                cap_params(&f, cap, flat);
-            nnz[done] = count_nonzero(&f);
+            epoch(f, &w, perms + done * n_obs);
+            if (f->cap >= 0)
+                cap_params(f, flat);
+            nnz[done] = count_nonzero(f);
             if (obj) {
-                obj[done] = objective(&f, terms, flat);
+                obj[done] = objective(f, terms, flat);
                 if (!isfinite(obj[done])) {
                     done++;
                     break;
@@ -399,22 +420,15 @@ int64_t mrnet_epochs(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
     return done;
 }
 
-/* The objective of mrnet_epochs at the parameters ent and rel, written
-   to *out.  Returns 0, or -1 if the work space cannot be allocated. */
-int mrnet_objective(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
-                    int64_t rd, const double *ent, const double *rel,
-                    const int64_t *heads, const int64_t *tails,
-                    const int64_t *rels, const int8_t *labels, int64_t n_obs,
-                    double rho1, double rho2, double *out)
+/* The objective of mrnet_epochs at the parameters of f, written to
+   *out.  Returns 0, or -1 if the work space cannot be allocated. */
+int mrnet_objective(const struct fit *f, double *out)
 {
-    struct fit f = {kind, n_ent, n_rel, d, rd, (double *)ent, (double *)rel,
-                    NULL, NULL, heads, tails, rels, labels, n_obs, 0,
-                    0.0, 0.0, rho1, rho2, 0.0};
-    double *terms = zeroed(n_obs, sizeof(double));
-    double *work = zeroed(n_ent * d + n_rel * rd, sizeof(double));
+    double *terms = zeroed(f->n_obs, sizeof(double));
+    double *work = zeroed(f->n_ent * f->d + f->n_rel * f->rd, sizeof(double));
     int status = -1;
     if (terms && work) {
-        *out = objective(&f, terms, work);
+        *out = objective(f, terms, work);
         status = 0;
     }
     free(terms);
@@ -422,30 +436,25 @@ int mrnet_objective(int kind, int64_t n_ent, int64_t n_rel, int64_t d,
     return status;
 }
 
-/* Calls f with kind as a constant: an always-inlined f then gets one
-   copy of its loops per kind, with no kind test per latent entry. */
-#define INLINE static inline __attribute__((always_inline))
-#define BY_KIND(f, ...)                                                   \
-    (kind == DISTANCE   ? f(DISTANCE, __VA_ARGS__)                        \
-     : kind == BILINEAR ? f(BILINEAR, __VA_ARGS__)                        \
-                        : f(COMBINED, __VA_ARGS__))
+/* Calls fn with f's kind as a constant: an always-inlined fn then gets
+   one copy of its loops per kind, with no kind test per latent entry. */
+#define BY_KIND(fn, f, ...)                                               \
+    (f->kind == DISTANCE   ? fn(DISTANCE, f, __VA_ARGS__)                 \
+     : f->kind == BILINEAR ? fn(BILINEAR, f, __VA_ARGS__)                 \
+                           : fn(COMBINED, f, __VA_ARGS__))
 
-INLINE void score_edges(int kind, int64_t d, int64_t rd, const double *ent,
-                        const double *rel, const int64_t *heads,
-                        const int64_t *tails, const int64_t *rels,
-                        int64_t n_ent, int64_t n_rel, int64_t start,
-                        int64_t n, double *out)
+INLINE void score_edges(int kind, const struct fit *f, int64_t n_ent,
+                        int64_t n_rel, int64_t start, int64_t n, double *out)
 {
-    if (heads) {
+    if (f->heads) {
         for (int64_t i = 0; i < n; i++)
-            out[i] = edge_score(kind, d, ent + heads[i] * d,
-                                ent + tails[i] * d, rel + rels[i] * rd);
+            out[i] = fit_score(kind, f, f->heads[i], f->tails[i], f->rels[i]);
         return;
     }
     int64_t h = start / (n_ent * n_rel), t = start / n_rel % n_ent;
     int64_t r = start % n_rel;
     for (int64_t i = 0; i < n; i++) {
-        out[i] = edge_score(kind, d, ent + h * d, ent + t * d, rel + r * rd);
+        out[i] = fit_score(kind, f, h, t, r);
         if (++r == n_rel) {
             r = 0;
             if (++t == n_ent) {
@@ -456,38 +465,30 @@ INLINE void score_edges(int kind, int64_t d, int64_t rd, const double *ent,
     }
 }
 
-/* Scores of n edges, written to out: the edges heads[i], tails[i],
-   rels[i] when heads is not NULL, else the slots start, ...,
-   start + n - 1 of the n_ent x n_ent x n_rel universe in linear order
-   (h*n_ent + t)*n_rel + r. */
-void mrnet_scores(int kind, int64_t d, int64_t rd, const double *ent,
-                  const double *rel, const int64_t *heads,
-                  const int64_t *tails, const int64_t *rels, int64_t n_ent,
-                  int64_t n_rel, int64_t start, int64_t n, double *out)
+/* Scores of n edges at the parameters of f, written to out: the edges
+   f->heads[i], f->tails[i], f->rels[i] when f->heads is not NULL, else
+   the slots start, ..., start + n - 1 of the n_ent x n_ent x n_rel
+   universe in linear order (h*n_ent + t)*n_rel + r. */
+void mrnet_scores(const struct fit *f, int64_t n_ent, int64_t n_rel,
+                  int64_t start, int64_t n, double *out)
 {
-    BY_KIND(score_edges, d, rd, ent, rel, heads, tails, rels, n_ent, n_rel,
-            start, n, out);
+    BY_KIND(score_edges, f, n_ent, n_rel, start, n, out);
 }
 
-INLINE void count_rows(int kind, int64_t d, int64_t rd, const double *ent,
-                       const double *rel, int slot, const int64_t *heads,
-                       const int64_t *tails, const int64_t *rels,
-                       int64_t n_rows, int64_t width,
-                       const unsigned char *mask, int64_t *above,
-                       int64_t *tied)
+INLINE void count_rows(int kind, const struct fit *f, int slot,
+                       int64_t width, const unsigned char *mask,
+                       int64_t *above, int64_t *tied)
 {
-    for (int64_t i = 0; i < n_rows; i++) {
-        int64_t idx[3] = {heads[i], tails[i], rels[i]};
+    for (int64_t i = 0; i < f->n_obs; i++) {
+        int64_t idx[3] = {f->heads[i], f->tails[i], f->rels[i]};
         const unsigned char *m = mask + i * width;
-        double target = edge_score(kind, d, ent + idx[0] * d,
-                                   ent + idx[1] * d, rel + idx[2] * rd);
+        double target = fit_score(kind, f, idx[0], idx[1], idx[2]);
         int64_t a = 0, t = 0;
         for (int64_t c = 0; c < width; c++) {
             if (m[c])
                 continue;
             idx[slot] = c;
-            double s = edge_score(kind, d, ent + idx[0] * d,
-                                  ent + idx[1] * d, rel + idx[2] * rd);
+            double s = fit_score(kind, f, idx[0], idx[1], idx[2]);
             a += s > target;
             t += s == target;
         }
@@ -496,18 +497,14 @@ INLINE void count_rows(int kind, int64_t d, int64_t rd, const double *ent,
     }
 }
 
-/* Filtered rank counts of n_rows test edges in one slot (0 head,
+/* Filtered rank counts of the n_obs test edges of f in one slot (0 head,
    1 tail, 2 relation).  Row i's candidates replace the slot's index of
    edge (heads[i], tails[i], rels[i]) with c = 0, ..., width - 1; of
    those with mask[i*width + c] == 0, above[i] counts the ones scoring
    above the edge itself and tied[i] the ones scoring equal to it. */
-void mrnet_rank_counts(int kind, int64_t d, int64_t rd, const double *ent,
-                       const double *rel, int slot, const int64_t *heads,
-                       const int64_t *tails, const int64_t *rels,
-                       int64_t n_rows, int64_t width,
+void mrnet_rank_counts(const struct fit *f, int slot, int64_t width,
                        const unsigned char *mask, int64_t *above,
                        int64_t *tied)
 {
-    BY_KIND(count_rows, d, rd, ent, rel, slot, heads, tails, rels, n_rows,
-            width, mask, above, tied);
+    BY_KIND(count_rows, f, slot, width, mask, above, tied);
 }

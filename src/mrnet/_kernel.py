@@ -20,10 +20,13 @@ cannot be written (a read-only install), each process builds into a
 fresh directory of its own from ``tempfile.mkdtemp`` and deletes it
 once the library is loaded.
 
-If the compiler is missing or fails, ``load()`` warns once and returns
-``None``, and ``engine()`` gives ``Numpy``, as it does after ``_loaded =
-None``.  The callers import this module when they are called, never at
-import time, so ``import mrnet`` runs no compiler.
+Every export takes one argument record, ``struct fit``, mirrored here by
+``_Fit`` and filled by ``_record``.  If the compiler is missing or
+fails, or the compiled record's size and field offsets (by name, from
+``mrnet_fit_layout``) differ from ``_Fit``'s, ``load()`` warns once and
+returns ``None``, and ``engine()`` gives ``Numpy``, as it does after
+``_loaded = None``.  The callers import this module when they are
+called, never at import time, so ``import mrnet`` runs no compiler.
 
 ``helper(work)`` gives the callers a second core: tasks submitted to it
 run on one background thread when the process may use two cores and a
@@ -123,40 +126,60 @@ def _addr(arr: np.ndarray, dtype) -> int:
     return arr.ctypes.data
 
 
+class _Fit(ctypes.Structure):
+    """``struct fit`` of ``_epoch.c``, the argument record of every export."""
+
+    __slots__ = ()  # a misspelled field raises rather than set nothing
+    _fields_ = [("kind", ctypes.c_int)] + [
+        (name, ctype) for ctype, names in (
+            (_I64, "n_ent n_rel d rd"),
+            (_PTR, "ent rel g2_ent g2_rel heads tails rels labels"),
+            (_I64, "n_obs batch_size"), (_F64, "lr eps rho1 rho2 radius"),
+            (_I64, "cap")) for name in names.split()]
+
+
+def _record(model, params, heads=None, tails=None, rels=None, **settings):
+    """The ``_Fit`` of ``model`` and ``params``, the edge columns (NULL when
+    not given) and the further fields in ``settings``."""
+    params.check_model(model)  # the kernel derives row widths from kind
+    record = _Fit(kind=MODEL_KINDS.index(model.kind),
+                  n_ent=params.n_entities, n_rel=params.n_relations,
+                  d=params.entities.shape[1], rd=params.relations.shape[1],
+                  ent=_addr(params.entities, np.float64),
+                  rel=_addr(params.relations, np.float64), **settings)
+    if heads is not None:
+        check_columns(heads, tails, rels)  # the kernel reads raw memory
+        record.heads, record.tails, record.rels = (
+            _addr(c, np.int64) for c in (heads, tails, rels))
+        record.n_obs = len(heads)
+    return record
+
+
+def _bind(fn, restype, *argtypes):
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
 class Kernel:
-    """The exported functions of ``_epoch.c``, on numpy arrays."""
+    """The exported functions of ``_epoch.c``, on numpy arrays; raises
+    ``OSError`` if the library's ``struct fit`` is not laid out as ``_Fit``."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._epochs = lib.mrnet_epochs
-        self._epochs.argtypes = [ctypes.c_int] + [_I64] * 4 + [_PTR] * 8 \
-            + [_I64] * 2 + [_F64] * 5 + [_I64, _PTR, _I64, _PTR, _PTR]
-        self._epochs.restype = _I64
-        self._objective = lib.mrnet_objective
-        self._objective.argtypes = [ctypes.c_int] + [_I64] * 4 + [_PTR] * 6 \
-            + [_I64] + [_F64] * 2 + [ctypes.POINTER(_F64)]
-        self._objective.restype = ctypes.c_int
-        self._scores = lib.mrnet_scores
-        self._scores.argtypes = [ctypes.c_int, _I64, _I64] + [_PTR] * 5 \
-            + [_I64] * 4 + [_PTR]
-        self._scores.restype = None
-        self._ranks = lib.mrnet_rank_counts
-        self._ranks.argtypes = [ctypes.c_int, _I64, _I64, _PTR, _PTR,
-                                ctypes.c_int] + [_PTR] * 3 + [_I64] * 2 \
-            + [_PTR] * 3
-        self._ranks.restype = None
-
-    @staticmethod
-    def _params(model, params):
-        params.check_model(model)  # the kernel derives row widths from kind
-        return (MODEL_KINDS.index(model.kind), params.entities.shape[1],
-                params.relations.shape[1],
-                _addr(params.entities, np.float64),
-                _addr(params.relations, np.float64))
-
-    @staticmethod
-    def _edges(heads, tails, rels):
-        check_columns(heads, tails, rels)  # the kernel reads raw memory
-        return tuple(_addr(c, np.int64) for c in (heads, tails, rels))
+        self._layout = _bind(lib.mrnet_fit_layout, _I64, ctypes.c_char_p)
+        for name, _ in [("", None), *_Fit._fields_]:
+            want = getattr(_Fit, name).offset if name else ctypes.sizeof(_Fit)
+            if self._layout(name.encode()) != want:
+                raise OSError("the kernel's struct fit is not laid out as "
+                              f"_Fit (at {name or 'its size'})")
+        record = ctypes.POINTER(_Fit)
+        self._epochs = _bind(lib.mrnet_epochs, _I64, record, _PTR, _I64, _PTR,
+                             _PTR)
+        self._objective = _bind(lib.mrnet_objective, ctypes.c_int, record,
+                                ctypes.POINTER(_F64))
+        self._scores = _bind(lib.mrnet_scores, None, record, _I64, _I64, _I64,
+                             _I64, _PTR)
+        self._ranks = _bind(lib.mrnet_rank_counts, None, record, ctypes.c_int,
+                            _I64, _PTR, _PTR, _PTR)
 
     def slot_scores(self, model, params, shape, start, out) -> None:
         """Scores of the slots ``start``, ..., ``start + len(out) - 1`` of
@@ -165,8 +188,8 @@ class Kernel:
                 shape.n_relations > params.n_relations or start < 0 or \
                 start + len(out) > shape.n_edges:
             raise ShapeError("slots outside the parameters' network")
-        self._scores(*self._params(model, params), None, None, None,
-                     shape.n_entities, shape.n_relations, start, len(out),
+        self._scores(_record(model, params), shape.n_entities,
+                     shape.n_relations, start, len(out),
                      _addr(out, np.float64))
 
     def edge_scores(self, model, params, heads, tails, rels, out) -> None:
@@ -176,9 +199,8 @@ class Kernel:
         """
         if len(out) != len(heads):
             raise ShapeError("need one output per edge")
-        self._scores(*self._params(model, params),
-                     *self._edges(heads, tails, rels), 0, 0, 0, len(out),
-                     _addr(out, np.float64))
+        self._scores(_record(model, params, heads, tails, rels), 0, 0, 0,
+                     len(out), _addr(out, np.float64))
 
     def rank_counts(self, model, params, slot, heads, tails, rels, mask):
         """Per test edge, the unfiltered candidates above and tied with it.
@@ -196,8 +218,7 @@ class Kernel:
             raise ShapeError("rank mask does not fit the edges and params")
         above = np.empty(rows, dtype=np.int64)
         tied = np.empty(rows, dtype=np.int64)
-        self._ranks(*self._params(model, params), slot,
-                    *self._edges(heads, tails, rels), rows, width,
+        self._ranks(_record(model, params, heads, tails, rels), slot, width,
                     _addr(mask, np.bool_), _addr(above, np.int64),
                     _addr(tied, np.int64))
         return above, tied
@@ -212,7 +233,7 @@ def _copy_into(snap, params) -> None:
 
 
 class Fit:
-    """The kernel bound to one fit's arrays, their addresses taken once.
+    """The kernel bound to one fit's arrays, their record filled once.
 
     ``run(perms, nnz_out, obj_out=None)`` runs one AdaGrad epoch over
     ``obs`` per row of ``perms``, in that row's order, updating the
@@ -233,22 +254,21 @@ class Fit:
         if g2_ent.shape != params.entities.shape or \
                 g2_rel.shape != params.relations.shape:
             raise ShapeError("epoch kernel arguments disagree in shape")
-        kind, d, rd, ent, rel = kernel._params(model, params)
-        columns = kernel._edges(obs.heads, obs.tails, obs.rels) \
-            + (_addr(obs.labels, np.int8), len(obs))
-        sizes = (kind, params.n_entities, params.n_relations, d, rd)
-        cap = -1 if config.sparsity_cap is None else config.sparsity_cap
+        cap = config.sparsity_cap
+        self._record = _record(
+            model, params, obs.heads, obs.tails, obs.rels,
+            g2_ent=_addr(g2_ent, np.float64),
+            g2_rel=_addr(g2_rel, np.float64),
+            labels=_addr(obs.labels, np.int8), batch_size=config.batch_size,
+            lr=config.learning_rate, eps=config.adagrad_eps,
+            rho1=config.rho1, rho2=config.rho2, radius=config.radius,
+            cap=-1 if cap is None else cap)
         self._kernel, self._n = kernel, len(obs)
         self._params = params
         self._snapshot = snap = params.copy()
-        self._run_args = (*sizes, ent, rel, _addr(g2_ent, np.float64),
-                          _addr(g2_rel, np.float64), *columns,
-                          config.batch_size, config.learning_rate,
-                          config.adagrad_eps, config.rho1, config.rho2,
-                          config.radius, cap)
-        self._objective_args = (*sizes, _addr(snap.entities, np.float64),
-                                _addr(snap.relations, np.float64), *columns,
-                                config.rho1, config.rho2)
+        self._snap_record = at_snap = _Fit.from_buffer_copy(self._record)
+        at_snap.ent, at_snap.rel = (_addr(block, np.float64) for block in
+                                    (snap.entities, snap.relations))
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
                         obs.heads, obs.tails, obs.rels, obs.labels)
@@ -261,7 +281,7 @@ class Fit:
                 obj_out is not None and obj_out.shape != (epochs,):
             raise ShapeError("need one output per epoch")
         done = self._kernel._epochs(
-            *self._run_args, _addr(perms, np.int64), epochs,
+            self._record, _addr(perms, np.int64), epochs,
             _addr(nnz_out, np.int64),
             None if obj_out is None else _addr(obj_out, np.float64))
         if done < 0:
@@ -273,7 +293,7 @@ class Fit:
 
     def objective(self) -> float:
         out = _F64()
-        if self._kernel._objective(*self._objective_args, ctypes.byref(out)):
+        if self._kernel._objective(self._snap_record, ctypes.byref(out)):
             raise MemoryError("objective kernel could not allocate")
         return out.value
 
@@ -377,6 +397,10 @@ def helper(work: int):
     reads every result.  Leaving the block cancels the tasks not yet
     started and joins the thread, also when the block raises, so no
     thread outlives it.
+
+    ``_cores`` counts the cores the process may use, not free ones, and
+    a cgroup CPU quota looks the same: on a busy machine a fit can take
+    3-10% longer on the thread; ``taskset -c 0`` keeps tasks inline.
     """
     if work < _HELPER_WORK or _cores() < 2:
         yield _Inline

@@ -88,9 +88,10 @@ class TrainConfig:
     ``epochs`` and ``batch_size`` are integers >= 1, ``sparsity_cap``
     one >= 0; the step settings, ``radius`` and ``init_scale`` are
     finite and positive, the penalty weights finite and nonnegative;
-    ``seed`` is an integer, by ``_rng.check_seed``.  Any other value
-    raises ``ValueError`` naming the field.  ``train`` seeds numpy with
-    ``seed`` itself, so it still refuses a negative one.
+    ``seed`` is an integer of any sign, by ``_rng.check_seed``.  Any
+    other value raises ``ValueError`` naming the field.  ``train`` wraps
+    a negative seed modulo 2**64, as ``derive_seed`` does, so seed -1
+    draws what seed 2**64 - 1 draws.
     """
 
     epochs: int
@@ -337,8 +338,10 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     The block's orders come from one ``rng.permuted`` call, which draws
     what as many ``rng.permutation`` calls would, so the results depend
     on neither the path nor the block size.  Raises ValueError for an
-    index outside ``shape`` and for an objective that is not finite,
-    rather than fit on a wrapped index or return a NaN fit.
+    index outside ``shape``, for an objective that is not finite and for
+    AdaGrad state that is not finite (a squared gradient overflowed, so
+    every later step of its entry is 0), rather than fit on a wrapped
+    index or return a NaN or stalled fit.
     """
     if len(obs) == 0:
         raise ValueError("cannot train on an empty observation set")
@@ -352,7 +355,8 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
         raise ValueError("sparsity_cap exceeds the total parameter count")
 
     from . import _kernel  # builds the C kernel on first use
-    rng = np.random.default_rng(config.seed)
+    seed = config.seed
+    rng = np.random.default_rng(seed if seed >= 0 else int(seed) % 2 ** 64)
     params = _init_params(model, shape, config, rng)
     g2_ent = np.zeros_like(params.entities)
     g2_rel = np.zeros_like(params.relations)
@@ -394,4 +398,7 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
             done = end
         trace[epochs] = pending.result()
 
+    if not (np.isfinite(g2_ent).all() and np.isfinite(g2_rel).all()):
+        raise ValueError("AdaGrad's squared-gradient sums overflowed, so the "
+                         "fit stalled; lower learning_rate")
     return TrainResult(params, trace, nnz)

@@ -19,7 +19,8 @@ import numpy as np
 from ._edges import (check_indices, check_keyable, decode, distinct_uniform,
                      edge_key)
 from ._rng import TAG_NEGATIVES, derive_seed
-from .models import ModelParams, ScoreModel, NetworkShape, _require_real
+from .models import (ModelParams, ScoreModel, NetworkShape, _require_int,
+                     _require_real)
 
 __all__ = [
     "TripleParseError",
@@ -239,10 +240,11 @@ def load_checkpoint(path) -> Tuple[ModelParams, ScoreModel]:
         raise CheckpointError(f"{path}: line 2: {exc}") from None
     try:
         model = ScoreModel(kind, d)
+        _require_int("entities", n, 1)
+        _require_int("relations", k, 1)
+        _require_real("radius", radius, 0, strict=True)
     except ValueError as exc:
         raise CheckpointError(f"{path}: line 2: {exc}") from None
-    if n < 1 or k < 1 or radius <= 0 or not math.isfinite(radius):
-        raise CheckpointError(f"{path}: line 2: bad sizes or radius")
     rows_needed = n + k
     body = lines[2:]
     if len(body) < rows_needed:

@@ -118,6 +118,19 @@ def test_train_writes_checkpoint(tmp_path, capsys):
     assert ckpt.read_bytes() != first
 
 
+def test_train_runs_a_negative_seed(tmp_path, capsys):
+    # seed -1 used to pass TrainConfig and then exit 3 when numpy refused
+    # it; train wraps it modulo 2**64, as derive_seed does
+    triples = triple_file(tmp_path, "train.tsv")
+    ckpt = tmp_path / "model.ckpt"
+    cfg = write(tmp_path / "train.ini",
+                TRAIN_CONFIG.format(triples=triples, ckpt=ckpt))
+    assert run_cli(["train", "--config", cfg, "--seed", "-1"]) == 0
+    wrapped = ckpt.read_bytes()
+    assert run_cli(["train", "--config", cfg, "--seed", str(2 ** 64 - 1)]) == 0
+    assert ckpt.read_bytes() == wrapped
+
+
 @pytest.mark.parametrize("check", [test_simulate_writes_csv_deterministically,
                                    test_train_writes_checkpoint],
                          ids=lambda f: f.__name__[5:])

@@ -216,6 +216,26 @@ def test_non_finite_objective_names_its_epoch(monkeypatch, path, bad_epoch):
 
 
 @pytest.mark.parametrize("path", ["inline", "thread"])
+def test_overflowed_adagrad_state_is_an_error(monkeypatch, path):
+    # a squared gradient past the float range makes g2 inf, so every
+    # later step of its entry is 0: the fit used to stall with a finite
+    # objective trace (-1.2e308 from epoch 1 on) and no error
+    take_path(monkeypatch, path)
+    _, shape, obs = small_problem(seed=13)
+    model = ScoreModel("distance", 2)
+    config = TrainConfig(epochs=6, learning_rate=10 ** 152.5, radius=1e300)
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="squared-gradient sums overflowed"):
+            train(model, shape, obs, config)
+        # a rate 10^6 times smaller keeps the state finite
+        result = train(model, shape, obs, dataclasses.replace(
+            config, learning_rate=10 ** 146.5))
+        assert np.isfinite(result.objective_trace).all()
+
+
+@pytest.mark.parametrize("path", ["inline", "thread"])
 def test_train_leaves_no_thread_behind(monkeypatch, path):
     take_path(monkeypatch, path)
     model, shape, obs = small_problem(seed=14)

@@ -508,6 +508,12 @@ def test_checkpoint_format_errors(tmp_path):
          "line 1"),
         ("bad kind", checkpoint_text().replace("distance", "euclid"),
          "line 2"),
+        ("no entities", checkpoint_text().replace("2 2 1 5", "2 0 1 5"),
+         r"line 2: entities must be an integer >= 1, got 0$"),
+        ("no relations", checkpoint_text().replace("2 2 1 5", "2 2 0 5"),
+         r"line 2: relations must be an integer >= 1, got 0$"),
+        ("NaN radius", checkpoint_text().replace("2 2 1 5", "2 2 1 nan"),
+         r"line 2: radius must be finite and > 0, got nan$"),
         ("truncated", "".join(checkpoint_text().splitlines(True)[:4]),
          "relation row 0"),
         ("short row", checkpoint_text().replace("0.3 0.4", "0.3"), "line 4"),

@@ -1,5 +1,6 @@
 """The compiled epoch kernel against the numpy reference, and its loader."""
 
+import ctypes
 import dataclasses
 import os
 import shutil
@@ -232,6 +233,37 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
         kernel.rank_counts(model, narrow, 1, *edges, np.zeros((3, 4), bool))
     with pytest.raises(ShapeError):  # no fourth column
         kernel.rank_counts(model, narrow, 3, *edges, mask)
+
+
+def test_record_matches_the_library_layout(kernel):
+    # every export takes one struct fit; its mirror has the same size and
+    # each field at the same offset, by name
+    assert kernel._layout(b"") == ctypes.sizeof(_kernel._Fit)
+    for name, _ in _kernel._Fit._fields_:
+        assert kernel._layout(name.encode()) == \
+            getattr(_kernel._Fit, name).offset, name
+    assert kernel._layout(b"rho3") == -1
+
+
+def test_misordered_record_falls_back_with_one_warning(kernel, monkeypatch):
+    # rho1 and rho2 swapped: same size and types, so only the check by
+    # name sees that the kernel would read one for the other
+    fields = list(_kernel._Fit._fields_)
+    names = [name for name, _ in fields]
+    i, j = names.index("rho1"), names.index("rho2")
+    fields[i], fields[j] = fields[j], fields[i]
+    monkeypatch.setattr(_kernel, "_Fit", type(
+        "_Fit", (ctypes.Structure,), {"_fields_": fields}))
+    monkeypatch.setattr(_kernel, "_loaded", _kernel._UNSET)
+    assert _kernel._library_path().exists()  # loaded, not built again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _kernel.load() is None
+        assert _kernel.load() is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "struct fit is not laid out as _Fit (at rho2)" in \
+        str(caught[0].message)
+    assert _kernel.engine() is _kernel.Numpy
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])

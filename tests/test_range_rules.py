@@ -18,7 +18,8 @@ from mrnet._rng import derive_seed
 from mrnet.bounds import (BoundInputs, LowerBoundInputs,
                           check_kl_quadratic_upper, tail_bound)
 from mrnet.estimation import (ObservationSet, TrainConfig, objective_gradient,
-                              penalized_objective, project_ball, project_l0)
+                              penalized_objective, project_ball, project_l0,
+                              train)
 from mrnet.io import TripleDataset, sample_negatives
 from mrnet.models import (ModelParams, NetworkShape, ScoreModel,
                           lipschitz_bound, score_sup_bound)
@@ -187,3 +188,15 @@ def test_train_config_takes_the_seed_rule():
         assert str(err.value) == f"seed must be an integer, got {bad!r}"
     for good in (-1, 0, np.int64(3), 2 ** 70):
         assert TrainConfig(epochs=1, seed=good).seed == good
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_train_wraps_a_negative_seed(seed):
+    # numpy refuses a negative seed; train wraps it modulo 2**64
+    config = TrainConfig(epochs=2, batch_size=2)
+    got = train(MODEL, SHAPE, OBS, dataclasses.replace(config, seed=seed))
+    want = train(MODEL, SHAPE, OBS,
+                 dataclasses.replace(config, seed=2 ** 64 - 1))
+    assert got.params.entities.tobytes() == want.params.entities.tobytes()
+    assert got.params.relations.tobytes() == want.params.relations.tobytes()
+    assert got.objective_trace.tobytes() == want.objective_trace.tobytes()
