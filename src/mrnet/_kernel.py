@@ -40,7 +40,6 @@ import contextlib
 import contextvars
 import ctypes
 import functools
-import hashlib
 import os
 import shlex
 import shutil
@@ -76,6 +75,9 @@ def _compiler() -> list:
 
 
 def _library_path() -> Path:
+    # hashlib loads OpenSSL (about 3.5 MB resident), which a process
+    # that only counts cores here, as a pool's parent does, never needs
+    import hashlib
     key = hashlib.sha256(_SOURCE.read_bytes())
     key.update(" ".join([*_compiler(), *_FLAGS, _SUFFIX]).encode())
     return _CACHE / f"{_SOURCE.stem}.{key.hexdigest()[:16]}{_SUFFIX}"

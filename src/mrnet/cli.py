@@ -285,9 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--columns", choices=sorted(COLUMN_ORDERS),
                        help="triple file column order")
         p.add_argument("--threads", type=int, default=1,
-                       help="grid replicates run at once, each in a "
-                            "worker process; output is identical for any "
-                            "count")
+                       help="most grid replicates run at once, each in "
+                            "a worker process forked from one preloaded "
+                            "server, never more than the usable cores; "
+                            "output is identical for any count")
     return parser
 
 

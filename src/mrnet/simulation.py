@@ -259,27 +259,40 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     cell index, and the replicate index), so reruns reproduce the same
     table regardless of which cells fail or how many workers run them.
 
-    With ``n_workers > 1`` replicates run in that many spawned worker
-    processes (never more than there are replicates), so a script that
-    calls this must guard its entry point with
+    With ``n_workers > 1`` replicates run in worker processes: at most
+    ``n_workers``, and never more than there are replicates or cores
+    this process may use (``_kernel._cores``), so one usable core runs
+    the grid inline.  The workers fork from one "forkserver" process
+    per calling process, which imports numpy and mrnet once if it finds
+    mrnet on its own path (README, Command line); later pools fork from
+    the same server ("spawn" where the platform has no forkserver).
+    Each worker still imports the calling script's main module, so a
+    script that calls this must guard its entry point with
     ``if __name__ == "__main__":``.  A worker process that dies raises
     ``BrokenProcessPool``; it is not a failed cell.  An ``n_workers``
     that is not an integer >= 1 raises ``ValueError``.
     """
     _require_int("n_workers", n_workers, 1)
+    from . import _kernel  # as in train: importing mrnet builds nothing
     jobs = [(grid, ci, n, rate, rep)
             for ci, (n, rate) in enumerate(grid.cells())
             for rep in range(grid.replicates)]
-    workers = min(n_workers, len(jobs))
+    workers = min(n_workers, len(jobs), _kernel._cores())
     if workers <= 1:
         return [_run_job(job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    # "fork" would copy the caller's threads' locks mid-use (the kernel's
+    # helper, BLAS, the caller's own); the server forks from its own
+    # single-threaded process
+    context = multiprocessing.get_context(
+        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods()
+        else "spawn")
+    if context.get_start_method() == "forkserver":
+        context.set_forkserver_preload(["mrnet.simulation", "mrnet._kernel"])
     # a few messages per worker, not one per replicate
     chunksize = -(-len(jobs) // (4 * workers))
-    with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(_run_job, jobs, chunksize=chunksize))
 
 

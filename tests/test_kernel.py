@@ -402,6 +402,17 @@ def test_import_builds_nothing():
     assert out.split() == ["False", "False"]
 
 
+def test_import_loads_no_openssl():
+    # run_grid's parent counts cores here and builds nothing: hashlib's
+    # OpenSSL was 3.5 MB of its peak resident memory
+    code = ("import sys, mrnet.simulation, mrnet._kernel; "
+            "print('_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def kernel_cap(kernel, model, params, obs, cap):
     """``params`` after one kernel epoch over ``obs`` with the sparsity
     cap ``cap``, and the nonzero count the kernel wrote."""

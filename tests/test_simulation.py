@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -8,6 +9,7 @@ from numpy.testing import assert_array_equal
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from mrnet import _kernel
 from mrnet._rng import counter_uniforms, derive_seed
 from mrnet._edges import edge_key
 from mrnet.models import NetworkShape, ScoreModel
@@ -294,18 +296,66 @@ def test_run_grid_refuses_fewer_than_one_worker(n_workers):
         run_grid(grid_for_test(), n_workers=n_workers)
 
 
-def test_run_grid_parallel_matches_serial():
+def _fields(row):
+    return {k: v for k, v in dataclasses.asdict(row).items() if k != "seconds"}
+
+
+def _pools(monkeypatch, executor):
+    """The keyword arguments of every pool that ``run_grid`` builds from
+    ``executor``, put where ``run_grid`` looks its pool class up."""
+    built = []
+
+    class Spy(executor):
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return built
+
+
+class _InlinePool:
+    """A process pool that starts no process: ``map`` runs in the caller."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cores, n_workers, pools", [
+    (2, 64, [2]), (1, 2, []), (8, 3, [3])])
+def test_run_grid_workers_capped_by_cores(monkeypatch, cores, n_workers, pools):
+    # 64 workers on 2 cores used to start 64 interpreters
+    grid = grid_for_test(replicates=4)  # 8 jobs
+    serial = run_grid(grid)
+    built = _pools(monkeypatch, _InlinePool)
+    monkeypatch.setattr(_kernel, "_cores", lambda: cores)
+    rows = run_grid(grid, n_workers=n_workers)
+    assert [kw["max_workers"] for kw in built] == pools
+    assert all(kw["mp_context"].get_start_method() == "forkserver"
+               for kw in built)
+    assert [_fields(r) for r in rows] == [_fields(r) for r in serial]
+
+
+@pytest.mark.skipif(_kernel._cores() < 2, reason="one usable core: "
+                    "run_grid runs inline, so there is no pool to compare")
+def test_run_grid_parallel_matches_serial(monkeypatch):
     grid = grid_for_test()
     serial = run_grid(grid, n_workers=1)
-
-    def fields(row):
-        return {k: v for k, v in dataclasses.asdict(row).items()
-                if k != "seconds"}
-
+    built = _pools(monkeypatch, concurrent.futures.ProcessPoolExecutor)
     # 5 workers is more than the 4 jobs
     for n_workers in (2, 5):
         parallel = run_grid(grid, n_workers=n_workers)
-        assert [fields(r) for r in parallel] == [fields(r) for r in serial]
+        assert [_fields(r) for r in parallel] == [_fields(r) for r in serial]
+    assert len(built) == 2 and all(kw["max_workers"] >= 2 for kw in built)
 
 
 class _ExitOnUnpickle:
@@ -315,7 +365,9 @@ class _ExitOnUnpickle:
         return os._exit, (70,)
 
 
-def test_run_grid_marks_failed_cells():
+def test_run_grid_marks_failed_cells(monkeypatch):
+    # two workers even on one usable core: the rows do not depend on it
+    monkeypatch.setattr(_kernel, "_cores", lambda: 2)
     # a zero observation rate gives an empty training set -> failure row
     grid = grid_for_test(obs_rates=(0.0,), replicates=1)
     serial = run_grid(grid)
@@ -333,6 +385,10 @@ def test_run_grid_marks_failed_cells():
                              fit_radius_from_truth=_ExitOnUnpickle())
     with pytest.raises(BrokenProcessPool):
         run_grid(poisoned, n_workers=2)
+    # the workers' server outlives a dead worker: the next pool still runs
+    grid = grid_for_test()
+    assert [_fields(r) for r in run_grid(grid, n_workers=2)] == \
+        [_fields(r) for r in run_grid(grid)]
 
 
 def test_run_grid_eval_subsample():
