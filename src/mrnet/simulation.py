@@ -263,11 +263,13 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     ``n_workers``, and never more than there are replicates or cores
     this process may use (``_kernel._cores``), so one usable core runs
     the grid inline.  The workers fork from one "forkserver" process
-    per calling process, which imports numpy and mrnet once if it finds
-    mrnet on its own path (README, Command line); later pools fork from
-    the same server ("spawn" where the platform has no forkserver).
-    Each worker still imports the calling script's main module, so a
-    script that calls this must guard its entry point with
+    per calling process, which imports numpy once; later pools fork
+    from the same server ("spawn" where the platform has no
+    forkserver).  Each worker imports mrnet itself, from the caller's
+    ``sys.path``.  This sets the process-wide forkserver preload list
+    to ``["numpy"]``, which any later forkserver pool of the caller
+    shares.  Each worker also imports the calling script's main module,
+    so a script that calls this must guard its entry point with
     ``if __name__ == "__main__":``.  A worker process that dies raises
     ``BrokenProcessPool``; it is not a failed cell.  An ``n_workers``
     that is not an integer >= 1 raises ``ValueError``.
@@ -283,13 +285,16 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # "fork" would copy the caller's threads' locks mid-use (the kernel's
-    # helper, BLAS, the caller's own); the server forks from its own
-    # single-threaded process
-    context = multiprocessing.get_context(
-        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods()
-        else "spawn")
-    if context.get_start_method() == "forkserver":
-        context.set_forkserver_preload(["mrnet.simulation", "mrnet._kernel"])
+    # helper, the caller's own); the server has none of those threads,
+    # and BLAS threads from its numpy import are handled by the library's
+    # fork handlers.  mrnet itself is not preloaded: the server ignores
+    # the caller's sys.path, so it could find another copy of mrnet,
+    # while a worker imports mrnet after the fork on the caller's path
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["numpy"])
+    else:
+        context = multiprocessing.get_context("spawn")
     # a few messages per worker, not one per replicate
     chunksize = -(-len(jobs) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

@@ -1,6 +1,12 @@
 import concurrent.futures
 import dataclasses
+import json
+import multiprocessing
 import os
+import pickle
+import shutil
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -340,7 +346,9 @@ def test_run_grid_workers_capped_by_cores(monkeypatch, cores, n_workers, pools):
     monkeypatch.setattr(_kernel, "_cores", lambda: cores)
     rows = run_grid(grid, n_workers=n_workers)
     assert [kw["max_workers"] for kw in built] == pools
-    assert all(kw["mp_context"].get_start_method() == "forkserver"
+    method = ("forkserver" if "forkserver" in
+              multiprocessing.get_all_start_methods() else "spawn")
+    assert all(kw["mp_context"].get_start_method() == method
                for kw in built)
     assert [_fields(r) for r in rows] == [_fields(r) for r in serial]
 
@@ -356,6 +364,36 @@ def test_run_grid_parallel_matches_serial(monkeypatch):
         parallel = run_grid(grid, n_workers=n_workers)
         assert [_fields(r) for r in parallel] == [_fields(r) for r in serial]
     assert len(built) == 2 and all(kw["max_workers"] >= 2 for kw in built)
+
+
+@pytest.mark.skipif(_kernel._cores() < 2, reason="one usable core: "
+                    "run_grid runs inline, so there are no workers")
+def test_run_grid_workers_run_the_callers_mrnet(tmp_path):
+    # the caller imports copy "a" from a path it adds at run time, while
+    # PYTHONPATH names another copy; the forkserver sees only the latter,
+    # so a server that preloaded mrnet would run that copy in the workers
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    copy = tmp_path / "a" / "mrnet"
+    shutil.copytree(os.path.join(src, "mrnet"), copy)
+    with open(copy / "simulation.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_run_replicate = run_replicate\n"
+                 "def run_replicate(*args):\n"
+                 "    return dataclasses.replace(_run_replicate(*args),\n"
+                 "                               error=__file__)\n")
+    grid_file = tmp_path / "grid.pkl"
+    grid_file.write_bytes(pickle.dumps(grid_for_test(entity_counts=(6,))))
+    code = ("import json, pickle, sys\n"
+            f"sys.path.insert(0, {str(tmp_path / 'a')!r})\n"
+            "from mrnet.simulation import run_grid\n"
+            "if __name__ == '__main__':\n"
+            f"    grid = pickle.loads(open({str(grid_file)!r}, 'rb').read())\n"
+            "    print(json.dumps([r.error for r in run_grid(grid, 2)]))\n")
+    script = tmp_path / "caller.py"
+    script.write_text(code, encoding="utf-8")
+    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [str(copy / "simulation.py")] * 2
 
 
 class _ExitOnUnpickle:
