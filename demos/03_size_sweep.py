@@ -42,5 +42,5 @@ def main():
     print("equivalent command line:  mrnet simulate --config sweep.ini")
 
 
-if __name__ == "__main__":  # run_grid's workers re-import this file
+if __name__ == "__main__":  # spawned run_grid workers re-import this file
     main()

@@ -52,5 +52,5 @@ def main():
     # one-sided, so the observed frequency must simply never exceed it
 
 
-if __name__ == "__main__":  # run_grid's workers re-import this file
+if __name__ == "__main__":  # spawned run_grid workers re-import this file
     main()

@@ -286,9 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="triple file column order")
         p.add_argument("--threads", type=int, default=1,
                        help="most grid replicates run at once, each in "
-                            "a worker process forked from one preloaded "
-                            "server, never more than the usable cores; "
-                            "output is identical for any count")
+                            "a worker process, never more than the usable "
+                            "cores; output is identical for any count")
     return parser
 
 

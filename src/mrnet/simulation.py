@@ -262,14 +262,12 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     With ``n_workers > 1`` replicates run in worker processes: at most
     ``n_workers``, and never more than there are replicates or cores
     this process may use (``_kernel._cores``), so one usable core runs
-    the grid inline.  The workers fork from one "forkserver" process
-    per calling process, which imports numpy once; later pools fork
-    from the same server ("spawn" where the platform has no
-    forkserver).  Each worker imports mrnet itself, from the caller's
-    ``sys.path``.  This sets the process-wide forkserver preload list
-    to ``["numpy"]``, which any later forkserver pool of the caller
-    shares.  Each worker also imports the calling script's main module,
-    so a script that calls this must guard its entry point with
+    the grid inline.  On Linux, when the caller runs no other Python
+    thread, the workers are forked from the caller: they start with its
+    numpy and its copy of mrnet already imported.  Otherwise they are
+    spawned, and each spawned worker imports mrnet from the caller's
+    ``sys.path`` and re-imports the calling script's main module, so a
+    script that calls this must guard its entry point with
     ``if __name__ == "__main__":``.  A worker process that dies raises
     ``BrokenProcessPool``; it is not a failed cell.  An ``n_workers``
     that is not an integer >= 1 raises ``ValueError``.
@@ -283,18 +281,15 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     if workers <= 1:
         return [_run_job(job) for job in jobs]
     import multiprocessing
+    import sys
+    import threading
     from concurrent.futures import ProcessPoolExecutor
-    # "fork" would copy the caller's threads' locks mid-use (the kernel's
-    # helper, the caller's own); the server has none of those threads,
-    # and BLAS threads from its numpy import are handled by the library's
-    # fork handlers.  mrnet itself is not preloaded: the server ignores
-    # the caller's sys.path, so it could find another copy of mrnet,
-    # while a worker imports mrnet after the fork on the caller's path
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("forkserver")
-        context.set_forkserver_preload(["numpy"])
-    else:
-        context = multiprocessing.get_context("spawn")
+    # a fork copies only the calling thread, so another thread's held
+    # locks would stay held in the child: fork only when there is none.
+    # The pool forks all its workers before it starts its own manager
+    # thread, and OpenBLAS's fork handler shuts its thread pool down
+    fork = sys.platform == "linux" and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if fork else "spawn")
     # a few messages per worker, not one per replicate
     chunksize = -(-len(jobs) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

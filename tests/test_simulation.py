@@ -1,12 +1,13 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
-import multiprocessing
 import os
 import pickle
 import shutil
 import subprocess
 import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -336,6 +337,19 @@ class _InlinePool:
         return map(fn, jobs)
 
 
+@contextlib.contextmanager
+def _other_thread():
+    """A second Python thread in this process while the block runs."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
 @pytest.mark.parametrize("cores, n_workers, pools", [
     (2, 64, [2]), (1, 2, []), (8, 3, [3])])
 def test_run_grid_workers_capped_by_cores(monkeypatch, cores, n_workers, pools):
@@ -344,13 +358,16 @@ def test_run_grid_workers_capped_by_cores(monkeypatch, cores, n_workers, pools):
     serial = run_grid(grid)
     built = _pools(monkeypatch, _InlinePool)
     monkeypatch.setattr(_kernel, "_cores", lambda: cores)
-    rows = run_grid(grid, n_workers=n_workers)
-    assert [kw["max_workers"] for kw in built] == pools
-    method = ("forkserver" if "forkserver" in
-              multiprocessing.get_all_start_methods() else "spawn")
-    assert all(kw["mp_context"].get_start_method() == method
-               for kw in built)
-    assert [_fields(r) for r in rows] == [_fields(r) for r in serial]
+    methods = []
+    for threaded in (False, True):
+        with _other_thread() if threaded else contextlib.nullcontext():
+            # a fork would copy another thread's held locks into the workers
+            fork = sys.platform == "linux" and threading.active_count() == 1
+            methods += ["fork" if fork else "spawn"] * len(pools)
+            rows = run_grid(grid, n_workers=n_workers)
+        assert [_fields(r) for r in rows] == [_fields(r) for r in serial]
+    assert [kw["max_workers"] for kw in built] == pools * 2
+    assert [kw["mp_context"].get_start_method() for kw in built] == methods
 
 
 @pytest.mark.skipif(_kernel._cores() < 2, reason="one usable core: "
@@ -367,33 +384,57 @@ def test_run_grid_parallel_matches_serial(monkeypatch):
 
 
 @pytest.mark.skipif(_kernel._cores() < 2, reason="one usable core: "
+                    "run_grid runs inline, so there is no pool to compare")
+def test_run_grid_spawns_beside_another_thread(monkeypatch):
+    grid = grid_for_test()
+    serial = run_grid(grid)
+    built = _pools(monkeypatch, concurrent.futures.ProcessPoolExecutor)
+    with _other_thread():
+        rows = run_grid(grid, n_workers=2)
+    assert [kw["mp_context"].get_start_method() for kw in built] == ["spawn"]
+    assert [_fields(r) for r in rows] == [_fields(r) for r in serial]
+
+
+@pytest.mark.skipif(_kernel._cores() < 2, reason="one usable core: "
                     "run_grid runs inline, so there are no workers")
 def test_run_grid_workers_run_the_callers_mrnet(tmp_path):
     # the caller imports copy "a" from a path it adds at run time, while
-    # PYTHONPATH names another copy; the forkserver sees only the latter,
-    # so a server that preloaded mrnet would run that copy in the workers
+    # PYTHONPATH names another copy.  A forked worker keeps the caller's
+    # modules; a spawned one (beside a second thread) imports mrnet and
+    # the main module again, on the caller's sys.path.  Both run copy "a"
     src = os.path.dirname(os.path.dirname(_kernel.__file__))
     copy = tmp_path / "a" / "mrnet"
     shutil.copytree(os.path.join(src, "mrnet"), copy)
     with open(copy / "simulation.py", "a", encoding="utf-8") as fh:
-        fh.write("\n_run_replicate = run_replicate\n"
+        fh.write("\nimport sys\n"
+                 "_run_replicate = run_replicate\n"
                  "def run_replicate(*args):\n"
-                 "    return dataclasses.replace(_run_replicate(*args),\n"
-                 "                               error=__file__)\n")
+                 "    main = sys.modules['__main__'].__name__\n"
+                 "    return dataclasses.replace(\n"
+                 "        _run_replicate(*args), error=f'{__file__} {main}')\n")
     grid_file = tmp_path / "grid.pkl"
     grid_file.write_bytes(pickle.dumps(grid_for_test(entity_counts=(6,))))
-    code = ("import json, pickle, sys\n"
+    code = ("import json, pickle, sys, threading\n"
             f"sys.path.insert(0, {str(tmp_path / 'a')!r})\n"
             "from mrnet.simulation import run_grid\n"
             "if __name__ == '__main__':\n"
             f"    grid = pickle.loads(open({str(grid_file)!r}, 'rb').read())\n"
-            "    print(json.dumps([r.error for r in run_grid(grid, 2)]))\n")
+            "    done = threading.Event()\n"
+            "    if sys.argv[1:] == ['threaded']:\n"
+            "        threading.Thread(target=done.wait).start()\n"
+            "    rows = run_grid(grid, 2)\n"
+            "    done.set()\n"
+            "    print(json.dumps([r.error for r in rows]))\n")
     script = tmp_path / "caller.py"
     script.write_text(code, encoding="utf-8")
-    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": src}, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == [str(copy / "simulation.py")] * 2
+    for threaded in (False, True):
+        out = subprocess.run(
+            [sys.executable, str(script)] + ["threaded"] * threaded,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, check=True,
+            capture_output=True, text=True).stdout
+        main = ("__main__" if sys.platform == "linux" and not threaded
+                else "__mp_main__")
+        assert json.loads(out) == [f"{copy / 'simulation.py'} {main}"] * 2
 
 
 class _ExitOnUnpickle:
@@ -423,7 +464,7 @@ def test_run_grid_marks_failed_cells(monkeypatch):
                              fit_radius_from_truth=_ExitOnUnpickle())
     with pytest.raises(BrokenProcessPool):
         run_grid(poisoned, n_workers=2)
-    # the workers' server outlives a dead worker: the next pool still runs
+    # a dead worker breaks only its own pool: the next one runs
     grid = grid_for_test()
     assert [_fields(r) for r in run_grid(grid, n_workers=2)] == \
         [_fields(r) for r in run_grid(grid)]
