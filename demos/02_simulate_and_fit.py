@@ -29,7 +29,10 @@ print(f"observed {len(observations.labels)} of {shape.n_edges} edges, "
 
 config = TrainConfig(epochs=120, learning_rate=0.5, batch_size=128,
                      radius=gen.radius, seed=1)
-result = train(model, shape, observations, config)
+# trace=True also records the penalized objective after every epoch (one
+# more pass over the observations per epoch); without it, train computes
+# the objective once, at the fitted parameters
+result = train(model, shape, observations, config, trace=True)
 
 trace = result.objective_trace
 print(f"penalized objective: {trace[0]:.1f} (init) -> {trace[-1]:.1f} (final)")

@@ -4,8 +4,10 @@
 the same methods and the same scores bit for bit, so callers never branch.
 A fit bound by ``fit`` runs a block of training epochs per call
 (``run``), imposing the sparsity cap and writing each epoch's nonzero
-count and, when asked, its objective in the same call, so a small fit
-pays one call per block rather than Python work per epoch.
+count and, when asked, its objective in the same call, so a fit pays
+one call per block rather than Python work per epoch; ``objective``
+gives the objective at the fit's current parameters.  Everything runs
+on the calling thread.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -27,17 +29,11 @@ fails, or the compiled record's size and field offsets (by name, from
 returns ``None``, and ``engine()`` gives ``Numpy``, as it does after
 ``_loaded = None``.  The callers import this module when they are
 called, never at import time, so ``import mrnet`` runs no compiler.
-
-``helper(work)`` gives the callers a second core: tasks submitted to it
-run on one background thread when the process may use two cores and a
-task is large enough to pay for the handoff, and inline otherwise, with
-the same calls either way.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import os
@@ -48,7 +44,6 @@ import sysconfig
 import tempfile
 import types
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +59,6 @@ _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 _PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _UNSET = object()
 _loaded = _UNSET  # a Kernel, or None when no build could be loaded
-
-# the least work (observations or slots) per task that ``helper`` hands
-# to its thread: below it the handoff costs more than the overlap saves
-_HELPER_WORK = 1 << 12
 
 
 def _compiler() -> list:
@@ -229,11 +220,6 @@ class Kernel:
         return Fit(self, model, params, g2_ent, g2_rel, obs, config)
 
 
-def _copy_into(snap, params) -> None:
-    np.copyto(snap.entities, params.entities)
-    np.copyto(snap.relations, params.relations)
-
-
 class Fit:
     """The kernel bound to one fit's arrays, their record filled once.
 
@@ -244,12 +230,10 @@ class Fit:
     writes the nonzero count to ``nnz_out`` and, when ``obj_out`` is
     given, the penalized objective to ``obj_out``, and it stops after
     the first objective that is not finite.  It returns the number of
-    epochs run.  ``snapshot()`` copies the parameters into the fit's own
-    snapshot; ``objective()`` is the penalized objective
-    at the snapshot (at the parameters as bound, before the first
-    ``snapshot()``), so another thread can compute it while the next
-    epoch runs.  The caller has checked that every index in ``obs`` is
-    in range, and each row of ``perms`` orders ``range(len(obs))``.
+    epochs run.  ``objective()`` is the penalized objective at the
+    parameters as they are now, the value ``run`` writes after an epoch.
+    The caller has checked that every index in ``obs`` is in range, and
+    each row of ``perms`` orders ``range(len(obs))``.
     """
 
     def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
@@ -266,11 +250,6 @@ class Fit:
             rho1=config.rho1, rho2=config.rho2, radius=config.radius,
             cap=-1 if cap is None else cap)
         self._kernel, self._n = kernel, len(obs)
-        self._params = params
-        self._snapshot = snap = params.copy()
-        self._snap_record = at_snap = _Fit.from_buffer_copy(self._record)
-        at_snap.ent, at_snap.rel = (_addr(block, np.float64) for block in
-                                    (snap.entities, snap.relations))
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
                         obs.heads, obs.tails, obs.rels, obs.labels)
@@ -290,12 +269,9 @@ class Fit:
             raise MemoryError("epoch kernel could not allocate its work space")
         return done
 
-    def snapshot(self) -> None:
-        _copy_into(self._snapshot, self._params)
-
     def objective(self) -> float:
         out = _F64()
-        if self._kernel._objective(self._snap_record, ctypes.byref(out)):
+        if self._kernel._objective(self._record, ctypes.byref(out)):
             raise MemoryError("objective kernel could not allocate")
         return out.value
 
@@ -332,12 +308,10 @@ class Numpy:
     @staticmethod
     def fit(model, params, g2_ent, g2_rel, obs, config):
         from .estimation import _numpy_epochs, penalized_objective  # no cycle
-        snap = params.copy()
         return types.SimpleNamespace(
             run=functools.partial(_numpy_epochs, model, params, g2_ent,
                                   g2_rel, obs, config),
-            snapshot=lambda: _copy_into(snap, params),
-            objective=lambda: penalized_objective(model, snap, obs,
+            objective=lambda: penalized_objective(model, params, obs,
                                                   config.rho1, config.rho2))
 
 
@@ -347,71 +321,12 @@ def engine():
 
 
 def _cores() -> int:
-    """The cores this process may run on."""
+    """The cores this process may run on (``run_grid``'s worker cap): not
+    the ones free, and a cgroup CPU quota does not lower it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-class _Done:
-    """The result of a task that ran when it was submitted: a ``Future``
-    would cost a lock per task, which tiny fits pay thousands of times."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self, timeout=None):
-        return self._value
-
-
-class _Inline:
-    """``helper``'s pool on one core: each task runs when submitted."""
-
-    @staticmethod
-    def submit(fn, *args) -> _Done:
-        return _Done(fn(*args))
-
-
-class _Thread:
-    """``helper``'s pool on two cores: one thread, tasks in order."""
-
-    def __init__(self, pool: ThreadPoolExecutor):
-        self._pool = pool
-
-    def submit(self, fn, *args) -> Future:
-        # in the submitter's context, so its numpy errstate holds
-        return self._pool.submit(contextvars.copy_context().run, fn, *args)
-
-
-@contextlib.contextmanager
-def helper(work: int):
-    """A pool whose ``submit(fn, *args)`` gives a future of ``fn(*args)``,
-    an object whose ``result()`` returns it.
-
-    The tasks run in submission order on one background thread when this
-    process may use at least two cores and ``work``, the observations or
-    slots of one task, is at least ``_HELPER_WORK``; otherwise each runs
-    when it is submitted.  A task's exception is raised by ``submit``
-    inline and by the future's ``result()`` on the thread, so a caller
-    reads every result.  Leaving the block cancels the tasks not yet
-    started and joins the thread, also when the block raises, so no
-    thread outlives it.
-
-    ``_cores`` counts the cores the process may use, not free ones, and
-    a cgroup CPU quota looks the same: on a busy machine a fit can take
-    3-10% longer on the thread; ``taskset -c 0`` keeps tasks inline.
-    """
-    if work < _HELPER_WORK or _cores() < 2:
-        yield _Inline
-        return
-    pool = ThreadPoolExecutor(1, thread_name_prefix="mrnet-helper")
-    try:
-        yield _Thread(pool)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def load():

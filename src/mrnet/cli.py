@@ -156,7 +156,7 @@ def _cmd_train(sec, seed: int, args) -> int:
     obs = ObservationSet(shape, heads, tails, rels, labels)
     result = train(model, shape, obs, train_config)
     save_checkpoint(result.params, model, checkpoint)
-    print(f"final_objective {result.objective_trace[-1]:.9g}")
+    print(f"final_objective {result.objective:.9g}")
     print(f"nonzeros {result.nnz_trace[-1]}")
     print(f"checkpoint {checkpoint}")
     return 0

@@ -119,9 +119,15 @@ class TrainConfig:
 
 @dataclasses.dataclass
 class TrainResult:
+    """What ``train`` gives: the fitted parameters, the penalized
+    objective at them, the nonzero count at init and after each epoch,
+    and the objective at the same points when ``train`` was asked for
+    the trace (else None)."""
+
     params: ModelParams
-    objective_trace: np.ndarray  # epochs + 1 entries; [0] is at init
-    nnz_trace: np.ndarray
+    objective: float
+    nnz_trace: np.ndarray  # epochs + 1 entries; [0] is at init
+    objective_trace: Optional[np.ndarray] = None  # as nnz_trace
 
 
 @dataclasses.dataclass
@@ -317,8 +323,46 @@ def _orders(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return rng.permuted(orders, axis=1, out=orders)
 
 
+def _checked(value: float, epoch: int) -> float:
+    if not np.isfinite(value):
+        raise ValueError(f"objective is {value} after {epoch} epochs")
+    return value
+
+
+def _fit(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
+         config: TrainConfig, trace: bool):
+    """``train``'s epochs on checked inputs: the parameters, the AdaGrad
+    state, the nonzero counts, the objective trace (None unless
+    ``trace``) and the final objective.  With ``trace``, raises at the
+    first objective that is not finite."""
+    from . import _kernel  # builds the C kernel on first use
+    seed = config.seed
+    rng = np.random.default_rng(seed if seed >= 0 else int(seed) % 2 ** 64)
+    params = _init_params(model, shape, config, rng)
+    g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
+    fit = _kernel.engine().fit(model, params, *g2, obs, config)
+    n, epochs = len(obs), config.epochs
+    nnz = np.empty(epochs + 1, dtype=np.int64)
+    nnz[0] = _nnz(params)
+    objectives = None
+    if trace:
+        objectives = np.empty(epochs + 1)
+        objectives[0] = _checked(fit.objective(), 0)
+    # every draw from rng after _init_params is an epoch order
+    block = max(1, _ORDER_BYTES // (8 * n))
+    done = 0
+    while done < epochs:
+        perms = _orders(rng, n, min(block, epochs - done))
+        new = slice(done + 1, done + 1 + len(perms))
+        done += fit.run(perms, nnz[new], objectives[new] if trace else None)
+        if trace:  # the run stopped at its first objective that is not finite
+            _checked(objectives[done], done)
+    final = objectives[-1] if trace else fit.objective()
+    return params, g2, nnz, objectives, final
+
+
 def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
-          config: TrainConfig) -> TrainResult:
+          config: TrainConfig, *, trace: bool = False) -> TrainResult:
     """Projected AdaGrad ascent on the penalized log-likelihood.
 
     Deterministic given ``config.seed``.  Ball projection runs on the
@@ -328,20 +372,31 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
 
     The epochs run in the engine that ``_kernel.engine()`` gives: the
     compiled kernel, or its numpy twin if no kernel could be built; the
-    two agree to rounding.  The fit is bound once; it imposes the cap
-    and counts the nonzeros after each epoch.  When ``_kernel.helper``
-    runs inline (one core, or fewer than its size rule's observations),
-    each call runs a block of epochs, as many as ``_ORDER_BYTES`` of
-    drawn orders allow, and writes their objectives too.  Otherwise each
-    call runs one epoch, while the helper thread draws the next epoch's
-    order and computes the last epoch's objective on the fit's snapshot.
-    The block's orders come from one ``rng.permuted`` call, which draws
-    what as many ``rng.permutation`` calls would, so the results depend
-    on neither the path nor the block size.  Raises ValueError for an
-    index outside ``shape``, for an objective that is not finite and for
-    AdaGrad state that is not finite (a squared gradient overflowed, so
-    every later step of its entry is 0), rather than fit on a wrapped
-    index or return a NaN or stalled fit.
+    two agree to rounding.  The fit is bound once and runs on the
+    calling thread.  Each call runs a block of epochs, as many as
+    ``_ORDER_BYTES`` of drawn orders allow, imposes the cap and counts
+    the nonzeros after each epoch.  A block's orders come from one
+    ``rng.permuted`` call, which draws what as many ``rng.permutation``
+    calls would, so the results do not depend on the block size.
+
+    The result always holds the final objective and the nonzero count
+    after each epoch.  The penalized objective after each epoch, which
+    costs a pass over the observations per epoch, is computed only with
+    ``trace=True``; otherwise ``objective_trace`` is None and the
+    objective is computed once, at the final parameters.  The two give
+    the same parameters, counts and final objective bit for bit.
+
+    Raises ValueError for an index outside ``shape``, for an objective
+    that is not finite and for AdaGrad state that is not finite (a
+    squared gradient overflowed, so every later step of its entry is 0),
+    rather than fit on a wrapped index or return a NaN or stalled fit.
+    After the fit the parameters, the AdaGrad state and the final
+    objective are checked; if one is not finite, the fit is run again
+    with the trace, which is deterministic, to name the first epoch
+    whose objective is not finite (``objective is nan after 3 epochs``).
+    Without the trace, an objective that is not finite after some epoch
+    but finite again at the end (a sparsity cap can zero a NaN entry)
+    raises nothing.
     """
     if len(obs) == 0:
         raise ValueError("cannot train on an empty observation set")
@@ -354,51 +409,16 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     if cap is not None and cap > model.param_count(shape):
         raise ValueError("sparsity_cap exceeds the total parameter count")
 
-    from . import _kernel  # builds the C kernel on first use
-    seed = config.seed
-    rng = np.random.default_rng(seed if seed >= 0 else int(seed) % 2 ** 64)
-    params = _init_params(model, shape, config, rng)
-    g2_ent = np.zeros_like(params.entities)
-    g2_rel = np.zeros_like(params.relations)
-    fit = _kernel.engine().fit(model, params, g2_ent, g2_rel, obs, config)
-    n, epochs = len(obs), config.epochs
-    trace = np.empty(epochs + 1)
-    nnz = np.empty(epochs + 1, dtype=np.int64)
-    nnz[0] = _nnz(params)
-
-    def checked(value: float, epoch: int) -> float:
-        if not np.isfinite(value):
-            raise ValueError(f"objective is {value} after {epoch} epochs")
-        return value
-
-    def objective(epoch: int) -> float:  # at the fit's snapshot
-        return checked(fit.objective(), epoch)
-
-    # every draw from rng after _init_params is an epoch order on the helper
-    with _kernel.helper(n) as helper:
-        threaded = helper is not _kernel._Inline
-        block = 1 if threaded else max(1, _ORDER_BYTES // (8 * n))
-        order = helper.submit(_orders, rng, n, min(block, epochs))
-        pending = helper.submit(objective, 0)
-        done = 0
-        while done < epochs:
-            perms = order.result()
-            end = done + len(perms)
-            if end < epochs:
-                order = helper.submit(_orders, rng, n,
-                                      min(block, epochs - end))
-            new = slice(done + 1, end + 1)
-            ran = fit.run(perms, nnz[new], None if threaded else trace[new])
-            trace[done] = pending.result()  # frees the snapshot
-            if threaded:  # the objective after this epoch, on the helper
-                fit.snapshot()
-                pending = helper.submit(objective, end)
-            else:  # the run wrote trace[new] up to its first bad objective
-                pending = helper.submit(checked, trace[done + ran], done + ran)
-            done = end
-        trace[epochs] = pending.result()
-
-    if not (np.isfinite(g2_ent).all() and np.isfinite(g2_rel).all()):
-        raise ValueError("AdaGrad's squared-gradient sums overflowed, so the "
-                         "fit stalled; lower learning_rate")
-    return TrainResult(params, trace, nnz)
+    params, g2, nnz, objectives, final = _fit(model, shape, obs, config,
+                                              trace)
+    g2_finite = all(np.isfinite(block).all() for block in g2)
+    if not (g2_finite and np.isfinite(final) and
+            np.isfinite(params.entities).all() and
+            np.isfinite(params.relations).all()):
+        if not trace:  # the replay raises at the first bad objective
+            _fit(model, shape, obs, config, True)
+        if not g2_finite:
+            raise ValueError("AdaGrad's squared-gradient sums overflowed, so "
+                             "the fit stalled; lower learning_rate")
+        params.check_finite("fitted")
+    return TrainResult(params, float(final), nnz, objectives)

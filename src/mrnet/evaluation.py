@@ -120,14 +120,10 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
     ``None`` with a ``shape`` to scan every slot of the edge universe.
     Either way the engine that ``_kernel.engine()`` gives scores the
-    slots ``_CHUNK`` at a time, and each chunk's terms go to buffers
-    allocated once per scan, so memory stays bounded; both engines give
-    the same scores bit for bit.  On two cores, for a large enough chunk
-    (``_kernel.helper``), a helper thread scores the fit while this
-    thread scores the truth, and then computes the terms of the chunk's
-    second half while this thread does the first; inline, the terms of
-    a chunk are computed whole.  Each total adds whole chunks' pairwise
-    sums, so the totals do not depend on the split.
+    slots ``_CHUNK`` at a time, on the calling thread, and each chunk's
+    terms go to buffers allocated once per scan, so memory stays
+    bounded; both engines give the same scores bit for bit.  Each total
+    adds the pairwise sums of whole chunks' terms.
     The link prediction for a slot is "present" iff the fitted
     probability is >= 1/2, and the link error is the fraction of slots
     where that disagrees with the truth.
@@ -170,10 +166,13 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         else:
             engine.edge_scores(model, params, *(c[s:e] for c in edges), out)
 
-    def terms(lo: int, hi: int) -> None:
-        """The terms of the chunk's slots lo, ..., hi - 1, from their scores."""
-        p, q, work, kl, sq = real[:, lo:hi]
-        flag, mismatch = flags[:, lo:hi]
+    kl_sum = mse_sum = err_sum = 0.0
+    for s in range(0, total, _CHUNK):
+        e = min(s + _CHUNK, total)
+        p, q, work, kl, sq = real[:, :e - s]
+        flag, mismatch = flags[:, :e - s]
+        score(truth, p, s, e)
+        score(fitted, q, s, e)
         np.subtract(q, p, out=sq)
         np.multiply(sq, sq, out=sq)
         _sigmoid_into(p, work, flag)
@@ -182,25 +181,9 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         np.greater_equal(p, 0.5, out=flag)
         np.not_equal(mismatch, flag, out=mismatch)
         _kl_into(p, q, kl, work)  # sigmoids of checked params
-
-    kl_sum = mse_sum = err_sum = 0.0
-    with _kernel.helper(size // 2) as helper:
-        threaded = helper is not _kernel._Inline
-        for s in range(0, total, _CHUNK):
-            e = min(s + _CHUNK, total)
-            n = e - s
-            fit_scores = helper.submit(score, fitted, real[1, :n], s, e)
-            score(truth, real[0, :n], s, e)
-            fit_scores.result()
-            if threaded:
-                half = helper.submit(terms, n // 2, n)
-                terms(0, n // 2)
-                half.result()
-            else:
-                terms(0, n)
-            kl_sum += real[3, :n].sum()
-            mse_sum += real[4, :n].sum()
-            err_sum += np.count_nonzero(flags[1, :n])
+        kl_sum += kl.sum()
+        mse_sum += sq.sum()
+        err_sum += np.count_nonzero(mismatch)
     return EvalReport(kl_sum / total, mse_sum / total, err_sum / total, total)
 
 

@@ -12,6 +12,7 @@ as much as the slots actually examined.
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -251,6 +252,22 @@ def _run_job(job) -> GridRow:
                        error=f"{type(exc).__name__}: {exc}")
 
 
+def _check_spawnable(main) -> None:
+    """Raise ``RuntimeError`` unless a spawned worker can re-import the
+    main module ``main`` as multiprocessing does: by its module name
+    (``python -m``), or from a ``__file__`` that exists.  A script read
+    from stdin has the ``__file__`` ``"<stdin>"``, and every worker would
+    die importing it; with no ``__file__`` (``python -c``, a REPL) the
+    workers import nothing."""
+    path = getattr(main, "__file__", None)
+    if getattr(main.__spec__, "name", None) is None and path is not None \
+            and not os.path.isfile(path):
+        raise RuntimeError(
+            f"run_grid cannot spawn workers: they re-import the main module "
+            f"from {path!r}, which is not a file (a script read from "
+            f"stdin?); run the caller from a file, or pass n_workers=1")
+
+
 def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     """Run every (cell, replicate); failures become NaN rows, not raises.
 
@@ -268,7 +285,9 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     spawned, and each spawned worker imports mrnet from the caller's
     ``sys.path`` and re-imports the calling script's main module, so a
     script that calls this must guard its entry point with
-    ``if __name__ == "__main__":``.  A worker process that dies raises
+    ``if __name__ == "__main__":``; a main module that cannot be
+    re-imported so (a script read from stdin) raises ``RuntimeError``
+    before any worker starts.  A worker process that dies raises
     ``BrokenProcessPool``; it is not a failed cell.  An ``n_workers``
     that is not an integer >= 1 raises ``ValueError``.
     """
@@ -289,6 +308,8 @@ def run_grid(grid: ExperimentGrid, n_workers: int = 1) -> List[GridRow]:
     # The pool forks all its workers before it starts its own manager
     # thread, and OpenBLAS's fork handler shuts its thread pool down
     fork = sys.platform == "linux" and threading.active_count() == 1
+    if not fork:
+        _check_spawnable(sys.modules["__main__"])
     context = multiprocessing.get_context("fork" if fork else "spawn")
     # a few messages per worker, not one per replicate
     chunksize = -(-len(jobs) // (4 * workers))

@@ -270,12 +270,19 @@ def test_train_improves_objective_and_respects_radius():
     model, shape, obs = small_problem()
     config = TrainConfig(epochs=30, learning_rate=0.3, batch_size=64,
                          radius=5.0, seed=1)
-    result = train(model, shape, obs, config)
+    result = train(model, shape, obs, config, trace=True)
     assert len(result.objective_trace) == 31
     assert len(result.nnz_trace) == 31
     recomputed = penalized_objective(model, result.params, obs)
     assert result.objective_trace[-1] > result.objective_trace[0]
     assert result.objective_trace[-1] == pytest.approx(recomputed, rel=1e-9)
+    assert result.objective == result.objective_trace[-1]
+    # without the trace: the same fit and final objective, and no trace
+    plain = train(model, shape, obs, config)
+    assert plain.objective_trace is None
+    assert plain.objective == result.objective
+    assert_array_equal(plain.params.entities, result.params.entities)
+    assert_array_equal(plain.nnz_trace, result.nnz_trace)
     result.params.validate()  # all rows inside the radius ball
 
 
@@ -283,7 +290,7 @@ def test_train_trace_starts_at_init_objective():
     model, shape, obs = small_problem(seed=3)
     config = TrainConfig(epochs=1, learning_rate=1e-12, batch_size=1 << 20,
                          radius=5.0, seed=7, adagrad_eps=1.0)
-    result = train(model, shape, obs, config)
+    result = train(model, shape, obs, config, trace=True)
     # a vanishing learning rate keeps the final objective at the initial one
     assert result.objective_trace[0] == pytest.approx(
         result.objective_trace[-1], rel=1e-9)
@@ -293,8 +300,8 @@ def test_train_deterministic_per_seed():
     model, shape, obs = small_problem(seed=5)
     config = TrainConfig(epochs=5, learning_rate=0.2, batch_size=32,
                          radius=5.0, seed=42)
-    a = train(model, shape, obs, config)
-    b = train(model, shape, obs, config)
+    a = train(model, shape, obs, config, trace=True)
+    b = train(model, shape, obs, config, trace=True)
     assert_array_equal(a.params.entities, b.params.entities)
     assert_array_equal(a.params.relations, b.params.relations)
     assert_array_equal(a.objective_trace, b.objective_trace)

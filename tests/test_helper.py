@@ -1,9 +1,10 @@
-"""The helper thread of ``_kernel.helper``: ``train`` and the loss scan give
-the same results bit for bit on one core and on two, and no thread
-outlives them."""
+"""The training loop and the loss scan, both on the calling thread:
+``train``, with its objective trace and without, in blocks of any size,
+gives what one epoch at a time gives, bit for bit, called inline or on a
+helper thread of the caller's; a failure names its epoch; and neither
+``train`` nor ``evaluate_losses`` starts a thread."""
 
 import dataclasses
-import sys
 import threading
 
 import numpy as np
@@ -21,29 +22,10 @@ from test_estimation import make_params, small_problem
 from test_evaluation import scoring_paths
 
 
-@pytest.fixture(autouse=True)
-def fast_switching():
-    """Switch threads every 10 us, so a missed wait shows as a race."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def take_path(monkeypatch, path):
-    """Make ``_kernel.helper`` run its tasks inline, as on one core, or on
-    its thread whatever their size, as on two cores."""
-    monkeypatch.setattr(_kernel, "_cores", lambda: 1 if path == "inline" else 2)
-    monkeypatch.setattr(_kernel, "_HELPER_WORK", 1)
-
-
 def sequential_train(model, shape, obs, config):
-    """``train``'s loop on one thread, one epoch per call, with no
-    snapshot: every epoch's order drawn just before it by
-    ``rng.permutation``, and the cap, the nonzero count and the
-    objective in numpy, at the live parameters."""
+    """``train``'s loop one epoch per call: every epoch's order drawn
+    just before it by ``rng.permutation``, and the cap, the nonzero count
+    and the objective in numpy."""
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
@@ -66,22 +48,63 @@ def sequential_train(model, shape, obs, config):
     return params, np.asarray(trace), np.asarray(nnz, dtype=np.int64)
 
 
+def call_on(path, fn, *args, **kwargs):
+    """Call ``fn`` on this thread ("inline") or on a helper thread started
+    for it ("thread") with this thread's numpy error state, and return
+    what it returns or raise what it raises."""
+    if path == "inline":
+        return fn(*args, **kwargs)
+    return run_on_threads(lambda: fn(*args, **kwargs), 1)[0]
+
+
+def run_on_threads(fn, count):
+    """Call ``fn`` on ``count`` helper threads at once, each with this
+    thread's numpy error state; return their results or raise the first
+    error."""
+    errstate, results = np.geterr(), [None] * count
+
+    def target(i):
+        try:
+            with np.errstate(**errstate):
+                results[i] = ("value", fn())
+        except BaseException as exc:  # re-raised on the calling thread
+            results[i] = ("error", exc)
+
+    workers = [threading.Thread(target=target, args=(i,))
+               for i in range(count)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    for kind, value in results:
+        if kind == "error":
+            raise value
+    return [value for _, value in results]
+
+
 def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
 
 
-def assert_same_fit(got, params, trace, nnz):
+def assert_same_fit(got, params, trace, nnz, traced):
+    """``got`` holds ``params`` and ``nnz``, the final objective
+    ``trace[-1]`` and, when ``traced``, the whole ``trace``."""
     assert_same_bits(got.params.entities, params.entities)
     assert_same_bits(got.params.relations, params.relations)
-    assert_same_bits(got.objective_trace, trace)
     assert_same_bits(got.nnz_trace, nnz)
+    assert float(got.objective).hex() == float(trace[-1]).hex()
+    if traced:
+        assert_same_bits(got.objective_trace, trace)
+    else:
+        assert got.objective_trace is None
 
 
 def spy_on_fits(monkeypatch):
-    """Record each call of the engine's fits: ("run", epochs, whether it
-    writes objectives, thread) and ("objective", thread)."""
+    """Record each call of the engine's fits, ("run", epochs, whether it
+    writes objectives) or ("objective",), with the thread count seen
+    inside it."""
     engine, calls = _kernel.engine(), []
 
     class Spy:
@@ -90,14 +113,11 @@ def spy_on_fits(monkeypatch):
 
         def run(self, perms, nnz_out, obj_out=None):
             calls.append(("run", len(perms), obj_out is not None,
-                          threading.current_thread().name))
+                          threading.active_count()))
             return self.fit.run(perms, nnz_out, obj_out)
 
-        def snapshot(self):
-            self.fit.snapshot()
-
         def objective(self):
-            calls.append(("objective", threading.current_thread().name))
+            calls.append(("objective", threading.active_count()))
             return self.fit.objective()
 
     def fit(*args, real=engine.fit):
@@ -111,6 +131,9 @@ def spy_on_fits(monkeypatch):
 @pytest.mark.parametrize("loaded", scoring_paths())
 def test_train_is_bit_identical_inline_and_on_the_helper(monkeypatch, loaded,
                                                          cap):
+    # on a helper thread of the caller's, two fits at once: the compiled
+    # kernel runs without the GIL, so they overlap and would show any
+    # state they shared
     monkeypatch.setattr(_kernel, "_loaded", loaded)
     model, shape, obs = small_problem(seed=12)
     config = TrainConfig(epochs=4, learning_rate=0.3, batch_size=50,
@@ -118,21 +141,15 @@ def test_train_is_bit_identical_inline_and_on_the_helper(monkeypatch, loaded,
                          sparsity_cap=cap)
     params, trace, nnz = sequential_train(model, shape, obs, config)
     calls = spy_on_fits(monkeypatch)
-    main = threading.current_thread().name
-    for path in ("inline", "thread"):
-        take_path(monkeypatch, path)
+    for traced in (True, False):
         calls.clear()
-        assert_same_fit(train(model, shape, obs, config), params, trace, nnz)
-        objectives = [c for c in calls if c[0] == "objective"]
-        runs = [c for c in calls if c[0] == "run"]
-        if path == "inline":  # the initial objective, then all in one run
-            assert objectives == [("objective", main)]
-            assert runs == [("run", 4, True, main)]
-        else:  # one epoch per run, each objective on the helper
-            assert len(objectives) == 5
-            assert all(name.startswith("mrnet-helper")
-                       for _, name in objectives)
-            assert runs == [("run", 1, False, main)] * 4
+        got = train(model, shape, obs, config, trace=traced)
+        assert_same_fit(got, params, trace, nnz, traced)
+        assert len(calls) == 2  # one run of 4 epochs and one objective
+        for got in run_on_threads(
+                lambda: train(model, shape, obs, config, trace=traced), 2):
+            assert_same_fit(got, params, trace, nnz, traced)
+        assert len(calls) == 6
 
 
 @pytest.mark.parametrize("rho", [(0.0, 0.0), (0.01, 0.02)])
@@ -154,18 +171,22 @@ def test_blocks_of_epochs_are_bit_identical_to_one_at_a_time(
     order_bytes = 8 * len(obs)
     for block, runs in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7]), (100, [7])):
         monkeypatch.setattr(estimation, "_ORDER_BYTES", block * order_bytes)
-        for path in ("inline", "thread"):
-            take_path(monkeypatch, path)
+        for traced in (True, False):
             calls.clear()
-            got = train(model, shape, obs, config)
-            assert_same_fit(got, params, trace, nnz)
-            got_runs = [c[1] for c in calls if c[0] == "run"]
-            assert got_runs == (runs if path == "inline" else [1] * 7)
+            got = train(model, shape, obs, config, trace=traced)
+            assert_same_fit(got, params, trace, nnz, traced)
+            # the objective once: at init before the runs, which write the
+            # rest of the trace, or only at the end, after runs that
+            # write none
+            assert [c[:-1] for c in calls] == (
+                [("objective",)] * traced
+                + [("run", epochs, traced) for epochs in runs]
+                + [("objective",)] * (not traced))
     # the budget in bytes: a block never holds fewer than one order
     monkeypatch.setattr(estimation, "_ORDER_BYTES", order_bytes - 1)
-    take_path(monkeypatch, "inline")
     calls.clear()
-    assert_same_fit(train(model, shape, obs, config), params, trace, nnz)
+    assert_same_fit(train(model, shape, obs, config), params, trace, nnz,
+                    False)
     assert [c[1] for c in calls if c[0] == "run"] == [1] * 7
 
 
@@ -191,27 +212,30 @@ OVERFLOW_RATES = {2: 1e242, 4: 1e210}
 @pytest.mark.parametrize("path", ["inline", "thread"])
 @pytest.mark.parametrize("bad_epoch", [2, 4])  # a middle and the last
 def test_non_finite_objective_names_its_epoch(monkeypatch, path, bad_epoch):
-    take_path(monkeypatch, path)
     model, shape, obs = small_problem(seed=13)
     config = TrainConfig(epochs=4, batch_size=len(obs), radius=1e300,
                          adagrad_eps=1e200,
                          learning_rate=OVERFLOW_RATES[bad_epoch])
-    before = threading.active_count()
     for loaded in scoring_paths():
         monkeypatch.setattr(_kernel, "_loaded", loaded)
-        # blocks of 1, 3 and 4 epochs: the bad epoch alone in its block,
-        # or in the middle or at the end of one
-        for block in (1, 3, 4):
+        # blocks of 1, 3, 4 and 100 epochs: the bad epoch alone in its
+        # block, or in the middle or at the end of one; and 0, 2 or 6
+        # epochs after it, whose parameters the final check finds
+        for block in (1, 3, 4, 100):
             monkeypatch.setattr(estimation, "_ORDER_BYTES",
                                 block * 8 * len(obs))
-            with np.errstate(all="ignore"), pytest.raises(
-                    ValueError,
-                    match=f"^objective is nan after {bad_epoch} epochs$"):
-                train(model, shape, obs, config)
-            assert threading.active_count() == before
+            for epochs in {4, bad_epoch, bad_epoch + 6}:
+                for traced in (True, False):
+                    with np.errstate(all="ignore"), pytest.raises(
+                            ValueError, match=f"^objective is nan after "
+                                              f"{bad_epoch} epochs$"):
+                        call_on(path, train, model, shape, obs,
+                                dataclasses.replace(config, epochs=epochs),
+                                trace=traced)
     # one epoch fewer is finite
-    finite = train(model, shape, obs,
-                   dataclasses.replace(config, epochs=bad_epoch - 1))
+    finite = call_on(path, train, model, shape, obs,
+                     dataclasses.replace(config, epochs=bad_epoch - 1),
+                     trace=True)
     assert np.isfinite(finite.objective_trace).all()
 
 
@@ -220,64 +244,60 @@ def test_overflowed_adagrad_state_is_an_error(monkeypatch, path):
     # a squared gradient past the float range makes g2 inf, so every
     # later step of its entry is 0: the fit used to stall with a finite
     # objective trace (-1.2e308 from epoch 1 on) and no error
-    take_path(monkeypatch, path)
     _, shape, obs = small_problem(seed=13)
     model = ScoreModel("distance", 2)
     config = TrainConfig(epochs=6, learning_rate=10 ** 152.5, radius=1e300)
     for loaded in scoring_paths():
         monkeypatch.setattr(_kernel, "_loaded", loaded)
-        with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match="squared-gradient sums overflowed"):
-            train(model, shape, obs, config)
+        for block in (1, 3, 6, 100):
+            monkeypatch.setattr(estimation, "_ORDER_BYTES",
+                                block * 8 * len(obs))
+            for traced in (True, False):
+                with np.errstate(all="ignore"), pytest.raises(
+                        ValueError, match="squared-gradient sums overflowed"):
+                    call_on(path, train, model, shape, obs, config,
+                            trace=traced)
         # a rate 10^6 times smaller keeps the state finite
-        result = train(model, shape, obs, dataclasses.replace(
-            config, learning_rate=10 ** 146.5))
+        result = call_on(path, train, model, shape, obs, dataclasses.replace(
+            config, learning_rate=10 ** 146.5), trace=True)
         assert np.isfinite(result.objective_trace).all()
 
 
 @pytest.mark.parametrize("path", ["inline", "thread"])
 def test_train_leaves_no_thread_behind(monkeypatch, path):
-    take_path(monkeypatch, path)
+    # not even where two cores are usable: each checks the thread count
+    # from inside the engine's calls, not only once it has returned; on
+    # a helper thread, that thread is the only one added
+    monkeypatch.setattr(_kernel, "_cores", lambda: 2)
     model, shape, obs = small_problem(seed=14)
     before = threading.active_count()
-    train(model, shape, obs, TrainConfig(epochs=3, batch_size=50))
-    assert threading.active_count() == before
-
-
-def test_helper_runs_inline_below_the_size_rule_or_on_one_core(monkeypatch):
-    monkeypatch.setattr(_kernel, "_cores", lambda: 2)
-    with _kernel.helper(_kernel._HELPER_WORK - 1) as pool:
-        assert pool is _kernel._Inline
-    with _kernel.helper(_kernel._HELPER_WORK) as pool:
-        assert pool is not _kernel._Inline
-        assert pool.submit(threading.current_thread).result(timeout=10) \
-            is not threading.current_thread()
-    monkeypatch.setattr(_kernel, "_cores", lambda: 1)
-    with _kernel.helper(10 * _kernel._HELPER_WORK) as pool:
-        assert pool is _kernel._Inline
-
-
-@pytest.mark.parametrize("path", ["inline", "thread"])
-def test_helper_tasks_run_in_order_and_raise(monkeypatch, path):
-    take_path(monkeypatch, path)
-    before = threading.active_count()
-    seen = []
-    with pytest.raises(KeyError):
-        with _kernel.helper(1) as pool:
-            futures = [pool.submit(seen.append, i) for i in range(50)]
-            with np.errstate(over="ignore"):  # the submitter's errstate holds
-                quiet = pool.submit(np.exp, np.float64(1e3))
-            assert quiet.result(timeout=10) == np.inf
-            assert [f.result(timeout=10) for f in futures] == [None] * 50
-            assert seen == list(range(50))
-            # raised by submit inline, by result on the thread
-            pool.submit({}.__getitem__, "missing").result(timeout=10)
-    assert threading.active_count() == before
+    inside = before + (path == "thread")
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        calls = spy_on_fits(monkeypatch)
+        for traced in (True, False):
+            result = call_on(path, train, model, shape, obs,
+                             TrainConfig(epochs=3, batch_size=50),
+                             trace=traced)
+        assert calls and all(c[-1] == inside for c in calls)
+        engine, seen = _kernel.engine(), []
+        for name in ("slot_scores", "edge_scores"):
+            def spy(*args, real=getattr(engine, name)):
+                seen.append(threading.active_count())
+                return real(*args)
+            monkeypatch.setattr(engine, name, spy)
+        call_on(path, evaluate_losses, model, result.params, result.params,
+                shape=shape)
+        call_on(path, evaluate_losses, model, result.params, result.params,
+                edges=(obs.heads, obs.tails, obs.rels))
+        assert len(seen) == 4 and set(seen) == {inside}
+        assert threading.active_count() == before
 
 
 def sequential_losses(model, fitted, truth, heads, tails, rels, chunk):
-    """``evaluate_losses``' totals on one thread: scores, ``sigmoid`` and
-    ``_kl`` of each whole chunk, each total adding the chunks' sums."""
+    """``evaluate_losses``' totals with no reused buffers: scores,
+    ``sigmoid`` and ``_kl`` of each whole chunk, each total adding the
+    chunks' sums."""
     total = len(heads)
     kl = mse = err = 0.0
     for s in range(0, total, chunk):
@@ -312,17 +332,15 @@ def test_split_scan_is_bit_identical(monkeypatch, kind, chunk):
                                  chunk)
         for loaded in scoring_paths():
             monkeypatch.setattr(_kernel, "_loaded", loaded)
-            for path in ("inline", "thread"):
-                take_path(monkeypatch, path)
-                if shape is None:
-                    got = evaluate_losses(model, fitted, truth,
-                                          edges=(heads, tails, rels))
-                else:
-                    got = evaluate_losses(model, fitted, truth, shape=shape)
-                assert [v.hex() for v in want] == [
-                    float(got.avg_kl).hex(), float(got.mse_phi).hex(),
-                    float(got.link_err).hex()]
-                assert got.n_evaluated == len(heads)
+            if shape is None:
+                got = evaluate_losses(model, fitted, truth,
+                                      edges=(heads, tails, rels))
+            else:
+                got = evaluate_losses(model, fitted, truth, shape=shape)
+            assert [v.hex() for v in want] == [
+                float(got.avg_kl).hex(), float(got.mse_phi).hex(),
+                float(got.link_err).hex()]
+            assert got.n_evaluated == len(heads)
 
 
 def test_sigmoid_into_is_sigmoid_bit_for_bit():

@@ -65,9 +65,9 @@ def test_kernel_trajectory_matches_numpy_loop(kernel, monkeypatch, kind,
     config = TrainConfig(epochs=20, learning_rate=0.3, batch_size=50,
                          radius=0.5, seed=4, **VARIANTS[variant])
     monkeypatch.setattr(_kernel, "_loaded", kernel)
-    fast = train(model, shape, obs, config)
+    fast = train(model, shape, obs, config, trace=True)
     monkeypatch.setattr(_kernel, "_loaded", None)
-    ref = train(model, shape, obs, config)
+    ref = train(model, shape, obs, config, trace=True)
     assert_allclose(fast.params.entities, ref.params.entities, RTOL, ATOL)
     assert_allclose(fast.params.relations, ref.params.relations, RTOL, ATOL)
     assert_allclose(fast.objective_trace, ref.objective_trace, RTOL, ATOL)

@@ -437,6 +437,36 @@ def test_run_grid_workers_run_the_callers_mrnet(tmp_path):
         assert json.loads(out) == [f"{copy / 'simulation.py'} {main}"] * 2
 
 
+@pytest.mark.skipif(_kernel._cores() < 2, reason="one usable core: "
+                    "run_grid runs inline, so there are no workers")
+def test_run_grid_refuses_to_spawn_for_a_script_from_stdin(tmp_path):
+    # a spawned worker re-imports the main module from its __file__,
+    # "<stdin>" for a script piped to python: each worker used to die with
+    # FileNotFoundError, and the grid raised BrokenProcessPool
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    grid_file = tmp_path / "grid.pkl"
+    grid_file.write_bytes(pickle.dumps(grid_for_test(entity_counts=(6,))))
+    code = ("import pickle, threading\n"
+            "from mrnet.simulation import run_grid\n"
+            f"grid = pickle.loads(open({str(grid_file)!r}, 'rb').read())\n"
+            "done = threading.Event()\n"
+            "threading.Thread(target=done.wait).start()\n"
+            "try:\n"
+            "    print(len(run_grid(grid, 1)))\n"
+            "    run_grid(grid, 2)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "finally:\n"
+            "    done.set()\n")
+    out = subprocess.run([sys.executable, "-"], input=code, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == [
+        "2", "run_grid cannot spawn workers: they re-import the main module "
+        "from '<stdin>', which is not a file (a script read from stdin?); "
+        "run the caller from a file, or pass n_workers=1"]
+
+
 class _ExitOnUnpickle:
     """Unpickles as a call that ends the process doing the unpickling."""
 
