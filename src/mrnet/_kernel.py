@@ -126,7 +126,7 @@ class _Fit(ctypes.Structure):
     _fields_ = [("kind", ctypes.c_int)] + [
         (name, ctype) for ctype, names in (
             (_I64, "n_ent n_rel d rd"),
-            (_PTR, "ent rel g2_ent g2_rel heads tails rels labels"),
+            (_PTR, "ent rel g2_ent g2_rel heads tails rels records"),
             (_I64, "n_obs batch_size"), (_F64, "lr eps rho1 rho2 radius"),
             (_I64, "cap")) for name in names.split()]
 
@@ -146,6 +146,23 @@ def _record(model, params, heads=None, tails=None, rels=None, **settings):
             _addr(c, np.int64) for c in (heads, tails, rels))
         record.n_obs = len(heads)
     return record
+
+
+def _records(heads, tails, rels, labels, n_entities, n_relations):
+    """The observations as ``struct record``s, one (head, tail, relation,
+    label) row of int32 each.  Raises ``ValueError`` naming ``n_entities``
+    or ``n_relations`` when int32 cannot index that many, before it packs
+    anything.  The caller has checked that every index is in range."""
+    for name, count in (("n_entities", n_entities),
+                        ("n_relations", n_relations)):
+        if count > np.iinfo(np.int32).max:
+            raise ValueError(f"{name} = {count} does not fit the kernel's "
+                             "int32 observation records (at most 2^31 - 1)")
+    check_columns(heads, tails, rels, labels)
+    records = np.empty((len(heads), 4), dtype=np.int32)
+    for column, values in enumerate((heads, tails, rels, labels)):
+        records[:, column] = values
+    return records
 
 
 def _bind(fn, restype, *argtypes):
@@ -223,6 +240,12 @@ class Kernel:
 class Fit:
     """The kernel bound to one fit's arrays, their record filled once.
 
+    The observations are packed once, when the fit is bound, into 16-byte
+    records (``_records``) that every ``run`` and ``objective`` reads, so
+    a fit keeps 16 bytes per observation beside ``obs``.  Raises
+    ``ValueError`` if int32 cannot index the network's entities or
+    relations.
+
     ``run(perms, nnz_out, obj_out=None)`` runs one AdaGrad epoch over
     ``obs`` per row of ``perms``, in that row's order, updating the
     parameters and ``g2_ent`` / ``g2_rel`` in place.  After each epoch it
@@ -241,18 +264,19 @@ class Fit:
                 g2_rel.shape != params.relations.shape:
             raise ShapeError("epoch kernel arguments disagree in shape")
         cap = config.sparsity_cap
+        records = _records(obs.heads, obs.tails, obs.rels, obs.labels,
+                           params.n_entities, params.n_relations)
         self._record = _record(
-            model, params, obs.heads, obs.tails, obs.rels,
-            g2_ent=_addr(g2_ent, np.float64),
+            model, params, g2_ent=_addr(g2_ent, np.float64),
             g2_rel=_addr(g2_rel, np.float64),
-            labels=_addr(obs.labels, np.int8), batch_size=config.batch_size,
-            lr=config.learning_rate, eps=config.adagrad_eps,
-            rho1=config.rho1, rho2=config.rho2, radius=config.radius,
-            cap=-1 if cap is None else cap)
+            records=_addr(records, np.int32), n_obs=len(records),
+            batch_size=config.batch_size, lr=config.learning_rate,
+            eps=config.adagrad_eps, rho1=config.rho1, rho2=config.rho2,
+            radius=config.radius, cap=-1 if cap is None else cap)
         self._kernel, self._n = kernel, len(obs)
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
-                        obs.heads, obs.tails, obs.rels, obs.labels)
+                        records)
 
     def run(self, perms, nnz_out, obj_out=None) -> int:
         epochs = len(perms)

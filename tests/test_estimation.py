@@ -1,13 +1,18 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from mrnet import _kernel, estimation
 from mrnet.estimation import (
     ObservationSet,
     TrainConfig,
+    _init_params,
+    _nnz,
+    _penalty,
     log_likelihood,
     objective_gradient,
     penalized_objective,
@@ -15,6 +20,7 @@ from mrnet.estimation import (
     project_l0,
     train,
 )
+from mrnet.evaluation import evaluate_losses
 from mrnet.models import (
     ModelParams,
     NetworkShape,
@@ -24,6 +30,8 @@ from mrnet.models import (
     score,
     sigmoid,
 )
+
+from test_evaluation import assert_same_bits, scoring_paths
 
 
 def make_params(model, n, k, rng, scale=1.0, radius=50.0):
@@ -441,3 +449,220 @@ TRAIN_TESTS = [
 def test_numpy_loop(numpy_loop, check):
     """The train tests above, on the numpy fallback instead of the kernel."""
     check()
+
+
+def sequential_train(model, shape, obs, config):
+    """``train``'s loop one epoch per call: every epoch's order drawn
+    just before it by ``rng.permutation``, and the cap, the nonzero count
+    and the objective in numpy."""
+    rng = np.random.default_rng(config.seed)
+    params = _init_params(model, shape, config, rng)
+    g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
+    uncapped = dataclasses.replace(config, sparsity_cap=None)
+    fit = _kernel.engine().fit(model, params, *g2, obs, uncapped)
+
+    def objective():
+        return (log_likelihood(model, params, obs)
+                - _penalty(params, config.rho1, config.rho2))
+
+    trace, nnz = [objective()], [_nnz(params)]
+    for _ in range(config.epochs):
+        fit.run(rng.permutation(len(obs))[None], np.empty(1, dtype=np.int64))
+        if config.sparsity_cap is not None:
+            capped = project_l0(params, config.sparsity_cap)
+            params.entities[...] = capped.entities
+            params.relations[...] = capped.relations
+        trace.append(objective())
+        nnz.append(_nnz(params))
+    return params, np.asarray(trace), np.asarray(nnz, dtype=np.int64)
+
+
+def call_on(path, fn, *args, **kwargs):
+    """Call ``fn`` on this thread ("inline") or on a thread started for
+    it ("thread") with this thread's numpy error state, and return
+    what it returns or raise what it raises."""
+    if path == "inline":
+        return fn(*args, **kwargs)
+    return run_on_threads(lambda: fn(*args, **kwargs), 1)[0]
+
+
+def run_on_threads(fn, count):
+    """Call ``fn`` on ``count`` new threads at once, each with this
+    thread's numpy error state; return their results or raise the first
+    error."""
+    errstate, results = np.geterr(), [None] * count
+
+    def target(i):
+        try:
+            with np.errstate(**errstate):
+                results[i] = ("value", fn())
+        except BaseException as exc:  # re-raised on the calling thread
+            results[i] = ("error", exc)
+
+    workers = [threading.Thread(target=target, args=(i,))
+               for i in range(count)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    for kind, value in results:
+        if kind == "error":
+            raise value
+    return [value for _, value in results]
+
+
+def assert_same_fit(got, params, trace, nnz, traced):
+    """``got`` holds ``params`` and ``nnz``, the final objective
+    ``trace[-1]`` and, when ``traced``, the whole ``trace``."""
+    assert_same_bits(got.params.entities, params.entities)
+    assert_same_bits(got.params.relations, params.relations)
+    assert_same_bits(got.nnz_trace, nnz)
+    assert float(got.objective).hex() == float(trace[-1]).hex()
+    if traced:
+        assert_same_bits(got.objective_trace, trace)
+    else:
+        assert got.objective_trace is None
+
+
+def spy_on_fits(monkeypatch):
+    """Record each call of the engine's fits, ("run", epochs, whether it
+    writes objectives) or ("objective",), with the thread count seen
+    inside it."""
+    engine, calls = _kernel.engine(), []
+
+    class Spy:
+        def __init__(self, fit):
+            self.fit = fit
+
+        def run(self, perms, nnz_out, obj_out=None):
+            calls.append(("run", len(perms), obj_out is not None,
+                          threading.active_count()))
+            return self.fit.run(perms, nnz_out, obj_out)
+
+        def objective(self):
+            calls.append(("objective", threading.active_count()))
+            return self.fit.objective()
+
+    def fit(*args, real=engine.fit):
+        return Spy(real(*args))
+
+    monkeypatch.setattr(engine, "fit", fit)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [None, 20])
+@pytest.mark.parametrize("loaded", scoring_paths())
+def test_train_is_bit_identical_inline_and_on_other_threads(monkeypatch,
+                                                            loaded, cap):
+    # on two threads the caller starts, two fits at once: the compiled
+    # kernel runs without the GIL, so they overlap and would show any
+    # state they shared
+    monkeypatch.setattr(_kernel, "_loaded", loaded)
+    model, shape, obs = small_problem(seed=12)
+    config = TrainConfig(epochs=4, learning_rate=0.3, batch_size=50,
+                         rho1=0.01, rho2=0.02, radius=0.8, seed=9,
+                         sparsity_cap=cap)
+    params, trace, nnz = sequential_train(model, shape, obs, config)
+    calls = spy_on_fits(monkeypatch)
+    for traced in (True, False):
+        calls.clear()
+        got = train(model, shape, obs, config, trace=traced)
+        assert_same_fit(got, params, trace, nnz, traced)
+        assert len(calls) == 2  # one run of 4 epochs and one objective
+        for got in run_on_threads(
+                lambda: train(model, shape, obs, config, trace=traced), 2):
+            assert_same_fit(got, params, trace, nnz, traced)
+        assert len(calls) == 6
+
+
+# plain gradient steps, one per epoch: an adagrad_eps far above every
+# sqrt(g2) leaves a step of learning_rate / adagrad_eps times the full
+# gradient, under which the scores grow until they overflow; each rate
+# sits at least a factor 10^3 inside the span of rates that make the
+# given epoch the first with a NaN objective, on both engines
+OVERFLOW_RATES = {2: 1e242, 4: 1e210}
+
+
+@pytest.mark.parametrize("path", ["inline", "thread"])
+@pytest.mark.parametrize("bad_epoch", [2, 4])  # a middle and the last
+def test_non_finite_objective_names_its_epoch(monkeypatch, path, bad_epoch):
+    model, shape, obs = small_problem(seed=13)
+    config = TrainConfig(epochs=4, batch_size=len(obs), radius=1e300,
+                         adagrad_eps=1e200,
+                         learning_rate=OVERFLOW_RATES[bad_epoch])
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        # blocks of 1, 3, 4 and 100 epochs: the bad epoch alone in its
+        # block, or in the middle or at the end of one; and 0, 2 or 6
+        # epochs after it, whose parameters the final check finds
+        for block in (1, 3, 4, 100):
+            monkeypatch.setattr(estimation, "_ORDER_BYTES",
+                                block * 8 * len(obs))
+            for epochs in {4, bad_epoch, bad_epoch + 6}:
+                for traced in (True, False):
+                    with np.errstate(all="ignore"), pytest.raises(
+                            ValueError, match=f"^objective is nan after "
+                                              f"{bad_epoch} epochs$"):
+                        call_on(path, train, model, shape, obs,
+                                dataclasses.replace(config, epochs=epochs),
+                                trace=traced)
+    # one epoch fewer is finite
+    finite = call_on(path, train, model, shape, obs,
+                     dataclasses.replace(config, epochs=bad_epoch - 1),
+                     trace=True)
+    assert np.isfinite(finite.objective_trace).all()
+
+
+@pytest.mark.parametrize("path", ["inline", "thread"])
+def test_overflowed_adagrad_state_is_an_error(monkeypatch, path):
+    # a squared gradient past the float range makes g2 inf, so every
+    # later step of its entry is 0: the fit used to stall with a finite
+    # objective trace (-1.2e308 from epoch 1 on) and no error
+    _, shape, obs = small_problem(seed=13)
+    model = ScoreModel("distance", 2)
+    config = TrainConfig(epochs=6, learning_rate=10 ** 152.5, radius=1e300)
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        for block in (1, 3, 6, 100):
+            monkeypatch.setattr(estimation, "_ORDER_BYTES",
+                                block * 8 * len(obs))
+            for traced in (True, False):
+                with np.errstate(all="ignore"), pytest.raises(
+                        ValueError, match="squared-gradient sums overflowed"):
+                    call_on(path, train, model, shape, obs, config,
+                            trace=traced)
+        # a rate 10^6 times smaller keeps the state finite
+        result = call_on(path, train, model, shape, obs, dataclasses.replace(
+            config, learning_rate=10 ** 146.5), trace=True)
+        assert np.isfinite(result.objective_trace).all()
+
+
+@pytest.mark.parametrize("path", ["inline", "thread"])
+def test_train_leaves_no_thread_behind(monkeypatch, path):
+    # not even where two cores are usable: each checks the thread count
+    # from inside the engine's calls, not only once it has returned; on
+    # a thread the test starts, that thread is the only one added
+    monkeypatch.setattr(_kernel, "_cores", lambda: 2)
+    model, shape, obs = small_problem(seed=14)
+    before = threading.active_count()
+    inside = before + (path == "thread")
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        calls = spy_on_fits(monkeypatch)
+        for traced in (True, False):
+            result = call_on(path, train, model, shape, obs,
+                             TrainConfig(epochs=3, batch_size=50),
+                             trace=traced)
+        assert calls and all(c[-1] == inside for c in calls)
+        engine, seen = _kernel.engine(), []
+        for name in ("slot_scores", "edge_scores"):
+            def spy(*args, real=getattr(engine, name)):
+                seen.append(threading.active_count())
+                return real(*args)
+            monkeypatch.setattr(engine, name, spy)
+        call_on(path, evaluate_losses, model, result.params, result.params,
+                shape=shape)
+        call_on(path, evaluate_losses, model, result.params, result.params,
+                edges=(obs.heads, obs.tails, obs.rels))
+        assert len(seen) == 4 and set(seen) == {inside}
+        assert threading.active_count() == before

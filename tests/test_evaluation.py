@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import rel_entr
 
 import mrnet.evaluation as evaluation
@@ -16,6 +16,8 @@ from mrnet import _kernel
 from mrnet._edges import EdgeIndexError
 from mrnet.evaluation import (
     KL_CLAMP,
+    _kl,
+    _kl_into,
     as_validity,
     bernoulli_kl,
     evaluate_losses,
@@ -29,6 +31,7 @@ from mrnet.models import (
     ScoreModel,
     ShapeError,
     Triple,
+    _sigmoid_into,
     score,
     scores,
     sigmoid,
@@ -40,6 +43,12 @@ def scoring_paths():
     the values of ``_kernel._loaded`` that select them."""
     kernel = _kernel.load()
     return [None] if kernel is None else [kernel, None]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 def make_params(model, n, k, rng, scale=1.0):
@@ -875,3 +884,74 @@ def test_wrapped_lookup_keeps_the_grid_call():
     rows = len(tests)
     assert calls == [(0, rows, rows, shape), (1, rows, rows, shape),
                      (2, rows, rows, shape)]
+
+
+def sequential_losses(model, fitted, truth, heads, tails, rels, chunk):
+    """``evaluate_losses``' totals with no reused buffers: scores,
+    ``sigmoid`` and ``_kl`` of each whole chunk, each total adding the
+    chunks' sums."""
+    total = len(heads)
+    kl = mse = err = 0.0
+    for s in range(0, total, chunk):
+        cols = heads[s:s + chunk], tails[s:s + chunk], rels[s:s + chunk]
+        phi_true, phi_fit = (scores(model, p, *cols) for p in (truth, fitted))
+        m_true, m_fit = sigmoid(phi_true), sigmoid(phi_fit)
+        kl += _kl(m_true, m_fit).sum()
+        diff = phi_fit - phi_true
+        mse += (diff * diff).sum()
+        err += np.count_nonzero((m_fit >= 0.5) != (m_true >= 0.5))
+    return kl / total, mse / total, err / total
+
+
+@pytest.mark.parametrize("chunk", [evaluation._CHUNK, 101, 64])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_chunked_scan_is_bit_identical(monkeypatch, kind, chunk):
+    # 7 * 7 * 3 = 147 slots: below the default chunk, in chunks of the
+    # odd length 101, and in chunks of 64 with an odd remainder of 19
+    rng = np.random.default_rng(30)
+    n, k = 7, 3
+    model = ScoreModel(kind, 3)
+    truth = make_params(model, n, k, rng, scale=1.5)
+    fitted = make_params(model, n, k, rng, scale=1.5)
+    hs, ts, rs = (c.ravel() for c in np.meshgrid(
+        np.arange(n), np.arange(n), np.arange(k), indexing="ij"))
+    order = rng.permutation(len(hs))
+    monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+    for heads, tails, rels, shape in (
+            (hs, ts, rs, NetworkShape(n, k)),  # the universe, in slot order
+            (hs[order], ts[order], rs[order], None)):  # explicit edges
+        want = sequential_losses(model, fitted, truth, heads, tails, rels,
+                                 chunk)
+        for loaded in scoring_paths():
+            monkeypatch.setattr(_kernel, "_loaded", loaded)
+            if shape is None:
+                got = evaluate_losses(model, fitted, truth,
+                                      edges=(heads, tails, rels))
+            else:
+                got = evaluate_losses(model, fitted, truth, shape=shape)
+            assert [v.hex() for v in want] == [
+                float(got.avg_kl).hex(), float(got.mse_phi).hex(),
+                float(got.link_err).hex()]
+            assert got.n_evaluated == len(heads)
+
+
+def test_sigmoid_into_is_sigmoid_bit_for_bit():
+    x = np.concatenate([np.linspace(-800, 800, 4001),
+                        np.random.default_rng(3).normal(0, 10, 1001),
+                        [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan]])
+    want = sigmoid(x)
+    got = x.copy()
+    _sigmoid_into(got, np.empty_like(x), np.empty(len(x), dtype=bool))
+    assert_same_bits(got, want)
+
+
+def test_kl_into_is_kl_bit_for_bit():
+    rng = np.random.default_rng(4)
+    p = sigmoid(np.concatenate([rng.normal(0, 8, 2000), [-800.0, 800.0]]))
+    q = sigmoid(np.concatenate([rng.normal(0, 8, 2000), [800.0, -800.0]]))
+    q[:3] = [0.0, 1.0, 0.5]  # outside sigmoid's range: the clamp applies
+    want = _kl(p, q)
+    out = np.empty_like(p)
+    _kl_into(p.copy(), q.copy(), out, np.empty_like(p))
+    assert_same_bits(out, want)
+    assert_array_equal(np.isfinite(out), True)

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import math
 import os
 import shutil
 import subprocess
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrnet import _kernel
+from mrnet import _kernel, estimation
 from mrnet.estimation import (ObservationSet, TrainConfig, _penalty,
                               log_likelihood, project_l0, train)
-from mrnet.models import (MODEL_KINDS, ModelParams, NetworkShape, ScoreModel,
-                          ShapeError, scores)
+from mrnet.models import (_P_HI, _P_LO, MODEL_KINDS, ModelParams,
+                          NetworkShape, ScoreModel, ShapeError, scores)
 
 from test_estimation import full_observation_set, make_params, small_problem
 
@@ -54,28 +55,68 @@ VARIANTS = {"plain": {}, "rho1": {"rho1": 0.3}, "rho2": {"rho2": 0.5},
             "sparsity_cap": {"sparsity_cap": 20}}
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("kind", MODEL_KINDS)
+def libm_sigmoid(x):
+    """``models.sigmoid`` of a 1-d array with libm's exp, as the kernel's
+    sigmoid takes it, in place of numpy's SIMD exp."""
+    e = np.array([math.exp(-abs(v)) for v in x.tolist()])
+    return np.clip(np.where(x >= 0, 1.0, e) / (1.0 + e), _P_LO, _P_HI)
+
+
+# every kind and variant at latent sizes 1, 2, 3, 5 and 8; the d = 2
+# cases keep the short ids "<kind>-<variant>", the others end in "-d<d>"
+TRAJECTORY_CASES = [(kind, variant, d) for kind in MODEL_KINDS
+                    for variant in sorted(VARIANTS) for d in (1, 2, 3, 5, 8)]
+
+
+@pytest.mark.parametrize(
+    "kind, variant, d", TRAJECTORY_CASES,
+    ids=[f"{kind}-{variant}" + (f"-d{d}" if d != 2 else "")
+         for kind, variant, d in TRAJECTORY_CASES])
 def test_kernel_trajectory_matches_numpy_loop(kernel, monkeypatch, kind,
-                                              variant):
+                                              variant, d):
+    # the row update takes entries two at a time: odd widths end on one
+    # entry alone, and rows of 8 or more (d = 8, or combined relation
+    # rows of 2d at d >= 5) take their norms through pairwise_sum
     _, shape, obs = small_problem(seed=11)
-    model = ScoreModel(kind, 2)
+    model = ScoreModel(kind, d)
     # 288 observations in batches of 50: the last batch is short
     assert len(obs) % 50
+    # some observations have one entity as both head and tail, so a
+    # batch adds a head and a tail term to the same gradient row
+    assert np.any(obs.heads == obs.tails)
+    settings = dict(VARIANTS[variant])
+    if "sparsity_cap" in settings:  # a cap below the parameter count
+        total = shape.n_entities * d + shape.n_relations * model.relation_dim
+        settings["sparsity_cap"] = min(settings["sparsity_cap"],
+                                       3 * total // 4)
     config = TrainConfig(epochs=20, learning_rate=0.3, batch_size=50,
-                         radius=0.5, seed=4, **VARIANTS[variant])
+                         radius=0.5, seed=4, **settings)
     monkeypatch.setattr(_kernel, "_loaded", kernel)
     fast = train(model, shape, obs, config, trace=True)
     monkeypatch.setattr(_kernel, "_loaded", None)
+    if d == 2:
+        # numpy's own exp: equal to rounding.  At d = 5 and 8 the distance
+        # kind's L1 steps turn those last-bit differences into drift
+        # beyond RTOL, so the bits are checked against libm's exp below.
+        ref = train(model, shape, obs, config, trace=True)
+        assert_allclose(fast.params.entities, ref.params.entities, RTOL, ATOL)
+        assert_allclose(fast.params.relations, ref.params.relations, RTOL,
+                        ATOL)
+        assert_allclose(fast.objective_trace, ref.objective_trace, RTOL, ATOL)
+        assert_array_equal(fast.nnz_trace, ref.nnz_trace)
+    # with the exp the kernel takes, the numpy loop's every step is the
+    # kernel's, bit for bit
+    monkeypatch.setattr(estimation, "sigmoid", libm_sigmoid)
     ref = train(model, shape, obs, config, trace=True)
-    assert_allclose(fast.params.entities, ref.params.entities, RTOL, ATOL)
-    assert_allclose(fast.params.relations, ref.params.relations, RTOL, ATOL)
-    assert_allclose(fast.objective_trace, ref.objective_trace, RTOL, ATOL)
+    assert_array_equal(fast.params.entities, ref.params.entities)
+    assert_array_equal(fast.params.relations, ref.params.relations)
+    assert_array_equal(fast.objective_trace, ref.objective_trace)
     assert_array_equal(fast.nnz_trace, ref.nnz_trace)
     # the radius binds, so the ball projection shaped the trajectory
     monkeypatch.setattr(_kernel, "_loaded", kernel)
-    free = train(model, shape, obs, dataclasses.replace(config, radius=50.0))
-    assert not np.allclose(free.params.entities, fast.params.entities)
+    free = train(model, shape, obs, dataclasses.replace(config, radius=50.0),
+                 trace=True)
+    assert not np.allclose(free.objective_trace, fast.objective_trace)
 
 
 @pytest.mark.parametrize("cap", [None, 20])
@@ -243,6 +284,27 @@ def test_record_matches_the_library_layout(kernel):
         assert kernel._layout(name.encode()) == \
             getattr(_kernel._Fit, name).offset, name
     assert kernel._layout(b"rho3") == -1
+
+
+def test_records_pack_the_columns_and_refuse_counts_past_int32():
+    # Fit packs the observations once into int32 (head, tail, relation,
+    # label) rows, which index at most 2^31 - 1 entities or relations
+    columns = ([0, 5, 2], [1, 0, 5], [2, 1, 0], [1, 0, 1])
+    heads, tails, rels = (np.array(c, dtype=np.int64) for c in columns[:3])
+    labels = np.array(columns[3], dtype=np.int8)
+    records = _kernel._records(heads, tails, rels, labels, 6, 3)
+    assert records.dtype == np.int32 and records.flags.c_contiguous
+    assert_array_equal(records, np.array(columns).T)
+    top = 2 ** 31 - 1
+    last = np.array([top - 1])
+    assert_array_equal(
+        _kernel._records(last, last, last, np.array([1], np.int8), top, top),
+        [[top - 1, top - 1, top - 1, 1]])
+    for counts, name in (((top + 1, 3), "n_entities"),
+                         ((6, top + 1), "n_relations")):
+        with pytest.raises(ValueError, match=f"{name} = {top + 1} does not "
+                                             "fit the kernel's int32"):
+            _kernel._records(heads, tails, rels, labels, *counts)
 
 
 def test_misordered_record_falls_back_with_one_warning(kernel, monkeypatch):
