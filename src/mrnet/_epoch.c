@@ -2,9 +2,10 @@
 
    mrnet_epochs runs a block of epochs of projected AdaGrad ascent on
    the penalized Bernoulli log-likelihood, and after each epoch imposes
-   the sparsity cap and writes the nonzero count and, when asked, the
-   objective; mrnet_objective evaluates that objective alone.  Both
-   follow the numpy reference in estimation.py operation for operation:
+   the sparsity cap and writes the nonzero count; mrnet_objective
+   evaluates that objective at the current parameters, and is the one
+   place it is computed.  Both follow the numpy reference in
+   estimation.py operation for operation:
 
    - a step's gradient is taken at the parameters before the step, and
      is accumulated per row in batch order, heads before tails, as
@@ -452,13 +453,11 @@ static void *zeroed(int64_t n, size_t size)
 
 /* n_epochs epochs of the fit f over its observations, epoch e in the
    order perms[e * n_obs], ..., perms[e * n_obs + n_obs - 1].  After
-   each, it imposes the sparsity cap (none when f->cap < 0), writes the
-   nonzero count to nnz[e] and, when obj is not NULL, the objective to
-   obj[e], and it stops after the first objective that is not finite.
-   Returns the number of epochs run, or -1 if the work space cannot be
-   allocated. */
-int64_t mrnet_epochs(const struct fit *f, const int64_t *perms,
-                     int64_t n_epochs, int64_t *nnz, double *obj)
+   each, it imposes the sparsity cap (none when f->cap < 0) and writes
+   the nonzero count to nnz[e].  Returns 0, or -1 if the work space
+   cannot be allocated. */
+int mrnet_epochs(const struct fit *f, const int64_t *perms, int64_t n_epochs,
+                 int64_t *nnz)
 {
     int64_t n_obs = f->n_obs, d = f->d, rd = f->rd;
     int64_t nb_max = f->batch_size < n_obs ? f->batch_size : n_obs;
@@ -469,24 +468,17 @@ int64_t mrnet_epochs(const struct fit *f, const int64_t *perms,
                      zeroed(f->n_ent, 1), zeroed(f->n_rel, 1),
                      zeroed(2 * nb_max, sizeof(int64_t)),
                      zeroed(nb_max, sizeof(int64_t))};
-    double *terms = obj ? zeroed(n_obs, sizeof(double)) : NULL;
     double *flat = zeroed(f->n_ent * d + f->n_rel * rd, sizeof(double));
-    int64_t done = -1;
+    int status = -1;
     if (w.grad_e && w.grad_r && w.tail_terms && w.row && w.mark_e &&
-        w.mark_r && w.rows_e && w.rows_r && (terms || !obj) && flat) {
-        for (done = 0; done < n_epochs; done++) {
-            epoch(f, &w, perms + done * n_obs);
+        w.mark_r && w.rows_e && w.rows_r && flat) {
+        for (int64_t e = 0; e < n_epochs; e++) {
+            epoch(f, &w, perms + e * n_obs);
             if (f->cap >= 0)
                 cap_params(f, flat);
-            nnz[done] = count_nonzero(f);
-            if (obj) {
-                obj[done] = objective(f, terms, flat);
-                if (!isfinite(obj[done])) {
-                    done++;
-                    break;
-                }
-            }
+            nnz[e] = count_nonzero(f);
         }
+        status = 0;
     }
     free(w.grad_e);
     free(w.grad_r);
@@ -496,13 +488,12 @@ int64_t mrnet_epochs(const struct fit *f, const int64_t *perms,
     free(w.mark_r);
     free(w.rows_e);
     free(w.rows_r);
-    free(terms);
     free(flat);
-    return done;
+    return status;
 }
 
-/* The objective of mrnet_epochs at the parameters of f, written to
-   *out.  Returns 0, or -1 if the work space cannot be allocated. */
+/* The penalized objective at the parameters of f, written to *out.
+   Returns 0, or -1 if the work space cannot be allocated. */
 int mrnet_objective(const struct fit *f, double *out)
 {
     double *terms = zeroed(f->n_obs, sizeof(double));

@@ -4,10 +4,10 @@
 the same methods and the same scores bit for bit, so callers never branch.
 A fit bound by ``fit`` runs a block of training epochs per call
 (``run``), imposing the sparsity cap and writing each epoch's nonzero
-count and, when asked, its objective in the same call, so a fit pays
-one call per block rather than Python work per epoch; ``objective``
-gives the objective at the fit's current parameters.  Everything runs
-on the calling thread.
+count in the same call, so a fit pays one call per block rather than
+Python work per epoch; ``objective`` gives the objective at the fit's
+current parameters, and is the only place it is computed.  Everything
+runs on the calling thread.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -182,8 +182,8 @@ class Kernel:
                 raise OSError("the kernel's struct fit is not laid out as "
                               f"_Fit (at {name or 'its size'})")
         record = ctypes.POINTER(_Fit)
-        self._epochs = _bind(lib.mrnet_epochs, _I64, record, _PTR, _I64, _PTR,
-                             _PTR)
+        self._epochs = _bind(lib.mrnet_epochs, ctypes.c_int, record, _PTR,
+                             _I64, _PTR)
         self._objective = _bind(lib.mrnet_objective, ctypes.c_int, record,
                                 ctypes.POINTER(_F64))
         self._scores = _bind(lib.mrnet_scores, None, record, _I64, _I64, _I64,
@@ -246,17 +246,14 @@ class Fit:
     ``ValueError`` if int32 cannot index the network's entities or
     relations.
 
-    ``run(perms, nnz_out, obj_out=None)`` runs one AdaGrad epoch over
-    ``obs`` per row of ``perms``, in that row's order, updating the
-    parameters and ``g2_ent`` / ``g2_rel`` in place.  After each epoch it
-    imposes ``config.sparsity_cap`` as ``estimation.project_l0`` does,
-    writes the nonzero count to ``nnz_out`` and, when ``obj_out`` is
-    given, the penalized objective to ``obj_out``, and it stops after
-    the first objective that is not finite.  It returns the number of
-    epochs run.  ``objective()`` is the penalized objective at the
-    parameters as they are now, the value ``run`` writes after an epoch.
-    The caller has checked that every index in ``obs`` is in range, and
-    each row of ``perms`` orders ``range(len(obs))``.
+    ``run(perms, nnz_out)`` runs one AdaGrad epoch over ``obs`` per row
+    of ``perms``, in that row's order, updating the parameters and
+    ``g2_ent`` / ``g2_rel`` in place.  After each epoch it imposes
+    ``config.sparsity_cap`` as ``estimation.project_l0`` does and writes
+    the nonzero count to ``nnz_out``.  ``objective()`` is the penalized
+    objective at the parameters as they are now.  The caller has checked
+    that every index in ``obs`` is in range, and each row of ``perms``
+    orders ``range(len(obs))``.
     """
 
     def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
@@ -278,20 +275,15 @@ class Fit:
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
                         records)
 
-    def run(self, perms, nnz_out, obj_out=None) -> int:
+    def run(self, perms, nnz_out) -> None:
         epochs = len(perms)
         if perms.shape != (epochs, self._n):
             raise ShapeError("epoch orders do not cover the observations")
-        if nnz_out.shape != (epochs,) or \
-                obj_out is not None and obj_out.shape != (epochs,):
+        if nnz_out.shape != (epochs,):
             raise ShapeError("need one output per epoch")
-        done = self._kernel._epochs(
-            self._record, _addr(perms, np.int64), epochs,
-            _addr(nnz_out, np.int64),
-            None if obj_out is None else _addr(obj_out, np.float64))
-        if done < 0:
+        if self._kernel._epochs(self._record, _addr(perms, np.int64), epochs,
+                                _addr(nnz_out, np.int64)):
             raise MemoryError("epoch kernel could not allocate its work space")
-        return done
 
     def objective(self) -> float:
         out = _F64()

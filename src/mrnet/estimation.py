@@ -292,7 +292,7 @@ def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
 def _numpy_epochs(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
                   g2_rel: np.ndarray, obs: ObservationSet,
                   config: TrainConfig, perms: np.ndarray,
-                  nnz_out: np.ndarray, obj_out=None) -> int:
+                  nnz_out: np.ndarray) -> None:
     """``_kernel.Fit.run`` in numpy: the reference the compiled kernel's
     epochs are tested against, and the fallback when no kernel can be
     built."""
@@ -303,12 +303,6 @@ def _numpy_epochs(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
             params.entities[...] = capped.entities
             params.relations[...] = capped.relations
         nnz_out[epoch] = _nnz(params)
-        if obj_out is not None:
-            obj_out[epoch] = penalized_objective(model, params, obs,
-                                                 config.rho1, config.rho2)
-            if not np.isfinite(obj_out[epoch]):
-                return epoch + 1
-    return len(perms)
 
 
 # the most bytes of epoch orders that ``train`` draws at once
@@ -349,14 +343,14 @@ def _fit(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
         objectives = np.empty(epochs + 1)
         objectives[0] = _checked(fit.objective(), 0)
     # every draw from rng after _init_params is an epoch order
-    block = max(1, _ORDER_BYTES // (8 * n))
+    block = 1 if trace else max(1, _ORDER_BYTES // (8 * n))
     done = 0
     while done < epochs:
         perms = _orders(rng, n, min(block, epochs - done))
-        new = slice(done + 1, done + 1 + len(perms))
-        done += fit.run(perms, nnz[new], objectives[new] if trace else None)
-        if trace:  # the run stopped at its first objective that is not finite
-            _checked(objectives[done], done)
+        fit.run(perms, nnz[done + 1:done + 1 + len(perms)])
+        done += len(perms)
+        if trace:
+            objectives[done] = _checked(fit.objective(), done)
     final = objectives[-1] if trace else fit.objective()
     return params, g2, nnz, objectives, final
 
@@ -382,9 +376,11 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     The result always holds the final objective and the nonzero count
     after each epoch.  The penalized objective after each epoch, which
     costs a pass over the observations per epoch, is computed only with
-    ``trace=True``; otherwise ``objective_trace`` is None and the
-    objective is computed once, at the final parameters.  The two give
-    the same parameters, counts and final objective bit for bit.
+    ``trace=True``: a traced fit runs one epoch per call and reads
+    ``fit.objective()`` after each.  Otherwise ``objective_trace`` is
+    None and the objective is computed once, at the final parameters.
+    The two give the same parameters, counts and final objective bit
+    for bit.
 
     Raises ValueError for an index outside ``shape``, for an objective
     that is not finite and for AdaGrad state that is not finite (a

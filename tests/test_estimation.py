@@ -525,19 +525,17 @@ def assert_same_fit(got, params, trace, nnz, traced):
 
 
 def spy_on_fits(monkeypatch):
-    """Record each call of the engine's fits, ("run", epochs, whether it
-    writes objectives) or ("objective",), with the thread count seen
-    inside it."""
+    """Record each call of the engine's fits, ("run", epochs) or
+    ("objective",), with the thread count seen inside it."""
     engine, calls = _kernel.engine(), []
 
     class Spy:
         def __init__(self, fit):
             self.fit = fit
 
-        def run(self, perms, nnz_out, obj_out=None):
-            calls.append(("run", len(perms), obj_out is not None,
-                          threading.active_count()))
-            return self.fit.run(perms, nnz_out, obj_out)
+        def run(self, perms, nnz_out):
+            calls.append(("run", len(perms), threading.active_count()))
+            self.fit.run(perms, nnz_out)
 
         def objective(self):
             calls.append(("objective", threading.active_count()))
@@ -568,11 +566,14 @@ def test_train_is_bit_identical_inline_and_on_other_threads(monkeypatch,
         calls.clear()
         got = train(model, shape, obs, config, trace=traced)
         assert_same_fit(got, params, trace, nnz, traced)
-        assert len(calls) == 2  # one run of 4 epochs and one objective
+        # traced: the objective at init, then a run of 1 epoch and the
+        # objective per epoch; else one run of 4 epochs and one objective
+        per_fit = 1 + 2 * 4 if traced else 2
+        assert len(calls) == per_fit
         for got in run_on_threads(
                 lambda: train(model, shape, obs, config, trace=traced), 2):
             assert_same_fit(got, params, trace, nnz, traced)
-        assert len(calls) == 6
+        assert len(calls) == 3 * per_fit
 
 
 # plain gradient steps, one per epoch: an adagrad_eps far above every

@@ -38,13 +38,13 @@ def test_blocks_of_epochs_are_bit_identical_to_one_at_a_time(
             calls.clear()
             got = train(model, shape, obs, config, trace=traced)
             assert_same_fit(got, params, trace, nnz, traced)
-            # the objective once: at init before the runs, which write the
-            # rest of the trace, or only at the end, after runs that
-            # write none
+            # traced: the objective at init, then one epoch per run and
+            # the objective after each; else runs of the block size and
+            # the objective once, at the end
             assert [c[:-1] for c in calls] == (
-                [("objective",)] * traced
-                + [("run", epochs, traced) for epochs in runs]
-                + [("objective",)] * (not traced))
+                [("objective",)] + [("run", 1), ("objective",)] * 7
+                if traced else
+                [("run", epochs) for epochs in runs] + [("objective",)])
     # the budget in bytes: a block never holds fewer than one order
     monkeypatch.setattr(estimation, "_ORDER_BYTES", order_bytes - 1)
     calls.clear()
