@@ -1,11 +1,16 @@
 /* Compiled inner loops of mrnet, loaded by _kernel.py.
 
-   mrnet_epochs runs a block of epochs of projected AdaGrad ascent on
-   the penalized Bernoulli log-likelihood, and after each epoch imposes
-   the sparsity cap and writes the nonzero count; mrnet_objective
-   evaluates that objective at the current parameters, and is the one
-   place it is computed.  Both follow the numpy reference in
-   estimation.py operation for operation:
+   mrnet_epochs runs epochs of projected AdaGrad ascent on the
+   penalized Bernoulli log-likelihood, and after each epoch imposes the
+   sparsity cap and writes the nonzero count; mrnet_objective evaluates
+   that objective at the current parameters, and is the one place it is
+   computed.  An untraced fit runs all its epochs in one call.  Each
+   epoch's order is drawn just before it from the fit's own numpy
+   generator, through numpy's C interface bitgen_t, with numpy's
+   rejection step (random_interval) and shuffle: the orders, and the
+   generator's state after them, are those of one rng.permutation call
+   per epoch.  Both exports follow the numpy reference in estimation.py
+   operation for operation:
 
    - a step's gradient is taken at the parameters before the step, and
      is accumulated per row in batch order, heads before tails, as
@@ -115,13 +120,16 @@ static double sigmoid(double x)
     return p;
 }
 
-static void touch(int64_t row, unsigned char *mark, int64_t *rows,
+/* Lists row in rows the first time a batch touches it, without a
+   branch on the mark, which rows drawn at random make hard to predict:
+   the row is always written at rows[*n_rows] and counted only if new,
+   so a list never takes more slots than its batch has touches. */
+INLINE void touch(int64_t row, unsigned char *mark, int64_t *rows,
                   int64_t *n_rows)
 {
-    if (!mark[row]) {
-        mark[row] = 1;
-        rows[(*n_rows)++] = row;
-    }
+    rows[*n_rows] = row;
+    *n_rows += !mark[row];
+    mark[row] = 1;
 }
 
 /* Two doubles; load2 and store2 move them from and to any address */
@@ -451,12 +459,53 @@ static void *zeroed(int64_t n, size_t size)
     return calloc((size_t)(n > 0 ? n : 1), size);
 }
 
-/* n_epochs epochs of the fit f over its observations, epoch e in the
-   order perms[e * n_obs], ..., perms[e * n_obs + n_obs - 1].  After
-   each, it imposes the sparsity cap (none when f->cap < 0) and writes
-   the nonzero count to nnz[e].  Returns 0, or -1 if the work space
-   cannot be allocated. */
-int mrnet_epochs(const struct fit *f, const int64_t *perms, int64_t n_epochs,
+/* numpy's bitgen_t, the C interface of a numpy BitGenerator, which
+   _kernel.py passes as rng.bit_generator.ctypes.bit_generator */
+struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+};
+
+/* numpy's random_interval: a draw from 0, ..., max by masked rejection,
+   from next_uint32 when max fits 32 bits, else from next_uint64 */
+static uint64_t interval(struct bitgen *rng, uint64_t max)
+{
+    uint64_t mask = max, value;
+    if (max == 0)
+        return 0;
+    for (int shift = 1; shift <= 32; shift *= 2)
+        mask |= mask >> shift;
+    if (max <= 0xffffffffu)
+        while ((value = (rng->next_uint32(rng->state) & mask)) > max)
+            ;
+    else
+        while ((value = (rng->next_uint64(rng->state) & mask)) > max)
+            ;
+    return value;
+}
+
+/* order = rng.permutation(n): the same draws, and the generator left in
+   the same state, as numpy's shuffle of 0, ..., n - 1 */
+static void draw_order(struct bitgen *rng, int64_t *order, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)interval(rng, (uint64_t)i), tmp = order[i];
+        order[i] = order[j];
+        order[j] = tmp;
+    }
+}
+
+/* n_epochs epochs of the fit f over its observations, each in an order
+   drawn from rng just before it, as rng.permutation(f->n_obs) would draw
+   it.  After each, it imposes the sparsity cap (none when f->cap < 0)
+   and writes the nonzero count to nnz[e].  The caller holds rng's lock.
+   Returns 0, or -1 if the work space cannot be allocated. */
+int mrnet_epochs(const struct fit *f, struct bitgen *rng, int64_t n_epochs,
                  int64_t *nnz)
 {
     int64_t n_obs = f->n_obs, d = f->d, rd = f->rd;
@@ -469,11 +518,13 @@ int mrnet_epochs(const struct fit *f, const int64_t *perms, int64_t n_epochs,
                      zeroed(2 * nb_max, sizeof(int64_t)),
                      zeroed(nb_max, sizeof(int64_t))};
     double *flat = zeroed(f->n_ent * d + f->n_rel * rd, sizeof(double));
+    int64_t *order = zeroed(n_obs, sizeof(int64_t));
     int status = -1;
     if (w.grad_e && w.grad_r && w.tail_terms && w.row && w.mark_e &&
-        w.mark_r && w.rows_e && w.rows_r && flat) {
+        w.mark_r && w.rows_e && w.rows_r && flat && order) {
         for (int64_t e = 0; e < n_epochs; e++) {
-            epoch(f, &w, perms + e * n_obs);
+            draw_order(rng, order, n_obs);
+            epoch(f, &w, order);
             if (f->cap >= 0)
                 cap_params(f, flat);
             nnz[e] = count_nonzero(f);
@@ -489,6 +540,7 @@ int mrnet_epochs(const struct fit *f, const int64_t *perms, int64_t n_epochs,
     free(w.rows_e);
     free(w.rows_r);
     free(flat);
+    free(order);
     return status;
 }
 

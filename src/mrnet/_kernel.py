@@ -2,12 +2,12 @@
 
 ``engine()`` gives the kernel, or ``Numpy`` if none loads.  The two have
 the same methods and the same scores bit for bit, so callers never branch.
-A fit bound by ``fit`` runs a block of training epochs per call
-(``run``), imposing the sparsity cap and writing each epoch's nonzero
-count in the same call, so a fit pays one call per block rather than
-Python work per epoch; ``objective`` gives the objective at the fit's
-current parameters, and is the only place it is computed.  Everything
-runs on the calling thread.
+A fit bound by ``fit`` runs any number of training epochs per call
+(``run``), drawing each order as ``rng.permutation`` would (the kernel
+through numpy's C interface ``bitgen_t``), imposing the sparsity cap and
+writing each epoch's nonzero count, so an untraced fit is one call;
+``objective`` gives the objective at the fit's current parameters, and
+is the only place it is computed.  Everything runs on the calling thread.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import os
 import shlex
 import shutil
@@ -165,6 +164,14 @@ def _records(heads, tails, rels, labels, n_entities, n_relations):
     return records
 
 
+def _generator(rng) -> np.random.Generator:
+    """``rng``, or ``TypeError`` if it is not a numpy ``Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("epoch orders are drawn from a numpy Generator, "
+                        f"not {type(rng).__name__}")
+    return rng
+
+
 def _bind(fn, restype, *argtypes):
     fn.argtypes, fn.restype = argtypes, restype
     return fn
@@ -246,14 +253,15 @@ class Fit:
     ``ValueError`` if int32 cannot index the network's entities or
     relations.
 
-    ``run(perms, nnz_out)`` runs one AdaGrad epoch over ``obs`` per row
-    of ``perms``, in that row's order, updating the parameters and
-    ``g2_ent`` / ``g2_rel`` in place.  After each epoch it imposes
+    ``run(rng, nnz_out)`` runs one AdaGrad epoch over ``obs`` per entry
+    of the int64 ``nnz_out``, updating the parameters and ``g2_ent`` /
+    ``g2_rel`` in place, each in the order that one more
+    ``rng.permutation(len(obs))`` would draw (``rng``'s lock held, as
+    numpy's own methods hold it).  After each epoch it imposes
     ``config.sparsity_cap`` as ``estimation.project_l0`` does and writes
     the nonzero count to ``nnz_out``.  ``objective()`` is the penalized
     objective at the parameters as they are now.  The caller has checked
-    that every index in ``obs`` is in range, and each row of ``perms``
-    orders ``range(len(obs))``.
+    that every index in ``obs`` is in range.
     """
 
     def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
@@ -270,19 +278,21 @@ class Fit:
             batch_size=config.batch_size, lr=config.learning_rate,
             eps=config.adagrad_eps, rho1=config.rho1, rho2=config.rho2,
             radius=config.radius, cap=-1 if cap is None else cap)
-        self._kernel, self._n = kernel, len(obs)
+        self._kernel = kernel
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
                         records)
 
-    def run(self, perms, nnz_out) -> None:
-        epochs = len(perms)
-        if perms.shape != (epochs, self._n):
-            raise ShapeError("epoch orders do not cover the observations")
-        if nnz_out.shape != (epochs,):
-            raise ShapeError("need one output per epoch")
-        if self._kernel._epochs(self._record, _addr(perms, np.int64), epochs,
-                                _addr(nnz_out, np.int64)):
+    def run(self, rng, nnz_out) -> None:
+        bits = _generator(rng).bit_generator
+        if nnz_out.ndim != 1:
+            raise ShapeError("need one nonzero count per epoch")
+        nnz = _addr(nnz_out, np.int64)
+        with bits.lock:
+            failed = self._kernel._epochs(self._record,
+                                          bits.ctypes.bit_generator,
+                                          len(nnz_out), nnz)
+        if failed:
             raise MemoryError("epoch kernel could not allocate its work space")
 
     def objective(self) -> float:
@@ -325,8 +335,9 @@ class Numpy:
     def fit(model, params, g2_ent, g2_rel, obs, config):
         from .estimation import _numpy_epochs, penalized_objective  # no cycle
         return types.SimpleNamespace(
-            run=functools.partial(_numpy_epochs, model, params, g2_ent,
-                                  g2_rel, obs, config),
+            run=lambda rng, nnz_out: _numpy_epochs(
+                model, params, g2_ent, g2_rel, obs, config, _generator(rng),
+                nnz_out),
             objective=lambda: penalized_objective(model, params, obs,
                                                   config.rho1, config.rho2))
 

@@ -291,30 +291,19 @@ def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
 
 def _numpy_epochs(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
                   g2_rel: np.ndarray, obs: ObservationSet,
-                  config: TrainConfig, perms: np.ndarray,
+                  config: TrainConfig, rng: np.random.Generator,
                   nnz_out: np.ndarray) -> None:
     """``_kernel.Fit.run`` in numpy: the reference the compiled kernel's
     epochs are tested against, and the fallback when no kernel can be
     built."""
-    for epoch, perm in enumerate(perms):
-        _numpy_epoch(model, params, g2_ent, g2_rel, obs, perm, config)
+    for epoch in range(len(nnz_out)):
+        _numpy_epoch(model, params, g2_ent, g2_rel, obs,
+                     rng.permutation(len(obs)), config)
         if config.sparsity_cap is not None:
             capped = project_l0(params, config.sparsity_cap)
             params.entities[...] = capped.entities
             params.relations[...] = capped.relations
         nnz_out[epoch] = _nnz(params)
-
-
-# the most bytes of epoch orders that ``train`` draws at once
-_ORDER_BYTES = 1 << 23
-
-
-def _orders(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """``count`` epoch orders of ``n`` observations, one per row: the
-    draws, and the generator's state after them, of ``count`` calls of
-    ``rng.permutation(n)``."""
-    orders = np.tile(np.arange(n), (count, 1))
-    return rng.permuted(orders, axis=1, out=orders)
 
 
 def _checked(value: float, epoch: int) -> float:
@@ -335,24 +324,19 @@ def _fit(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     params = _init_params(model, shape, config, rng)
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
     fit = _kernel.engine().fit(model, params, *g2, obs, config)
-    n, epochs = len(obs), config.epochs
+    epochs = config.epochs
     nnz = np.empty(epochs + 1, dtype=np.int64)
     nnz[0] = _nnz(params)
-    objectives = None
-    if trace:
-        objectives = np.empty(epochs + 1)
-        objectives[0] = _checked(fit.objective(), 0)
     # every draw from rng after _init_params is an epoch order
-    block = 1 if trace else max(1, _ORDER_BYTES // (8 * n))
-    done = 0
-    while done < epochs:
-        perms = _orders(rng, n, min(block, epochs - done))
-        fit.run(perms, nnz[done + 1:done + 1 + len(perms)])
-        done += len(perms)
-        if trace:
-            objectives[done] = _checked(fit.objective(), done)
-    final = objectives[-1] if trace else fit.objective()
-    return params, g2, nnz, objectives, final
+    if not trace:
+        fit.run(rng, nnz[1:])
+        return params, g2, nnz, None, fit.objective()
+    objectives = np.empty(epochs + 1)
+    objectives[0] = _checked(fit.objective(), 0)
+    for done in range(1, epochs + 1):
+        fit.run(rng, nnz[done:done + 1])
+        objectives[done] = _checked(fit.objective(), done)
+    return params, g2, nnz, objectives, objectives[-1]
 
 
 def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
@@ -367,11 +351,12 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     The epochs run in the engine that ``_kernel.engine()`` gives: the
     compiled kernel, or its numpy twin if no kernel could be built; the
     two agree to rounding.  The fit is bound once and runs on the
-    calling thread.  Each call runs a block of epochs, as many as
-    ``_ORDER_BYTES`` of drawn orders allow, imposes the cap and counts
-    the nonzeros after each epoch.  A block's orders come from one
-    ``rng.permuted`` call, which draws what as many ``rng.permutation``
-    calls would, so the results do not depend on the block size.
+    calling thread.  An untraced fit runs all its epochs in one call,
+    which imposes the cap and counts the nonzeros after each epoch.
+    Each epoch's order is drawn just before it from the fit's generator,
+    as ``rng.permutation`` draws it; the compiled kernel draws it in C
+    through numpy's ``bitgen_t``, so the orders do not depend on the
+    engine or on how many epochs a call runs.
 
     The result always holds the final objective and the nonzero count
     after each epoch.  The penalized objective after each epoch, which

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrnet import _kernel, estimation
+from mrnet import _kernel
 from mrnet.estimation import (
     ObservationSet,
     TrainConfig,
@@ -22,6 +22,7 @@ from mrnet.estimation import (
 )
 from mrnet.evaluation import evaluate_losses
 from mrnet.models import (
+    MODEL_KINDS,
     ModelParams,
     NetworkShape,
     ScoreModel,
@@ -452,9 +453,9 @@ def test_numpy_loop(numpy_loop, check):
 
 
 def sequential_train(model, shape, obs, config):
-    """``train``'s loop one epoch per call: every epoch's order drawn
-    just before it by ``rng.permutation``, and the cap, the nonzero count
-    and the objective in numpy."""
+    """``train``'s loop one epoch per call, each drawing its order from
+    the generator just before it, with the cap, the nonzero count and
+    the objective in numpy."""
     rng = np.random.default_rng(config.seed)
     params = _init_params(model, shape, config, rng)
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
@@ -467,7 +468,7 @@ def sequential_train(model, shape, obs, config):
 
     trace, nnz = [objective()], [_nnz(params)]
     for _ in range(config.epochs):
-        fit.run(rng.permutation(len(obs))[None], np.empty(1, dtype=np.int64))
+        fit.run(rng, np.empty(1, dtype=np.int64))
         if config.sparsity_cap is not None:
             capped = project_l0(params, config.sparsity_cap)
             params.entities[...] = capped.entities
@@ -533,9 +534,9 @@ def spy_on_fits(monkeypatch):
         def __init__(self, fit):
             self.fit = fit
 
-        def run(self, perms, nnz_out):
-            calls.append(("run", len(perms), threading.active_count()))
-            self.fit.run(perms, nnz_out)
+        def run(self, rng, nnz_out):
+            calls.append(("run", len(nnz_out), threading.active_count()))
+            self.fit.run(rng, nnz_out)
 
         def objective(self):
             calls.append(("objective", threading.active_count()))
@@ -546,6 +547,40 @@ def spy_on_fits(monkeypatch):
 
     monkeypatch.setattr(engine, "fit", fit)
     return calls
+
+
+@pytest.mark.parametrize("rho", [(0.0, 0.0), (0.01, 0.02)],
+                         ids=["plain", "penalty"])
+@pytest.mark.parametrize("cap", [None, 9], ids=["nocap", "cap9"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("loaded", scoring_paths(),
+                         ids=lambda loaded: "numpy" if loaded is None
+                         else "kernel")
+def test_train_matches_one_epoch_per_call(monkeypatch, loaded, kind, cap,
+                                          rho):
+    # an untraced fit runs all its epochs in one call, which draws each
+    # epoch's order just before it: the same fit, bit for bit, as one
+    # epoch per call
+    monkeypatch.setattr(_kernel, "_loaded", loaded)
+    _, shape, obs = small_problem(seed=15)
+    model = ScoreModel(kind, 2)
+    config = TrainConfig(epochs=7, learning_rate=0.3, batch_size=50,
+                         rho1=rho[0], rho2=rho[1], radius=0.8, seed=3,
+                         sparsity_cap=cap)
+    params, trace, nnz = sequential_train(model, shape, obs, config)
+    if cap is not None:  # the cap binds
+        assert nnz.max() == cap
+    calls = spy_on_fits(monkeypatch)
+    for traced in (True, False):
+        calls.clear()
+        got = train(model, shape, obs, config, trace=traced)
+        assert_same_fit(got, params, trace, nnz, traced)
+        # traced: the objective at init, then one epoch per run and the
+        # objective after each; else one run of all 7 epochs and the
+        # objective once, at the end
+        assert [c[:-1] for c in calls] == (
+            [("objective",)] + [("run", 1), ("objective",)] * 7
+            if traced else [("run", 7), ("objective",)])
 
 
 @pytest.mark.parametrize("cap", [None, 20])
@@ -593,20 +628,17 @@ def test_non_finite_objective_names_its_epoch(monkeypatch, path, bad_epoch):
                          learning_rate=OVERFLOW_RATES[bad_epoch])
     for loaded in scoring_paths():
         monkeypatch.setattr(_kernel, "_loaded", loaded)
-        # blocks of 1, 3, 4 and 100 epochs: the bad epoch alone in its
-        # block, or in the middle or at the end of one; and 0, 2 or 6
-        # epochs after it, whose parameters the final check finds
-        for block in (1, 3, 4, 100):
-            monkeypatch.setattr(estimation, "_ORDER_BYTES",
-                                block * 8 * len(obs))
-            for epochs in {4, bad_epoch, bad_epoch + 6}:
-                for traced in (True, False):
-                    with np.errstate(all="ignore"), pytest.raises(
-                            ValueError, match=f"^objective is nan after "
-                                              f"{bad_epoch} epochs$"):
-                        call_on(path, train, model, shape, obs,
-                                dataclasses.replace(config, epochs=epochs),
-                                trace=traced)
+        # the bad epoch in the middle or at the end of an untraced fit's
+        # one run: 0, 2 or 6 epochs after it, whose parameters the final
+        # check finds; a traced fit runs one epoch per call
+        for epochs in {4, bad_epoch, bad_epoch + 6}:
+            for traced in (True, False):
+                with np.errstate(all="ignore"), pytest.raises(
+                        ValueError, match=f"^objective is nan after "
+                                          f"{bad_epoch} epochs$"):
+                    call_on(path, train, model, shape, obs,
+                            dataclasses.replace(config, epochs=epochs),
+                            trace=traced)
     # one epoch fewer is finite
     finite = call_on(path, train, model, shape, obs,
                      dataclasses.replace(config, epochs=bad_epoch - 1),
@@ -624,13 +656,14 @@ def test_overflowed_adagrad_state_is_an_error(monkeypatch, path):
     config = TrainConfig(epochs=6, learning_rate=10 ** 152.5, radius=1e300)
     for loaded in scoring_paths():
         monkeypatch.setattr(_kernel, "_loaded", loaded)
-        for block in (1, 3, 6, 100):
-            monkeypatch.setattr(estimation, "_ORDER_BYTES",
-                                block * 8 * len(obs))
+        # the state overflows in the first epoch: at the end of a run of
+        # one epoch, and with five more after it in the same run
+        for epochs in (1, 6):
             for traced in (True, False):
                 with np.errstate(all="ignore"), pytest.raises(
                         ValueError, match="squared-gradient sums overflowed"):
-                    call_on(path, train, model, shape, obs, config,
+                    call_on(path, train, model, shape, obs,
+                            dataclasses.replace(config, epochs=epochs),
                             trace=traced)
         # a rate 10^6 times smaller keeps the state finite
         result = call_on(path, train, model, shape, obs, dataclasses.replace(

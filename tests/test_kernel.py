@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
 from mrnet import _kernel, estimation
 from mrnet.estimation import (ObservationSet, TrainConfig, _penalty,
@@ -227,20 +227,25 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
     fit = kernel.fit(model, narrow, np.zeros((3, 2)), np.zeros((1, 2)),
                      obs, TrainConfig(epochs=1))
     nnz = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ShapeError):  # an order that misses an observation
-        fit.run(np.arange(1)[None], nnz)
-    with pytest.raises(ShapeError):  # one order, not a block of them
-        fit.run(np.arange(2), nnz)
-    with pytest.raises(TypeError):  # an int32 order
-        fit.run(np.arange(2, dtype=np.int32)[None], nnz)
-    with pytest.raises(TypeError):  # column-major orders
-        fit.run(np.asfortranarray(np.zeros((2, 2), dtype=np.int64)),
-                np.zeros(2, dtype=np.int64))
-    with pytest.raises(ShapeError):  # two epochs, one count
-        fit.run(np.zeros((2, 2), dtype=np.int64), nnz)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    twin = _kernel.Numpy.fit(model, narrow, np.zeros((3, 2)),
+                             np.zeros((1, 2)), obs, TrainConfig(epochs=1))
+    # the orders come from a numpy Generator, on both engines: not a
+    # seed, a bare bit generator or the legacy RandomState
+    for not_a_generator in (5, None, np.random.PCG64(5),
+                            np.random.RandomState(5)):
+        for engine_fit in (fit, twin):
+            with pytest.raises(TypeError, match="numpy Generator"):
+                engine_fit.run(not_a_generator, nnz)
     with pytest.raises(TypeError):  # float counts
-        fit.run(np.arange(2)[None], np.zeros(1))
+        fit.run(rng, np.zeros(1))
+    with pytest.raises(TypeError):  # strided counts
+        fit.run(rng, np.zeros(4, dtype=np.int64)[::2])
+    with pytest.raises(ShapeError):  # counts of two epochs in a 2-d array
+        fit.run(rng, np.zeros((2, 1), dtype=np.int64))
     assert_array_equal(narrow.entities, 1.0)  # no refused call ran
+    assert rng.bit_generator.state == state  # nor drew an order
     with pytest.raises(ShapeError):  # AdaGrad state of another shape
         kernel.fit(model, narrow, np.zeros((2, 2)), np.zeros((1, 2)), obs,
                    TrainConfig(epochs=1))
@@ -470,6 +475,78 @@ def test_import_loads_no_openssl():
     assert out.split() == ["False"]
 
 
+def order_fit(kernel, n):
+    """A fit whose epoch leaves its order readable, and how to read it.
+
+    Observation i is (i + 1, 0, 0) with label 1, under the bilinear kind
+    at d = 1.  AdaGrad state of 2^200 (entities) and 2^1000 (relation)
+    with a rate of 2^100 turns each step into plain gradient ascent by
+    exactly the gradient, the relation's step into none, and the
+    residual of every step into exactly n (scores stay below -100, so
+    1 - sigmoid rounds to 1; one observation per batch).  Entity 0 then
+    drops by n per step, and the row of the observation taken at step k
+    ends at -1 + n * (s0 - k * n), all in exact integers.  Returns the
+    fit and ``epoch(rng)``, which resets the arrays, runs one epoch with
+    orders from ``rng`` and returns that epoch's order."""
+    shape = NetworkShape(n + 1, 1)
+    obs = ObservationSet(shape, np.arange(1, n + 1), np.zeros(n, np.int64),
+                         np.zeros(n, np.int64), np.ones(n))
+    params = ModelParams(np.empty((n + 1, 1)), np.empty((1, 1)), 1e300)
+    g2 = (np.empty((n + 1, 1)), np.empty((1, 1)))
+    config = TrainConfig(epochs=1, learning_rate=2.0 ** 100, batch_size=1,
+                         radius=1e300)
+    fit = kernel.fit(ScoreModel("bilinear", 1), params, *g2, obs, config)
+    s0 = float(n * n + 100)
+
+    def epoch(rng):
+        params.entities[0], params.entities[1:] = s0, -1.0
+        params.relations[...] = 1.0
+        g2[0][...], g2[1][...] = 2.0 ** 200, 2.0 ** 1000
+        fit.run(rng, np.zeros(1, dtype=np.int64))
+        step = (s0 - (params.entities[1:, 0] + 1) / n) / n
+        assert_array_equal(np.sort(step), np.arange(n))  # exact steps
+        order = np.empty(n, dtype=np.int64)
+        order[step.astype(np.int64)] = np.arange(n)
+        return order
+
+    return fit, epoch
+
+
+def generators(seed):
+    """Generators on numpy's four bit generators, and a PCG64 whose next
+    32-bit draw is the buffered half of a 64-bit one."""
+    made = [np.random.Generator(bits(seed)) for bits in (
+        np.random.PCG64, np.random.MT19937, np.random.Philox,
+        np.random.SFC64)]
+    half = np.random.default_rng(seed)
+    state = half.bit_generator.state
+    state.update(has_uint32=1, uinteger=0x9E3779B9)
+    half.bit_generator.state = state
+    assert half.bit_generator.state["has_uint32"] == 1
+    return made + [half]
+
+
+@pytest.mark.parametrize("n", [1, 2, 72, 1000, 63612])
+def test_kernel_orders_are_sequential_permutations(kernel, n):
+    # the kernel draws each epoch's order from the generator's bitgen_t
+    # as rng.permutation does: the same orders, epoch after epoch, and
+    # the generator left in the same state, whatever the bit generator
+    fit, epoch = order_fit(kernel, n)
+    for rng, ref in zip(generators(n), generators(n)):
+        for _ in range(3):
+            assert_array_equal(epoch(rng), ref.permutation(n))
+            assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        # one run of one to three epochs draws as many orders
+        for epochs in (1, 2, 3):
+            fit.run(rng, np.zeros(epochs, dtype=np.int64))
+            for _ in range(epochs):
+                ref.permutation(n)
+            assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        # and a run of no epochs draws none
+        fit.run(rng, np.zeros(0, dtype=np.int64))
+        assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
 def kernel_cap(kernel, model, params, obs, cap):
     """``params`` after one kernel epoch over ``obs`` with the sparsity
     cap ``cap``, and the nonzero count the kernel wrote."""
@@ -477,7 +554,7 @@ def kernel_cap(kernel, model, params, obs, cap):
     config = TrainConfig(epochs=1, radius=1e3, sparsity_cap=cap)
     fit = kernel.fit(model, params, *g2, obs, config)
     nnz = np.zeros(1, dtype=np.int64)
-    fit.run(np.arange(len(obs))[None], nnz)
+    fit.run(np.random.default_rng(0), nnz)
     return params, nnz[0]
 
 
