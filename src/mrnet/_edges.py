@@ -21,6 +21,10 @@ DENSE_MAX = 1 << 22
 # uniform subsample of this many slots.
 EVAL_CAP = 1_000_000
 
+# The samplers flip, label and decode at most this many slots at a time,
+# so their temporaries stay bounded however large the universe.
+BLOCK = 1 << 14
+
 
 class ShapeError(ValueError):
     """Array dimensions disagree with the declared model or network."""

@@ -164,6 +164,15 @@ def _records(heads, tails, rels, labels, n_entities, n_relations):
     return records
 
 
+def _counts(nnz_out) -> int:
+    """The address of ``nnz_out``, one int64 nonzero count per epoch, for
+    both engines' ``run``: ``ShapeError`` unless it is 1-d, ``TypeError``
+    unless it is C-contiguous int64."""
+    if nnz_out.ndim != 1:
+        raise ShapeError("need one nonzero count per epoch")
+    return _addr(nnz_out, np.int64)
+
+
 def _generator(rng) -> np.random.Generator:
     """``rng``, or ``TypeError`` if it is not a numpy ``Generator``."""
     if not isinstance(rng, np.random.Generator):
@@ -285,9 +294,7 @@ class Fit:
 
     def run(self, rng, nnz_out) -> None:
         bits = _generator(rng).bit_generator
-        if nnz_out.ndim != 1:
-            raise ShapeError("need one nonzero count per epoch")
-        nnz = _addr(nnz_out, np.int64)
+        nnz = _counts(nnz_out)
         with bits.lock:
             failed = self._kernel._epochs(self._record,
                                           bits.ctypes.bit_generator,
@@ -334,10 +341,15 @@ class Numpy:
     @staticmethod
     def fit(model, params, g2_ent, g2_rel, obs, config):
         from .estimation import _numpy_epochs, penalized_objective  # no cycle
+
+        def run(rng, nnz_out):
+            rng = _generator(rng)
+            _counts(nnz_out)  # the kernel's refusals
+            _numpy_epochs(model, params, g2_ent, g2_rel, obs, config, rng,
+                          nnz_out)
+
         return types.SimpleNamespace(
-            run=lambda rng, nnz_out: _numpy_epochs(
-                model, params, g2_ent, g2_rel, obs, config, _generator(rng),
-                nnz_out),
+            run=run,
             objective=lambda: penalized_objective(model, params, obs,
                                                   config.rho1, config.rho2))
 

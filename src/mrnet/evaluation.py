@@ -121,9 +121,10 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     ``None`` with a ``shape`` to scan every slot of the edge universe.
     Either way the engine that ``_kernel.engine()`` gives scores the
     slots ``_CHUNK`` at a time, on the calling thread, and each chunk's
-    terms go to buffers allocated once per scan, so memory stays
-    bounded; both engines give the same scores bit for bit.  Each total
-    adds the pairwise sums of whole chunks' terms.
+    terms go to four float rows and two flag rows allocated once per
+    scan, so memory stays bounded; both engines give the same scores bit
+    for bit.  Each total adds the pairwise sums of whole chunks' terms,
+    in chunk order.
     The link prediction for a slot is "present" iff the fitted
     probability is >= 1/2, and the link error is the fraction of slots
     where that disagrees with the truth.
@@ -155,9 +156,10 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     engine = _kernel.engine()
     size = min(total, _CHUNK)
     # per slot of a chunk: the two scores, which become the true and the
-    # fitted probabilities, a work value, the KL term and the squared
-    # error; then a work flag and the link mismatch
-    real = np.empty((5, size))
+    # fitted probabilities, a work value, and the squared error, summed
+    # before the KL term overwrites it; then a work flag and the link
+    # mismatch
+    real = np.empty((4, size))
     flags = np.empty((2, size), dtype=bool)
 
     def score(params: ModelParams, out: np.ndarray, s: int, e: int) -> None:
@@ -169,12 +171,13 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
     kl_sum = mse_sum = err_sum = 0.0
     for s in range(0, total, _CHUNK):
         e = min(s + _CHUNK, total)
-        p, q, work, kl, sq = real[:, :e - s]
+        p, q, work, kl = real[:, :e - s]
         flag, mismatch = flags[:, :e - s]
         score(truth, p, s, e)
         score(fitted, q, s, e)
-        np.subtract(q, p, out=sq)
-        np.multiply(sq, sq, out=sq)
+        np.subtract(q, p, out=kl)
+        np.multiply(kl, kl, out=kl)
+        mse_sum += kl.sum()
         _sigmoid_into(p, work, flag)
         _sigmoid_into(q, work, flag)
         np.greater_equal(q, 0.5, out=mismatch)
@@ -182,7 +185,6 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
         np.not_equal(mismatch, flag, out=mismatch)
         _kl_into(p, q, kl, work)  # sigmoids of checked params
         kl_sum += kl.sum()
-        mse_sum += sq.sum()
         err_sum += np.count_nonzero(mismatch)
     return EvalReport(kl_sum / total, mse_sum / total, err_sum / total, total)
 

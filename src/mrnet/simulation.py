@@ -18,14 +18,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._edges import (DENSE_MAX, EVAL_CAP, decode, distinct_uniform,
-                     edge_key, loss_edges)
+from ._edges import (BLOCK, DENSE_MAX, EVAL_CAP, check_indices, decode,
+                     distinct_uniform, edge_key, index_columns, loss_edges)
 from ._rng import (TAG_EVAL, TAG_LABELS, TAG_MASK, TAG_TRAIN, TAG_TRUTH,
                    counter_uniforms, derive_seed)
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses
 from .models import (ModelParams, NetworkShape, ScoreModel, _require_int,
-                     _require_real, edge_probabilities)
+                     _require_real, _scores, edge_probabilities, sigmoid)
 
 __all__ = [
     "GenSpec",
@@ -122,10 +122,24 @@ class LabelSampler:
         return edge_probabilities(self.model, self.truth, heads, tails, rels)
 
     def labels(self, heads, tails, rels) -> np.ndarray:
-        p = self.probabilities(heads, tails, rels)  # checks the indices
+        """The int8 labels of the edges, of the indices' broadcast shape
+        (``(1,)`` for scalars): 1 where the edge's counter uniform falls
+        below its probability.  The indices are converted and range-checked
+        once; then ``BLOCK`` edges at a time are scored, their uniforms
+        drawn and compared, so the temporaries stay bounded."""
+        cols = index_columns(heads, tails, rels)
         n, k = self.shape.n_entities, self.shape.n_relations
-        u = counter_uniforms(self._key, edge_key(heads, tails, rels, n, k))
-        return (u < p).astype(np.int8)
+        check_indices(n, k, *cols)
+        shape = np.broadcast_shapes(*(c.shape for c in cols))
+        # a view for 1-d columns of one length; broadcast ones are copied
+        cols = [np.broadcast_to(c, shape).ravel() for c in cols]
+        out = np.empty(len(cols[0]), dtype=np.int8)
+        for s in range(0, len(out), BLOCK):
+            h, t, r = (c[s:s + BLOCK] for c in cols)
+            p = sigmoid(_scores(self.model, self.truth, h, t, r))
+            u = counter_uniforms(self._key, edge_key(h, t, r, n, k))
+            np.less(u, p, out=out[s:s + BLOCK])
+        return out.reshape(shape)
 
 
 def sample_network(model: ScoreModel, truth: ModelParams,
@@ -135,8 +149,17 @@ def sample_network(model: ScoreModel, truth: ModelParams,
 
 
 def _flip(rng: np.random.Generator, total: int, rate: float) -> np.ndarray:
-    """The slots whose uniform falls below ``rate``; cost grows with ``total``."""
-    return np.nonzero(rng.random(total) < rate)[0].astype(np.int64)
+    """The slots whose uniform falls below ``rate``.  Time grows with
+    ``total``, but the uniforms are drawn ``BLOCK`` at a time into one
+    buffer: one 64-bit word each, so the same stream and generator state
+    as one draw of ``total``."""
+    u = np.empty(min(total, BLOCK))
+    found = [np.empty(0, dtype=np.int64)]
+    for s in range(0, total, BLOCK):
+        block = u[:min(BLOCK, total - s)]
+        rng.random(out=block)
+        found.append(np.flatnonzero(block < rate) + s)
+    return np.concatenate(found)
 
 
 def _binomial(rng: np.random.Generator, total: int, rate: float) -> np.ndarray:
@@ -148,12 +171,23 @@ def _binomial(rng: np.random.Generator, total: int, rate: float) -> np.ndarray:
 def sample_observations(shape: NetworkShape, labels: LabelSampler,
                         seed: int) -> ObservationSet:
     """Reveal each edge independently with probability ``shape.obs_rate``:
-    by ``_flip`` up to ``DENSE_MAX`` slots, by ``_binomial`` beyond."""
+    by ``_flip`` up to ``DENSE_MAX`` slots, by ``_binomial`` beyond.
+
+    The chosen keys are decoded ``BLOCK`` at a time into the three index
+    columns, and ``labels`` labels them ``BLOCK`` at a time.  So up to
+    ``DENSE_MAX`` slots the temporaries beside the observations and
+    their keys are a few blocks; beyond, ``_binomial``'s subset draw
+    holds temporaries of the count's size.
+    """
     total = shape.n_edges
     rate = shape.obs_rate
     rng = np.random.default_rng(derive_seed(seed, TAG_MASK))
     chosen = (_flip if total <= DENSE_MAX else _binomial)(rng, total, rate)
-    heads, tails, rels = decode(chosen, shape.n_entities, shape.n_relations)
+    heads, tails, rels = (np.empty_like(chosen) for _ in range(3))
+    for s in range(0, len(chosen), BLOCK):
+        e = s + BLOCK
+        heads[s:e], tails[s:e], rels[s:e] = decode(
+            chosen[s:e], shape.n_entities, shape.n_relations)
     ys = labels.labels(heads, tails, rels)
     return ObservationSet(shape, heads, tails, rels, ys)
 

@@ -238,12 +238,14 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
         for engine_fit in (fit, twin):
             with pytest.raises(TypeError, match="numpy Generator"):
                 engine_fit.run(not_a_generator, nnz)
-    with pytest.raises(TypeError):  # float counts
-        fit.run(rng, np.zeros(1))
-    with pytest.raises(TypeError):  # strided counts
-        fit.run(rng, np.zeros(4, dtype=np.int64)[::2])
-    with pytest.raises(ShapeError):  # counts of two epochs in a 2-d array
-        fit.run(rng, np.zeros((2, 1), dtype=np.int64))
+    # and both refuse counts the kernel cannot write
+    for engine_fit in (fit, twin):
+        with pytest.raises(TypeError):  # float counts
+            engine_fit.run(rng, np.zeros(2))
+        with pytest.raises(TypeError):  # strided counts
+            engine_fit.run(rng, np.zeros(4, dtype=np.int64)[::2])
+        with pytest.raises(ShapeError):  # counts of two epochs in a 2-d array
+            engine_fit.run(rng, np.zeros((2, 1), dtype=np.int64))
     assert_array_equal(narrow.entities, 1.0)  # no refused call ran
     assert rng.bit_generator.state == state  # nor drew an order
     with pytest.raises(ShapeError):  # AdaGrad state of another shape

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -16,10 +17,10 @@ from numpy.testing import assert_array_equal
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mrnet import _kernel
-from mrnet._rng import counter_uniforms, derive_seed
-from mrnet._edges import edge_key
-from mrnet.models import NetworkShape, ScoreModel
+from mrnet import _kernel, simulation
+from mrnet._rng import TAG_LABELS, TAG_MASK, counter_uniforms, derive_seed
+from mrnet._edges import decode, distinct_uniform, edge_key
+from mrnet.models import NetworkShape, ScoreModel, edge_probabilities
 from mrnet.simulation import (
     _binomial,
     _flip,
@@ -226,6 +227,103 @@ def test_sample_observations_methods_agree_in_distribution():
         z = (counts[draw] - reps * 0.4) / np.sqrt(reps * 0.4 * 0.6)
         assert np.abs(z).max() < 5
     assert stats.ks_2samp(sizes[_flip], sizes[_binomial]).pvalue > 1e-3
+
+
+# The one-shot formulas the blocked sampler replaced: one uniform per
+# slot, and every chosen edge decoded, scored and labelled at once.
+
+
+def one_shot_flip(rng, total, rate):
+    return np.nonzero(rng.random(total) < rate)[0].astype(np.int64)
+
+
+def one_shot_labels(spec, truth, seed, heads, tails, rels):
+    shape = spec.shape
+    p = edge_probabilities(spec.model, truth, heads, tails, rels)
+    u = counter_uniforms(derive_seed(seed, TAG_LABELS),
+                         edge_key(heads, tails, rels, shape.n_entities,
+                                  shape.n_relations))
+    return (u < p).astype(np.int8)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_flip_draws_the_one_shot_slots_and_state(block, monkeypatch):
+    monkeypatch.setattr(simulation, "BLOCK", block)
+    for total in (0, 1, 6, 7, 8, 63, 64, 65, 1000):  # ragged tails
+        ref, rng = np.random.default_rng(4), np.random.default_rng(4)
+        want = one_shot_flip(ref, total, 0.3)
+        got = _flip(rng, total, 0.3)
+        assert got.dtype == np.int64
+        assert_array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_labels_match_the_one_shot_labels(block, monkeypatch):
+    spec = tiny_spec(n=12, k=3, d=3, entity_sd=0.5, seed=5)
+    truth = generate_truth(spec)
+    sampler = sample_network(spec.model, truth, spec.shape, seed=8)
+    monkeypatch.setattr(simulation, "BLOCK", block)
+    n, k = 12, 3
+    h, t, r = (x.ravel() for x in np.meshgrid(
+        np.arange(n), np.arange(n), np.arange(k), indexing="ij"))
+    cases = [
+        (h, t, r),  # 432 edges: whole blocks and a ragged tail
+        (h[:block + 3], t[:block + 3], r[:block + 3]),
+        (5, 7, 2),  # scalars label one edge, as a (1,) array
+        (np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(k)),
+        (np.arange(n)[:, None], np.arange(n), 1),
+        (h.astype(np.int32), t.astype(float), r.tolist()),
+    ]
+    for cols in cases:
+        want = one_shot_labels(spec, truth, 8, *cols)
+        got = sampler.labels(*cols)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("path", ["flip", "binomial"])
+def test_blocked_sample_observations_match_one_shot(block, path, monkeypatch):
+    spec = tiny_spec(n=30, k=3, d=2, rate=0.2, entity_sd=0.5, seed=6)
+    truth = generate_truth(spec)
+    sampler = sample_network(spec.model, truth, spec.shape, seed=9)
+    shape = spec.shape
+    if path == "binomial":  # 2,700 slots past the dense limit
+        monkeypatch.setattr(simulation, "DENSE_MAX", 100)
+    rng = np.random.default_rng(derive_seed(3, TAG_MASK))
+    if path == "flip":
+        chosen = one_shot_flip(rng, shape.n_edges, shape.obs_rate)
+    else:
+        count = int(rng.binomial(shape.n_edges, shape.obs_rate))
+        chosen = distinct_uniform(rng, shape.n_edges, count)
+    h, t, r = decode(chosen, shape.n_entities, shape.n_relations)
+    monkeypatch.setattr(simulation, "BLOCK", block)
+    obs = sample_observations(shape, sampler, seed=3)
+    assert len(obs) > 4 * block
+    for got, want in zip((obs.heads, obs.tails, obs.rels, obs.labels),
+                         (h, t, r, one_shot_labels(spec, truth, 9, h, t, r))):
+        assert got.dtype == want.dtype
+        assert_array_equal(got, want)
+
+
+def test_sample_observations_memory_is_bounded_by_the_block():
+    # 800,000 slots are 48 blocks: one-shot flips held 6.4 MB of
+    # uniforms and a 0.8 MB mask at once
+    spec = tiny_spec(n=400, k=5, d=2, rate=0.02, seed=7)
+    truth = generate_truth(spec)
+    sampler = sample_network(spec.model, truth, spec.shape, seed=1)
+    block_bytes = simulation.BLOCK * 8
+    assert spec.shape.n_edges >= 32 * simulation.BLOCK
+    tracemalloc.start()
+    try:
+        obs = sample_observations(spec.shape, sampler, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(c.nbytes for c in (obs.heads, obs.tails, obs.rels,
+                                       obs.labels))
+    assert peak < 16 * block_bytes + 2 * out_bytes
 
 
 def grid_for_test(**overrides):
