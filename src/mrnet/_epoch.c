@@ -2,26 +2,23 @@
 
    mrnet_epochs runs epochs of projected AdaGrad ascent on the
    penalized Bernoulli log-likelihood, and after each epoch imposes the
-   sparsity cap and writes the nonzero count; mrnet_objective evaluates
-   that objective at the current parameters, and is the one place it is
-   computed.  An untraced fit runs all its epochs in one call.  Each
-   epoch's order is drawn just before it from the fit's own numpy
-   generator, through numpy's C interface bitgen_t, with numpy's
-   rejection step (random_interval) and shuffle: the orders, and the
-   generator's state after them, are those of one rng.permutation call
-   per epoch.  Both exports follow the numpy reference in estimation.py
-   operation for operation:
+   sparsity cap and writes the nonzero count.  An untraced fit runs all
+   its epochs in one call.  Each epoch's order is drawn just before it
+   from the fit's own numpy generator, through numpy's C interface
+   bitgen_t, with numpy's rejection step (random_interval) and shuffle:
+   the orders, and the generator's state after them, are those of one
+   rng.permutation call per epoch.  The epochs follow the numpy
+   reference in estimation.py operation for operation:
 
    - a step's gradient is taken at the parameters before the step, and
      is accumulated per row in batch order, heads before tails, as
      np.add.at does;
    - the elastic-net term, the AdaGrad update and the ball projection
      of each touched row use the same expressions in the same order;
-   - row norms, the log-likelihood total and the penalty's sums use
-     numpy's pairwise summation;
+   - row norms use numpy's pairwise summation;
    - the cap keeps what project_l0's stable argsort keeps.
 
-   Both read the observations as packed records, four int32 (head,
+   They read the observations as packed records, four int32 (head,
    tail, relation, label) in 16 bytes, which _kernel.Fit builds once
    per fit: a step then waits on one cache line where four columns
    would take four, and the batch loop prefetches the record it will
@@ -36,9 +33,10 @@
    each row norm keeps pairwise_sum's order, so the bits are those of
    the one-entry-at-a-time loop.
 
-   mrnet_scores writes the scores of a loss-scan chunk and
-   mrnet_rank_counts counts, per test edge, the unfiltered candidates
-   scoring above and tied with it, for mrnet.evaluation.
+   mrnet_scores writes the scores of given edges or of a run of slots,
+   for train's objective and the loss scan, and mrnet_rank_counts
+   counts, per test edge, the unfiltered candidates scoring above and
+   tied with it, for mrnet.evaluation.
 
    Every export takes one argument record, struct fit, by pointer.
    _kernel.py mirrors it in a ctypes Structure whose layout it checks
@@ -106,6 +104,15 @@ static double edge_score(int kind, int64_t d, const double *h,
         }
     }
     return kind == DISTANCE ? w[d] - acc : acc;
+}
+
+/* edge_score for epoch: inlined into its batch loop, it made a step slower */
+static __attribute__((noinline)) double step_score(int kind, int64_t d,
+                                                   const double *h,
+                                                   const double *t,
+                                                   const double *w)
+{
+    return edge_score(kind, d, h, t, w);
 }
 
 /* models.sigmoid, clamped strictly inside (0, 1) */
@@ -219,7 +226,7 @@ static void update_rows(const int64_t *rows, int64_t n_rows, int64_t width,
     }
 }
 
-/* One observation as the epochs and the objective read it */
+/* One observation as the epochs read it */
 struct record {
     int32_t head, tail, rel, label;
 };
@@ -227,8 +234,7 @@ struct record {
 /* The argument record of every export: one fit's parameters, AdaGrad
    state, observations and settings; cap < 0 is no sparsity cap.  The
    edge columns heads, tails and rels are what mrnet_scores and
-   mrnet_rank_counts read, the records what the epochs and the
-   objective read. */
+   mrnet_rank_counts read, the records what the epochs read. */
 struct fit {
     int kind;
     int64_t n_ent, n_rel, d, rd;
@@ -301,7 +307,7 @@ static void epoch(const struct fit *f, const struct work *w,
             double *gh = w->grad_e + hd * d, *gr = w->grad_r + r * rd;
             double *term = w->tail_terms + b * d;
             double c = ((double)o->label -
-                        sigmoid(edge_score(kind, d, h, t, wr))) * scale;
+                        sigmoid(step_score(kind, d, h, t, wr))) * scale;
             touch(hd, w->mark_e, w->rows_e, &ne);
             touch(r, w->mark_r, w->rows_r, &nr);
             for (int64_t j = 0; j < d; j++) {
@@ -418,41 +424,6 @@ static int64_t count_nonzero(const struct fit *f)
     return count;
 }
 
-/* numpy's x.sum() of |x| (square == 0) or of x * x (square == 1) over
-   n values; work holds n values */
-static double block_sum(const double *x, int64_t n, int square,
-                        double *work)
-{
-    for (int64_t i = 0; i < n; i++)
-        work[i] = square ? x[i] * x[i] : fabs(x[i]);
-    return pairwise_sum(work, n);
-}
-
-/* estimation.penalized_objective at the fit's parameters: the
-   log-likelihood, minus the sum of logaddexp(0, s) with s = -score for
-   label 1 and s = score for label 0, less the penalty rho1 * sum |x| +
-   rho2 * sum x * x, whose sums run per block as numpy's x.sum() does.
-   terms holds one value per observation, work one per parameter. */
-static double objective(const struct fit *f, double *terms, double *work)
-{
-    for (int64_t i = 0; i < f->n_obs; i++) {
-        const struct record *o = f->records + i;
-        double phi = fit_score(f->kind, f, o->head, o->tail, o->rel);
-        double s = o->label == 1 ? -phi : phi;
-        terms[i] = (s > 0 ? s : 0.0) + log1p(exp(-fabs(s)));
-    }
-    double loglik = -pairwise_sum(terms, f->n_obs), penalty = 0.0;
-    if (f->rho1 != 0.0 || f->rho2 != 0.0) {
-        int64_t ne = f->n_ent * f->d, nr = f->n_rel * f->rd;
-        double l1 = block_sum(f->ent, ne, 0, work) +
-                    block_sum(f->rel, nr, 0, work);
-        double sq = block_sum(f->ent, ne, 1, work) +
-                    block_sum(f->rel, nr, 1, work);
-        penalty = f->rho1 * l1 + f->rho2 * sq;
-    }
-    return loglik - penalty;
-}
-
 /* n zeroed items of size bytes; never a NULL for n == 0 */
 static void *zeroed(int64_t n, size_t size)
 {
@@ -541,22 +512,6 @@ int mrnet_epochs(const struct fit *f, struct bitgen *rng, int64_t n_epochs,
     free(w.rows_r);
     free(flat);
     free(order);
-    return status;
-}
-
-/* The penalized objective at the parameters of f, written to *out.
-   Returns 0, or -1 if the work space cannot be allocated. */
-int mrnet_objective(const struct fit *f, double *out)
-{
-    double *terms = zeroed(f->n_obs, sizeof(double));
-    double *work = zeroed(f->n_ent * f->d + f->n_rel * f->rd, sizeof(double));
-    int status = -1;
-    if (terms && work) {
-        *out = objective(f, terms, work);
-        status = 0;
-    }
-    free(terms);
-    free(work);
     return status;
 }
 

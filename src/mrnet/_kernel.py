@@ -2,12 +2,12 @@
 
 ``engine()`` gives the kernel, or ``Numpy`` if none loads.  The two have
 the same methods and the same scores bit for bit, so callers never branch.
-A fit bound by ``fit`` runs any number of training epochs per call
-(``run``), drawing each order as ``rng.permutation`` would (the kernel
-through numpy's C interface ``bitgen_t``), imposing the sparsity cap and
-writing each epoch's nonzero count, so an untraced fit is one call;
-``objective`` gives the objective at the fit's current parameters, and
-is the only place it is computed.  Everything runs on the calling thread.
+A fit bound by ``fit`` has two methods: ``run`` runs any number of
+training epochs, drawing each order as ``rng.permutation`` would (the
+kernel through numpy's C interface ``bitgen_t``), imposing the sparsity
+cap after each and returning the nonzero counts, so an untraced fit is
+one call; ``scores`` scores the fit's observations, for the objective.
+Everything runs on the calling thread.
 
 ``load()`` compiles the C source on first use with the C compiler that
 Python was built with (``sysconfig``'s ``CC``) and opens it with
@@ -164,15 +164,6 @@ def _records(heads, tails, rels, labels, n_entities, n_relations):
     return records
 
 
-def _counts(nnz_out) -> int:
-    """The address of ``nnz_out``, one int64 nonzero count per epoch, for
-    both engines' ``run``: ``ShapeError`` unless it is 1-d, ``TypeError``
-    unless it is C-contiguous int64."""
-    if nnz_out.ndim != 1:
-        raise ShapeError("need one nonzero count per epoch")
-    return _addr(nnz_out, np.int64)
-
-
 def _generator(rng) -> np.random.Generator:
     """``rng``, or ``TypeError`` if it is not a numpy ``Generator``."""
     if not isinstance(rng, np.random.Generator):
@@ -200,8 +191,6 @@ class Kernel:
         record = ctypes.POINTER(_Fit)
         self._epochs = _bind(lib.mrnet_epochs, ctypes.c_int, record, _PTR,
                              _I64, _PTR)
-        self._objective = _bind(lib.mrnet_objective, ctypes.c_int, record,
-                                ctypes.POINTER(_F64))
         self._scores = _bind(lib.mrnet_scores, None, record, _I64, _I64, _I64,
                              _I64, _PTR)
         self._ranks = _bind(lib.mrnet_rank_counts, None, record, ctypes.c_int,
@@ -257,20 +246,20 @@ class Fit:
     """The kernel bound to one fit's arrays, their record filled once.
 
     The observations are packed once, when the fit is bound, into 16-byte
-    records (``_records``) that every ``run`` and ``objective`` reads, so
-    a fit keeps 16 bytes per observation beside ``obs``.  Raises
-    ``ValueError`` if int32 cannot index the network's entities or
-    relations.
+    records (``_records``) that every ``run`` reads, so a fit keeps 16
+    bytes per observation beside ``obs``.  Raises ``ValueError`` if int32
+    cannot index the network's entities or relations.  The record also
+    points at ``obs``' edge columns, which ``scores`` reads.
 
-    ``run(rng, nnz_out)`` runs one AdaGrad epoch over ``obs`` per entry
-    of the int64 ``nnz_out``, updating the parameters and ``g2_ent`` /
-    ``g2_rel`` in place, each in the order that one more
-    ``rng.permutation(len(obs))`` would draw (``rng``'s lock held, as
-    numpy's own methods hold it).  After each epoch it imposes
-    ``config.sparsity_cap`` as ``estimation.project_l0`` does and writes
-    the nonzero count to ``nnz_out``.  ``objective()`` is the penalized
-    objective at the parameters as they are now.  The caller has checked
-    that every index in ``obs`` is in range.
+    ``run(rng, epochs)`` runs ``epochs`` AdaGrad epochs over ``obs``,
+    updating the parameters and ``g2_ent`` / ``g2_rel`` in place, each in
+    the order that one more ``rng.permutation(len(obs))`` would draw
+    (``rng``'s lock held, as numpy's own methods hold it).  After each
+    epoch it imposes ``config.sparsity_cap`` as ``estimation.project_l0``
+    does.  It returns the nonzero count after each epoch, int64.
+    ``scores()`` returns the scores of ``obs``' edges at the parameters
+    as they are now.  The caller has checked that every index in ``obs``
+    is in range.
     """
 
     def __init__(self, kernel, model, params, g2_ent, g2_rel, obs, config):
@@ -281,32 +270,33 @@ class Fit:
         records = _records(obs.heads, obs.tails, obs.rels, obs.labels,
                            params.n_entities, params.n_relations)
         self._record = _record(
-            model, params, g2_ent=_addr(g2_ent, np.float64),
+            model, params, obs.heads, obs.tails, obs.rels,
+            g2_ent=_addr(g2_ent, np.float64),
             g2_rel=_addr(g2_rel, np.float64),
-            records=_addr(records, np.int32), n_obs=len(records),
-            batch_size=config.batch_size, lr=config.learning_rate,
+            records=_addr(records, np.int32), batch_size=config.batch_size,
+            lr=config.learning_rate,
             eps=config.adagrad_eps, rho1=config.rho1, rho2=config.rho2,
             radius=config.radius, cap=-1 if cap is None else cap)
         self._kernel = kernel
         # the kernel reads and writes these by address
         self._arrays = (params.entities, params.relations, g2_ent, g2_rel,
-                        records)
+                        records, obs.heads, obs.tails, obs.rels)
 
-    def run(self, rng, nnz_out) -> None:
+    def run(self, rng, epochs) -> np.ndarray:
         bits = _generator(rng).bit_generator
-        nnz = _counts(nnz_out)
+        nnz = np.empty(epochs, dtype=np.int64)
         with bits.lock:
             failed = self._kernel._epochs(self._record,
                                           bits.ctypes.bit_generator,
-                                          len(nnz_out), nnz)
+                                          len(nnz), nnz.ctypes.data)
         if failed:
             raise MemoryError("epoch kernel could not allocate its work space")
+        return nnz
 
-    def objective(self) -> float:
-        out = _F64()
-        if self._kernel._objective(self._record, ctypes.byref(out)):
-            raise MemoryError("objective kernel could not allocate")
-        return out.value
+    def scores(self) -> np.ndarray:
+        out = np.empty(self._record.n_obs)
+        self._kernel._scores(self._record, 0, 0, 0, len(out), out.ctypes.data)
+        return out
 
 
 class Numpy:
@@ -340,18 +330,16 @@ class Numpy:
 
     @staticmethod
     def fit(model, params, g2_ent, g2_rel, obs, config):
-        from .estimation import _numpy_epochs, penalized_objective  # no cycle
+        from .estimation import _numpy_epochs  # no import cycle
 
-        def run(rng, nnz_out):
-            rng = _generator(rng)
-            _counts(nnz_out)  # the kernel's refusals
-            _numpy_epochs(model, params, g2_ent, g2_rel, obs, config, rng,
-                          nnz_out)
+        def run(rng, epochs):
+            return _numpy_epochs(model, params, g2_ent, g2_rel, obs, config,
+                                 _generator(rng), epochs)
 
         return types.SimpleNamespace(
             run=run,
-            objective=lambda: penalized_objective(model, params, obs,
-                                                  config.rho1, config.rho2))
+            scores=lambda: _scores(model, params, obs.heads, obs.tails,
+                                   obs.rels))
 
 
 def engine():

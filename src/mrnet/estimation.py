@@ -145,10 +145,15 @@ def log_likelihood(model: ScoreModel, params: ModelParams,
     """Bernoulli log-likelihood of the labels; 0.0 for no observations."""
     if len(obs) == 0:
         return 0.0
-    # checked: one pass per epoch, and perfbench's tracer test follows it
+    # checked: perfbench's tracer test follows this call
     phi = scores(model, params, obs.heads, obs.tails, obs.rels)
+    return _log_likelihood(phi, obs.labels)
+
+
+def _log_likelihood(phi: np.ndarray, labels: np.ndarray) -> float:
+    """``log_likelihood`` of the labels from their edges' scores ``phi``."""
     # y=1 -> -log(1+e^-phi), y=0 -> -log(1+e^phi); stable via logaddexp
-    signed = np.where(obs.labels == 1, -phi, phi)
+    signed = np.where(labels == 1, -phi, phi)
     return float(-np.logaddexp(0.0, signed).sum())
 
 
@@ -292,18 +297,20 @@ def _numpy_epoch(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
 def _numpy_epochs(model: ScoreModel, params: ModelParams, g2_ent: np.ndarray,
                   g2_rel: np.ndarray, obs: ObservationSet,
                   config: TrainConfig, rng: np.random.Generator,
-                  nnz_out: np.ndarray) -> None:
+                  epochs: int) -> np.ndarray:
     """``_kernel.Fit.run`` in numpy: the reference the compiled kernel's
     epochs are tested against, and the fallback when no kernel can be
     built."""
-    for epoch in range(len(nnz_out)):
+    nnz = np.empty(epochs, dtype=np.int64)
+    for epoch in range(len(nnz)):
         _numpy_epoch(model, params, g2_ent, g2_rel, obs,
                      rng.permutation(len(obs)), config)
         if config.sparsity_cap is not None:
             capped = project_l0(params, config.sparsity_cap)
             params.entities[...] = capped.entities
             params.relations[...] = capped.relations
-        nnz_out[epoch] = _nnz(params)
+        nnz[epoch] = _nnz(params)
+    return nnz
 
 
 def _checked(value: float, epoch: int) -> float:
@@ -324,18 +331,23 @@ def _fit(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     params = _init_params(model, shape, config, rng)
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
     fit = _kernel.engine().fit(model, params, *g2, obs, config)
+
+    def objective():  # one formula for both engines
+        return (_log_likelihood(fit.scores(), obs.labels)
+                - _penalty(params, config.rho1, config.rho2))
+
     epochs = config.epochs
     nnz = np.empty(epochs + 1, dtype=np.int64)
     nnz[0] = _nnz(params)
     # every draw from rng after _init_params is an epoch order
     if not trace:
-        fit.run(rng, nnz[1:])
-        return params, g2, nnz, None, fit.objective()
+        nnz[1:] = fit.run(rng, epochs)
+        return params, g2, nnz, None, objective()
     objectives = np.empty(epochs + 1)
-    objectives[0] = _checked(fit.objective(), 0)
+    objectives[0] = _checked(objective(), 0)
     for done in range(1, epochs + 1):
-        fit.run(rng, nnz[done:done + 1])
-        objectives[done] = _checked(fit.objective(), done)
+        nnz[done:done + 1] = fit.run(rng, 1)
+        objectives[done] = _checked(objective(), done)
     return params, g2, nnz, objectives, objectives[-1]
 
 
@@ -361,11 +373,14 @@ def train(model: ScoreModel, shape: NetworkShape, obs: ObservationSet,
     The result always holds the final objective and the nonzero count
     after each epoch.  The penalized objective after each epoch, which
     costs a pass over the observations per epoch, is computed only with
-    ``trace=True``: a traced fit runs one epoch per call and reads
-    ``fit.objective()`` after each.  Otherwise ``objective_trace`` is
-    None and the objective is computed once, at the final parameters.
-    The two give the same parameters, counts and final objective bit
-    for bit.
+    ``trace=True``: a traced fit runs one epoch per call and computes
+    the objective after each.  Otherwise ``objective_trace`` is None and
+    the objective is computed once, at the final parameters.  The two
+    give the same parameters, counts and final objective bit for bit.
+    Both engines compute the objective the same way: the bound fit
+    scores the observations, bit for bit as ``models.scores`` does, and
+    numpy turns the scores and the parameters into the log-likelihood
+    less the penalty.
 
     Raises ValueError for an index outside ``shape``, for an objective
     that is not finite and for AdaGrad state that is not finite (a

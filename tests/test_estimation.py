@@ -12,7 +12,6 @@ from mrnet.estimation import (
     TrainConfig,
     _init_params,
     _nnz,
-    _penalty,
     log_likelihood,
     objective_gradient,
     penalized_objective,
@@ -284,7 +283,7 @@ def test_train_improves_objective_and_respects_radius():
     assert len(result.nnz_trace) == 31
     recomputed = penalized_objective(model, result.params, obs)
     assert result.objective_trace[-1] > result.objective_trace[0]
-    assert result.objective_trace[-1] == pytest.approx(recomputed, rel=1e-9)
+    assert result.objective_trace[-1] == recomputed
     assert result.objective == result.objective_trace[-1]
     # without the trace: the same fit and final objective, and no trace
     plain = train(model, shape, obs, config)
@@ -463,12 +462,12 @@ def sequential_train(model, shape, obs, config):
     fit = _kernel.engine().fit(model, params, *g2, obs, uncapped)
 
     def objective():
-        return (log_likelihood(model, params, obs)
-                - _penalty(params, config.rho1, config.rho2))
+        return penalized_objective(model, params, obs, config.rho1,
+                                   config.rho2)
 
     trace, nnz = [objective()], [_nnz(params)]
     for _ in range(config.epochs):
-        fit.run(rng, np.empty(1, dtype=np.int64))
+        fit.run(rng, 1)
         if config.sparsity_cap is not None:
             capped = project_l0(params, config.sparsity_cap)
             params.entities[...] = capped.entities
@@ -526,21 +525,20 @@ def assert_same_fit(got, params, trace, nnz, traced):
 
 
 def spy_on_fits(monkeypatch):
-    """Record each call of the engine's fits, ("run", epochs) or
-    ("objective",), with the thread count seen inside it."""
+    """Record each ``run`` of the engine's fits as ("run", epochs), with
+    the thread count seen inside it."""
     engine, calls = _kernel.engine(), []
 
     class Spy:
         def __init__(self, fit):
             self.fit = fit
 
-        def run(self, rng, nnz_out):
-            calls.append(("run", len(nnz_out), threading.active_count()))
-            self.fit.run(rng, nnz_out)
+        def run(self, rng, epochs):
+            calls.append(("run", epochs, threading.active_count()))
+            return self.fit.run(rng, epochs)
 
-        def objective(self):
-            calls.append(("objective", threading.active_count()))
-            return self.fit.objective()
+        def scores(self):
+            return self.fit.scores()
 
     def fit(*args, real=engine.fit):
         return Spy(real(*args))
@@ -575,12 +573,9 @@ def test_train_matches_one_epoch_per_call(monkeypatch, loaded, kind, cap,
         calls.clear()
         got = train(model, shape, obs, config, trace=traced)
         assert_same_fit(got, params, trace, nnz, traced)
-        # traced: the objective at init, then one epoch per run and the
-        # objective after each; else one run of all 7 epochs and the
-        # objective once, at the end
+        # traced: one epoch per run; else one run of all 7 epochs
         assert [c[:-1] for c in calls] == (
-            [("objective",)] + [("run", 1), ("objective",)] * 7
-            if traced else [("run", 7), ("objective",)])
+            [("run", 1)] * 7 if traced else [("run", 7)])
 
 
 @pytest.mark.parametrize("cap", [None, 20])
@@ -601,9 +596,8 @@ def test_train_is_bit_identical_inline_and_on_other_threads(monkeypatch,
         calls.clear()
         got = train(model, shape, obs, config, trace=traced)
         assert_same_fit(got, params, trace, nnz, traced)
-        # traced: the objective at init, then a run of 1 epoch and the
-        # objective per epoch; else one run of 4 epochs and one objective
-        per_fit = 1 + 2 * 4 if traced else 2
+        # traced: a run of 1 epoch per epoch; else one run of 4 epochs
+        per_fit = 4 if traced else 1
         assert len(calls) == per_fit
         for got in run_on_threads(
                 lambda: train(model, shape, obs, config, trace=traced), 2):

@@ -15,12 +15,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
 from mrnet import _kernel, estimation
-from mrnet.estimation import (ObservationSet, TrainConfig, _penalty,
-                              log_likelihood, project_l0, train)
+from mrnet.estimation import (ObservationSet, TrainConfig,
+                              penalized_objective, project_l0, train)
 from mrnet.models import (_P_HI, _P_LO, MODEL_KINDS, ModelParams,
                           NetworkShape, ScoreModel, ShapeError, scores)
 
 from test_estimation import full_observation_set, make_params, small_problem
+from test_evaluation import scoring_paths
 
 # Fixed before any measurement.  The kernel's sigmoid uses libm's exp
 # where numpy uses its own SIMD exp (they differ in the last bit for a
@@ -41,14 +42,6 @@ def kernel():
     loaded = _kernel.load()
     assert loaded is not None, "a C compiler is present but the kernel failed"
     return loaded
-
-
-def log_likelihood_via(engine, model, params, obs):
-    """``obs``' log-likelihood at ``params``, from ``engine``'s fit: its
-    objective with no penalty."""
-    g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
-    fit = engine.fit(model, params, *g2, obs, TrainConfig(epochs=1))
-    return fit.objective()
 
 
 VARIANTS = {"plain": {}, "rho1": {"rho1": 0.3}, "rho2": {"rho2": 0.5},
@@ -142,19 +135,31 @@ def test_train_binds_one_fit_per_call(monkeypatch, cap):
             assert result.nnz_trace.max() == cap
 
 
+@pytest.mark.parametrize("rho", [(0.0, 0.0), (0.3, 0.7)],
+                         ids=["plain", "penalty"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_kernel_log_likelihood_matches_numpy(kernel, kind):
-    # bit for bit: the scores agree exactly, numpy's logaddexp takes
-    # libm's exp and log1p as the kernel does, and both sum pairwise
-    rng = np.random.default_rng(21)
+@pytest.mark.parametrize("loaded", scoring_paths(),
+                         ids=lambda loaded: "numpy" if loaded is None
+                         else "kernel")
+def test_train_objective_is_penalized_objective(monkeypatch, loaded, kind,
+                                                rho):
+    # bit for bit: train scores the observations with the engine's
+    # scorer, whose scores are models.scores', and takes the same numpy
+    # formula as penalized_objective
+    monkeypatch.setattr(_kernel, "_loaded", loaded)
     model = ScoreModel(kind, 3)
     shape = NetworkShape(5, 2)
-    obs = full_observation_set(shape, rng)
+    obs = full_observation_set(shape, np.random.default_rng(21))
     for scale in (0.5, 30.0):  # the second drives scores far past +-700
-        params = make_params(model, 5, 2, rng, scale=scale)
-        want = log_likelihood_via(_kernel.Numpy, model, params, obs)
-        assert want == log_likelihood(model, params, obs)
-        assert log_likelihood_via(kernel, model, params, obs) == want
+        config = TrainConfig(epochs=2, learning_rate=0.05, rho1=rho[0],
+                             rho2=rho[1], radius=1e3, init_scale=scale,
+                             seed=4)
+        for traced in (True, False):
+            result = train(model, shape, obs, config, trace=traced)
+            want = penalized_objective(model, result.params, obs, *rho)
+            assert float(result.objective).hex() == float(want).hex()
+        phi = scores(model, result.params, obs.heads, obs.tails, obs.rels)
+        assert (np.abs(phi).max() > 700) == (scale == 30.0)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -219,14 +224,14 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
     shape = NetworkShape(3, 1)
     obs = ObservationSet(shape, [0, 1], [1, 2], [0, 0], [1, 0])
     params = ModelParams(np.ones((2, 3)).T, np.ones((1, 2)), 5.0)
+    g2 = (np.zeros((3, 2)), np.zeros((1, 2)))
     with pytest.raises(TypeError):  # column-major entity rows
-        log_likelihood_via(kernel, model, params, obs)
+        kernel.fit(model, params, *g2, obs, TrainConfig(epochs=1))
     narrow = ModelParams(np.ones((3, 2)), np.ones((1, 2)), 5.0)
     with pytest.raises(ShapeError):  # combined rows need 2d relation entries
-        log_likelihood_via(kernel, ScoreModel("combined", 2), narrow, obs)
-    fit = kernel.fit(model, narrow, np.zeros((3, 2)), np.zeros((1, 2)),
-                     obs, TrainConfig(epochs=1))
-    nnz = np.zeros(1, dtype=np.int64)
+        kernel.fit(ScoreModel("combined", 2), narrow, *g2, obs,
+                   TrainConfig(epochs=1))
+    fit = kernel.fit(model, narrow, *g2, obs, TrainConfig(epochs=1))
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     twin = _kernel.Numpy.fit(model, narrow, np.zeros((3, 2)),
@@ -237,15 +242,11 @@ def test_kernel_refuses_arrays_it_cannot_read(kernel):
                             np.random.RandomState(5)):
         for engine_fit in (fit, twin):
             with pytest.raises(TypeError, match="numpy Generator"):
-                engine_fit.run(not_a_generator, nnz)
-    # and both refuse counts the kernel cannot write
+                engine_fit.run(not_a_generator, 1)
+    # and both refuse a negative epoch count
     for engine_fit in (fit, twin):
-        with pytest.raises(TypeError):  # float counts
-            engine_fit.run(rng, np.zeros(2))
-        with pytest.raises(TypeError):  # strided counts
-            engine_fit.run(rng, np.zeros(4, dtype=np.int64)[::2])
-        with pytest.raises(ShapeError):  # counts of two epochs in a 2-d array
-            engine_fit.run(rng, np.zeros((2, 1), dtype=np.int64))
+        with pytest.raises(ValueError):
+            engine_fit.run(rng, -1)
     assert_array_equal(narrow.entities, 1.0)  # no refused call ran
     assert rng.bit_generator.state == state  # nor drew an order
     with pytest.raises(ShapeError):  # AdaGrad state of another shape
@@ -377,9 +378,11 @@ def test_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
     assert len(made) == 1  # one fresh directory, made by this process
     assert os.listdir(scratch) == []  # and removed once the library loaded
     obs = ObservationSet(NetworkShape(2, 1), [0, 1], [1, 0], [0, 0], [1, 0])
-    params = ModelParams(np.zeros((2, 2)), np.zeros((1, 2)), 1.0)
-    got = log_likelihood_via(kernel, ScoreModel("bilinear", 2), params, obs)
-    assert got == pytest.approx(-2 * np.log(2.0), rel=1e-15)
+    params = ModelParams(np.arange(4.0).reshape(2, 2), np.ones((1, 2)), 9.0)
+    got = np.empty(2)
+    kernel.edge_scores(ScoreModel("bilinear", 2), params, obs.heads,
+                       obs.tails, obs.rels, got)
+    assert_array_equal(got, [3.0, 3.0])  # 0 * 2 + 1 * 3, both ways
 
 
 def test_build_deletes_only_stale_libraries(tmp_path, monkeypatch):
@@ -407,7 +410,7 @@ import sys, time
 from pathlib import Path
 import numpy as np
 from mrnet import _kernel
-from mrnet.estimation import ObservationSet, TrainConfig
+from mrnet.estimation import ObservationSet
 from mrnet.models import ModelParams, NetworkShape, ScoreModel
 
 cache, me = Path(sys.argv[1]), sys.argv[2]
@@ -417,11 +420,11 @@ while len(list(cache.parent.glob("ready-*"))) < 2:  # start both builds at once
 _kernel._CACHE = cache
 kernel = _kernel.load()
 obs = ObservationSet(NetworkShape(2, 1), [0, 1], [1, 0], [0, 0], [1, 0])
-params = ModelParams(np.zeros((2, 2)), np.zeros((1, 2)), 1.0)
-g2 = (np.zeros((2, 2)), np.zeros((1, 2)))
-fit = kernel.fit(ScoreModel("bilinear", 2), params, *g2, obs,
-                 TrainConfig(epochs=1))
-print(fit.objective())
+params = ModelParams(np.arange(4.0).reshape(2, 2), np.ones((1, 2)), 9.0)
+out = np.empty(2)
+kernel.edge_scores(ScoreModel("bilinear", 2), params, obs.heads, obs.tails,
+                   obs.rels, out)
+print(out.sum())
 """
 
 
@@ -437,7 +440,7 @@ def test_concurrent_builds_both_load_a_working_library(tmp_path):
     outs = [p.communicate(timeout=300) for p in procs]
     for p, (out, err) in zip(procs, outs):
         assert p.returncode == 0, err
-        assert float(out) == pytest.approx(-2 * np.log(2.0), rel=1e-15)
+        assert float(out) == 6.0  # two edges scoring 0 * 2 + 1 * 3
     built = os.listdir(cache)
     assert len(built) == 1 and built[0].endswith(_kernel._SUFFIX)
 
@@ -504,7 +507,7 @@ def order_fit(kernel, n):
         params.entities[0], params.entities[1:] = s0, -1.0
         params.relations[...] = 1.0
         g2[0][...], g2[1][...] = 2.0 ** 200, 2.0 ** 1000
-        fit.run(rng, np.zeros(1, dtype=np.int64))
+        fit.run(rng, 1)
         step = (s0 - (params.entities[1:, 0] + 1) / n) / n
         assert_array_equal(np.sort(step), np.arange(n))  # exact steps
         order = np.empty(n, dtype=np.int64)
@@ -540,12 +543,12 @@ def test_kernel_orders_are_sequential_permutations(kernel, n):
             assert_equal(rng.bit_generator.state, ref.bit_generator.state)
         # one run of one to three epochs draws as many orders
         for epochs in (1, 2, 3):
-            fit.run(rng, np.zeros(epochs, dtype=np.int64))
+            fit.run(rng, epochs)
             for _ in range(epochs):
                 ref.permutation(n)
             assert_equal(rng.bit_generator.state, ref.bit_generator.state)
         # and a run of no epochs draws none
-        fit.run(rng, np.zeros(0, dtype=np.int64))
+        fit.run(rng, 0)
         assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
@@ -555,9 +558,8 @@ def kernel_cap(kernel, model, params, obs, cap):
     g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
     config = TrainConfig(epochs=1, radius=1e3, sparsity_cap=cap)
     fit = kernel.fit(model, params, *g2, obs, config)
-    nnz = np.zeros(1, dtype=np.int64)
-    fit.run(np.random.default_rng(0), nnz)
-    return params, nnz[0]
+    (nnz,) = fit.run(np.random.default_rng(0), 1)
+    return params, nnz
 
 
 def test_kernel_cap_keeps_what_project_l0_keeps(kernel):
@@ -594,20 +596,3 @@ def test_kernel_cap_keeps_what_project_l0_keeps(kernel):
             assert got.relations.tobytes() == want.relations.tobytes(), cap
             assert nnz == (np.count_nonzero(want.entities)
                            + np.count_nonzero(want.relations))
-
-
-def test_kernel_penalty_is_numpy_penalty_bit_for_bit(kernel):
-    # no observations: the objective is minus the penalty alone; blocks
-    # past numpy's 8-wide unrolled sums (128) and past 8,192 values
-    model = ScoreModel("combined", 3)
-    rng = np.random.default_rng(9)
-    for n, k in ((5, 2), (50, 2), (3000, 1500)):
-        empty = ObservationSet(NetworkShape(n, k), [], [], [], [])
-        params = ModelParams(rng.normal(0, 3, (n, 3)) ** 3,
-                             rng.normal(0, 1e-3, (k, 6)), 1e3)
-        g2 = (np.zeros_like(params.entities), np.zeros_like(params.relations))
-        for rho1, rho2 in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)):
-            config = TrainConfig(epochs=1, rho1=rho1, rho2=rho2)
-            got = kernel.fit(model, params, *g2, empty, config).objective()
-            want = -_penalty(params, rho1, rho2)
-            assert float(want).hex() == got.hex(), (n, k, rho1, rho2)
