@@ -13,8 +13,8 @@ import numpy as np
 
 from ._rng import TAG_EVAL, derive_seed
 
-# Up to this many slots the samplers take a permutation of the universe
-# (or flip one coin per slot); beyond, they draw with rejection.
+# Up to this many slots the samplers take a permutation of the allowed
+# values (or flip one coin per slot); beyond, they draw random indices.
 DENSE_MAX = 1 << 22
 
 # A loss scan covers every slot of a universe up to this size, else a
@@ -105,14 +105,6 @@ def decode(keys: np.ndarray, nb: int, nc: int):
     return ab // nb, ab % nb, c
 
 
-def in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    """Whether each of ``values`` occurs in the sorted ``sorted_values``."""
-    if not len(sorted_values):
-        return np.zeros(len(values), dtype=bool)
-    at = np.searchsorted(sorted_values, values)
-    return sorted_values[np.minimum(at, len(sorted_values) - 1)] == values
-
-
 def distinct_uniform(rng: np.random.Generator, total: int, count: int,
                      avoid: Optional[np.ndarray] = None) -> np.ndarray:
     """``count`` distinct integers from [0, total), sorted, uniform over
@@ -122,7 +114,7 @@ def distinct_uniform(rng: np.random.Generator, total: int, count: int,
     A draw of every allowed value returns them as they are.  Else, up
     to ``DENSE_MAX`` (and, without ``avoid``, for dense draws) it takes
     the first ``count`` of a permutation of the allowed values; beyond,
-    it draws with rejection.
+    a uniform ``count`` of distinct random indices into them.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -140,23 +132,20 @@ def distinct_uniform(rng: np.random.Generator, total: int, count: int,
             return pool
         rng.shuffle(pool)  # in place: one array of the universe at most
         return np.sort(pool[:count])
-    # Rejection sampling, vectorized: keep the first `count` distinct
-    # allowed values in draw order, which matches drawing one at a time.
-    # Each round's draws are de-duplicated among themselves, then probed
-    # against `avoid` and the values kept in earlier rounds.
-    need = count + 4 * (count * count // total + 1) + 64
-    kept = kept_sorted = np.empty(0, dtype=np.int64)
-    while True:
-        draws = rng.integers(0, total, size=need)
-        _, first = np.unique(draws, return_index=True)
-        first.sort()  # chronological order of first occurrences
-        new = draws[first]
-        if avoid is not None:
-            new = new[~in_sorted(new, avoid)]
-        kept = np.concatenate([kept, new[~in_sorted(new, kept_sorted)]])
-        if len(kept) >= count:
-            return np.sort(kept[:count])
-        kept_sorted = np.sort(kept)
+    # Rounds of `count` indices into the allowed values until `count` are
+    # distinct.  The stopping rule sees only how many, so the set is
+    # exchangeable, and a uniform `count` of it is a uniform subset.
+    idx = np.empty(0, dtype=np.int64)
+    while len(idx) < count:
+        idx = np.concatenate([idx, rng.integers(0, free, size=count)])
+        idx.sort()
+        idx = idx[np.append(True, idx[1:] != idx[:-1])]
+    idx = np.sort(rng.choice(idx, count, replace=False, shuffle=False))
+    if avoid is not None:  # index i is value i + #{j: avoid[j] - j <= i}
+        shift = np.arange(len(avoid), dtype=np.int64)
+        np.subtract(avoid, shift, out=shift)
+        idx += np.searchsorted(shift, idx, side="right")
+    return idx
 
 
 def loss_edges(n: int, k: int, cap: int, seed: int):

@@ -118,8 +118,8 @@ def bennett_h(u):
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and arr.min() < 0:
-        raise ValueError("bennett_h requires u >= 0")
+    if arr.size and not (arr.min() >= 0 and np.isfinite(arr).all()):
+        raise ValueError(f"u must be finite and >= 0, got {u!r}")
     out = np.empty_like(arr)
     small = arr < 1e-4
     v = arr[small]
@@ -224,6 +224,7 @@ def check_variance_inequality(x: float, y: float, sup_score: float) -> bool:
     Holds for all |x|, |y| <= C; callers probing outside that box may
     legitimately see False.
     """
+    _require_real("sup_score", sup_score, 0)
     px, py = sigmoid(float(x)), sigmoid(float(y))
     lhs = px * (1.0 - px) * (y - x) ** 2
     rhs = 2.0 * max(sup_score, 2.0) * bernoulli_kl(px, py)

@@ -116,6 +116,9 @@ def _settings(cls, sec, **given):
 
 
 def _cmd_simulate(sec, seed: int, args) -> int:
+    if sec.get("radius") is not None:
+        raise ConfigError("[simulate] takes no 'radius': fits use the "
+                          "truth's radius, which 'truncation' sets")
     model = _settings(ScoreModel, sec)
     # the template's entity count and rate are placeholders: each cell
     # sets its own

@@ -25,6 +25,7 @@ from .models import (
     ScoreModel,
     ShapeError,
     Triple,
+    _require_int,
     _sigmoid_into,
 )
 
@@ -246,7 +247,8 @@ def as_validity(truth_labels) -> Validity:
         if (slot, sizes) not in keys:
             check_indices(shape.n_entities, shape.n_relations, *known)
             check_keyable(shape.n_entities, shape.n_relations)
-            keys[slot, sizes] = np.unique(edge_key(
+            # a duplicate key only sets its mask cell twice
+            keys[slot, sizes] = np.sort(edge_key(
                 known[pa], known[pb], known[slot], nb, ns))
         sorted_keys = keys[slot, sizes]
         first = edge_key(a, b, 0, nb, ns)  # the row's smallest key
@@ -358,8 +360,13 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
     about ``_RANK_BLOCK`` candidates per slot; each rank equals
     ``rank_edge``'s.  Parameters holding NaN or inf raise
     ``ValueError``, as in ``rank_edge``: a NaN score compares false with
-    everything, so it would still get a rank.
+    everything, so it would still get a rank.  So does a hit cutoff that
+    is not an integer >= 1.
     """
+    cutoffs = tuple(entity_hits), tuple(relation_hits)
+    for name, qs in zip(("entity_hits", "relation_hits"), cutoffs):
+        for i, q in enumerate(qs):
+            _require_int(f"{name}[{i}]", q, 1)
     ranks = _ranks(model, params, test_triples, truth_labels, shape,
                    _SLOT_COLUMN)
     # head and tail ranks interleave per triple, as rank_edge would list them
@@ -370,6 +377,6 @@ def rank_report(model: ScoreModel, params: ModelParams, test_triples,
         hits = {int(q): float((ranks <= q).mean()) for q in qs}
         return float(ranks.mean()), float((1.0 / ranks).mean()), hits
 
-    mr_e, mrr_e, hits_e = summarize(ent_ranks, entity_hits)
-    mr_r, mrr_r, hits_r = summarize(rel_ranks, relation_hits)
+    mr_e, mrr_e, hits_e = summarize(ent_ranks, cutoffs[0])
+    mr_r, mrr_r, hits_r = summarize(rel_ranks, cutoffs[1])
     return RankReport(mr_e, mrr_e, hits_e, mr_r, mrr_r, hits_r, len(rel_ranks))

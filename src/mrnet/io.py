@@ -179,8 +179,6 @@ def sample_negatives(dataset: TripleDataset, ratio: float,
     check_indices(n, k, *dataset.positives.T)
     check_keyable(n, k)
     count = math.ceil(ratio * len(dataset.positives))
-    if count == 0:
-        return np.empty((0, 3), dtype=np.int64)
     pos = np.unique(edge_key(*dataset.positives.T, n, k))
     if count > shape.n_edges - len(pos):
         raise ValueError(

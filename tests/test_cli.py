@@ -681,6 +681,8 @@ SETTINGS_READ = {
 
 # fields the CLI passes itself rather than reads
 GIVEN = {"seed", "model", "shape", "gen", "train", "fit_radius_from_truth"}
+# fields a subcommand refuses: simulate fits at the truth's radius
+REFUSED = {(TrainConfig, "radius")}
 
 # a valid value for each read field, other than its default and than the
 # configs above set
@@ -704,7 +706,7 @@ OTHER_VALUE = {
 @pytest.mark.parametrize("cls, name", [
     pytest.param(cls, field.name, id=f"{cls.__name__}.{field.name}")
     for cls in SETTINGS_READ for field in dataclasses.fields(cls)
-    if field.name not in GIVEN])
+    if field.name not in GIVEN and (cls, field.name) not in REFUSED])
 def test_each_settings_field_is_read_from_its_key(tmp_path, spied_cli, cls,
                                                   name):
     mode, text, built = SETTINGS_READ[cls]
@@ -715,3 +717,12 @@ def test_each_settings_field_is_read_from_its_key(tmp_path, spied_cli, cls,
     cfg = write(tmp_path / "c.ini", config_with(body, name, raw))
     assert run_cli([mode, "--config", cfg]) == 0
     assert getattr(built(spied_cli), name) == value
+
+
+def test_simulate_refuses_radius(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    cfg = write(tmp_path / "c.ini", config_with(
+        SIM_CONFIG.format(out=out), "radius", "3.5"))
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "[simulate] takes no 'radius'" in capsys.readouterr().err
+    assert not out.exists()

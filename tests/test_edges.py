@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from mrnet import _edges
 from mrnet._edges import (EdgeIndexError, check_indices, check_keyable,
@@ -144,3 +147,38 @@ def test_one_permutation_branch_draws_as_the_two_did(monkeypatch, dense_max,
         assert got.tobytes() == want.tobytes()
         # and the generators are left in the same state
         assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
+@pytest.mark.parametrize("total, count, avoid", [
+    (7, 2, None),               # 21 subsets; count < total / 3
+    (9, 3, [1, 4, 6]),          # 20 subsets of the 6 allowed values
+], ids=["no avoid", "avoid"])
+def test_rejection_draws_are_uniform_over_subsets(monkeypatch, total, count,
+                                                  avoid):
+    monkeypatch.setattr(_edges, "DENSE_MAX", 0)  # every draw by rejection
+    allowed = sorted(set(range(total)) - set(avoid or ()))
+    subsets = {s: 0 for s in combinations(allowed, count)}
+    avoid = None if avoid is None else np.array(avoid, dtype=np.int64)
+    rng = np.random.default_rng(11)
+    for _ in range(100 * len(subsets)):
+        # a KeyError here is a draw that is no subset of allowed values
+        subsets[tuple(distinct_uniform(rng, total, count, avoid).tolist())] += 1
+    assert stats.chisquare(list(subsets.values())).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("with_avoid", [False, True],
+                         ids=["no avoid", "avoid"])
+def test_rejection_draws_span_the_largest_keyable_universe(with_avoid):
+    n, k = 2 ** 31 - 1, 2  # about 9.2e18 slots, just inside int64
+    check_keyable(n, k)
+    total = n * n * k
+    avoid = None
+    if with_avoid:  # both ends and a run, so the shifts stack
+        avoid = np.array([0, 1, 2, 5, 1 << 40, total - 2, total - 1],
+                         dtype=np.int64)
+    got = distinct_uniform(np.random.default_rng(3), total, 1000, avoid)
+    assert got.dtype == np.int64 and len(got) == 1000
+    assert (np.diff(got) > 0).all()  # sorted and distinct
+    assert got[0] >= 0 and got[-1] < total
+    if with_avoid:
+        assert not np.isin(got, avoid).any()

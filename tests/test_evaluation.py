@@ -807,7 +807,7 @@ def test_grid_lookup_matches_flat_probe(case):
     # the block mask against Python-set membership, candidate by candidate
     shape, known, rows, slot = case
     width = shape.n_relations if slot == 2 else shape.n_entities
-    lookup = as_validity(known)
+    lookup = as_validity(list(known) * 2)  # each known triple twice
     fixed = [[row[i] for row in rows] for i in range(3) if i != slot]
     got = grid_call(lookup, slot, fixed, shape)
     assert got.tolist() == [[row[:slot] + (i,) + row[slot + 1:] in known
@@ -824,8 +824,9 @@ def test_rank_report_row_whose_every_corruption_is_true():
     assert rank_edge(model, params, tests[0], "tail", valid, shape) == 1.0
     assert rank_edge(model, params, tests[1], "head", valid, shape) == 1.0
     assert rank_edge(model, params, tests[2], "relation", valid, shape) == 1.0
+    # a one-shot iterable of cutoffs serves both the check and the hits
     got = rank_report(model, params, tests, valid, shape,
-                      entity_hits=(1, 3), relation_hits=(1,))
+                      entity_hits=iter((1, 3)), relation_hits=(1,))
     want = expected_report(brute_rank, model, params, tests, valid, shape,
                            (1, 3), (1,))
     assert report_fields(got) == want

@@ -24,7 +24,7 @@ from mrnet.io import (
     save_checkpoint,
 )
 from mrnet.models import ModelParams, NetworkShape, ScoreModel, Triple
-from mrnet._edges import EdgeIndexError, decode, distinct_uniform
+from mrnet._edges import EdgeIndexError, decode, distinct_uniform, edge_key
 
 
 def write(tmp_path, name, text):
@@ -177,55 +177,61 @@ def test_sample_negatives_exhaustion():
 
 def old_sample_negatives(positives, ratio, shape, seed):
     """The draw loop ``sample_negatives`` used before it called
-    ``distinct_uniform``, kept as the oracle."""
+    ``distinct_uniform``, kept as the oracle up to 2^22 slots."""
     count = math.ceil(ratio * len(positives))
     n, k = shape.n_entities, shape.n_relations
-    total = shape.n_edges
+    assert shape.n_edges <= (1 << 22)
     pos = np.unique(np.asarray([(h * n + t) * k + r for h, t, r in positives],
                                dtype=np.int64))
     rng = np.random.default_rng(derive_seed(seed, 5))
-    if total <= (1 << 22):
-        pool = np.setdiff1d(np.arange(total, dtype=np.int64), pos,
-                            assume_unique=True)
-        chosen = np.sort(rng.permutation(pool)[:count])
-    else:
-        chosen = old_rejection_draws(rng, total, count, pos)
+    pool = np.setdiff1d(np.arange(shape.n_edges, dtype=np.int64), pos,
+                        assume_unique=True)
+    chosen = np.sort(rng.permutation(pool)[:count])
     return np.column_stack(decode(chosen, n, k))
 
 
-def old_rejection_draws(rng, total, count, pos):
-    """The old rejection loop: every round re-runs ``np.unique`` over all
-    draws so far and ``np.isin`` over all of ``pos``."""
-    draws = np.empty(0, dtype=np.int64)
-    while True:
-        need = count + 4 * (count * count // total + 1) + 64
-        draws = np.concatenate([draws, rng.integers(0, total, size=need)])
-        _, first = np.unique(draws, return_index=True)
-        first.sort()
-        distinct = draws[first]
-        distinct = distinct[~np.isin(distinct, pos)]
-        if len(distinct) >= count:
-            return np.sort(distinct[:count])
+def dataset_with_random_positives(shape, n_pos):
+    from mrnet.io import TripleDataset
+    rng = np.random.default_rng(n_pos)
+    lin = rng.choice(shape.n_edges, size=n_pos, replace=False)
+    positives = np.column_stack(decode(lin, shape.n_entities,
+                                       shape.n_relations))
+    return TripleDataset({}, {}, positives)
 
 
 @pytest.mark.parametrize("n, k, n_pos, ratio", [
     (30, 4, 500, 1.5),      # 3,600 slots: a permutation of the free pool
     (40, 3, 4000, 0.2),     # every free slot of a dense universe
+])
+def test_sample_negatives_draws_match_old_loop(n, k, n_pos, ratio):
+    shape = NetworkShape(n, k)
+    ds = dataset_with_random_positives(shape, n_pos)
+    for seed in (0, 7):
+        got = sample_negatives(ds, ratio, shape, seed)
+        want = old_sample_negatives(ds.positives.tolist(), ratio, shape,
+                                    seed)
+        assert got.dtype == np.int64
+        assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, k, n_pos, ratio", [
     (2100, 1, 3000, 2.0),   # 4.41M slots, above 2^22: rejection draws
     (1500, 3, 50, 40.0),    # 6.75M slots, more negatives than positives
 ])
-def test_sample_negatives_draws_match_old_loop(n, k, n_pos, ratio):
-    from mrnet.io import TripleDataset
+def test_rejection_negatives_are_free_slots_fixed_by_the_seed(n, k, n_pos,
+                                                              ratio):
     shape = NetworkShape(n, k)
-    rng = np.random.default_rng(n_pos)
-    lin = rng.choice(shape.n_edges, size=n_pos, replace=False)
-    positives = np.column_stack(decode(lin, n, k))
-    ds = TripleDataset({}, {}, positives)
+    ds = dataset_with_random_positives(shape, n_pos)
+    pos = edge_key(*ds.positives.T, n, k)
+    count = math.ceil(ratio * n_pos)
     for seed in (0, 7):
         got = sample_negatives(ds, ratio, shape, seed)
-        want = old_sample_negatives(positives.tolist(), ratio, shape, seed)
-        assert got.dtype == np.int64
-        assert_array_equal(got, want)
+        assert got.dtype == np.int64 and got.shape == (count, 3)
+        keys = edge_key(*got.T, n, k)
+        assert (np.diff(keys) > 0).all()  # distinct, in linear-key order
+        assert not np.isin(keys, pos).any()
+        assert_array_equal(sample_negatives(ds, ratio, shape, seed), got)
+    assert not np.array_equal(sample_negatives(ds, ratio, shape, 1), got)
 
 
 def few_free_slots(total, n_free, seed):
@@ -249,8 +255,8 @@ def test_rejection_draws_with_few_free_slots():
     old_handler = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(30)
     try:
-        # 20 of 100 free slots takes thousands of rounds, in which some
-        # free slot is almost surely drawn again
+        # 20 of 100 free slots: rounds sized by the universe rather
+        # than by the free share would number in the thousands
         for n_free, count in ((60, 2), (100, 20)):
             avoid, free = few_free_slots(total, n_free, seed=1)
             for seed in (0, 1):
@@ -261,15 +267,13 @@ def test_rejection_draws_with_few_free_slots():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old_handler)
-    # with 4,000 free slots the old loop finishes in under a second
-    avoid, _ = few_free_slots(total, 4000, seed=2)
-    for seed in (0, 1):
-        got = distinct_uniform(np.random.default_rng(seed), total, 2,
+    avoid, free = few_free_slots(total, 4000, seed=2)
+    for count, seed in ((2, 0), (2, 1), (3600, 0)):
+        got = distinct_uniform(np.random.default_rng(seed), total, count,
                                 avoid=avoid)
-        want = old_rejection_draws(np.random.default_rng(seed), total, 2,
-                                   avoid)
-        assert got.dtype == np.int64
-        assert_array_equal(got, want)
+        assert got.dtype == np.int64 and len(got) == count
+        assert (np.diff(got) > 0).all()  # sorted and distinct
+        assert np.isin(got, free).all()
 
 
 @pytest.mark.parametrize("positive", [(4, 0, 0), (1, 4, 0), (0, 0, 1),

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from mrnet._rng import derive_seed
-from mrnet.bounds import (BoundInputs, LowerBoundInputs,
-                          check_kl_quadratic_upper, tail_bound)
+from mrnet.bounds import (BoundInputs, LowerBoundInputs, bennett_h,
+                          check_kl_quadratic_upper, check_variance_inequality,
+                          tail_bound)
 from mrnet.estimation import (ObservationSet, TrainConfig, objective_gradient,
                               penalized_objective, project_ball, project_l0,
                               train)
+from mrnet.evaluation import rank_report
 from mrnet.io import TripleDataset, sample_negatives
 from mrnet.models import (ModelParams, NetworkShape, ScoreModel,
                           lipschitz_bound, score_sup_bound)
@@ -36,6 +38,7 @@ BOUND = dict(n=1e4, m=50, sup_score=10.0, lipschitz=5.0, radius=1.0)
 LOWER = dict(m=160, n=1e4, kappa=0.1, b=0.5, lipschitz=1.0,
              neighborhood_radius=1.0)
 GEN = GenSpec(MODEL, NetworkShape(6, 2))
+TRIPLES = np.array([[0, 1, 0], [2, 0, 1]])
 TRUTH = generate_truth(GEN)
 
 
@@ -78,6 +81,9 @@ ENTRIES = [
         **{**BOUND, name: v})) for name in BOUND],
     *[("LowerBoundInputs", name, lambda v, name=name: LowerBoundInputs(
         **{**LOWER, name: v})) for name in LOWER],
+    ("bennett_h", "u", bennett_h),
+    ("check_variance_inequality", "sup_score",
+     lambda v: check_variance_inequality(0.0, 1.0, v)),
     ("tail_bound", "t", lambda v: tail_bound(BoundInputs(**BOUND), v)),
     ("tail_bound", "s", lambda v: tail_bound(BoundInputs(**BOUND), 0.5, s=v)),
     ("tail_bound", "beta",
@@ -88,6 +94,10 @@ ENTRIES = [
      lambda v: check_kl_quadratic_upper(0.5, v)),
     ("sample_negatives", "ratio", lambda v: sample_negatives(
         TripleDataset({}, {}, np.array([[0, 1, 0]])), v, SHAPE, 0)),
+    ("rank_report", "entity_hits[1]", lambda v: rank_report(
+        MODEL, PARAMS, TRIPLES, TRIPLES, SHAPE, entity_hits=(10, v))),
+    ("rank_report", "relation_hits[0]", lambda v: rank_report(
+        MODEL, PARAMS, TRIPLES, TRIPLES, SHAPE, relation_hits=(v,))),
 ]
 
 # bad values beyond NaN and +-inf, which every real field refuses: the
@@ -106,28 +116,33 @@ OUTSIDE = {
     "p": [0.0, 1.0], "q": [0.0, 1.0], "ratio": [-1.0],
     "epochs": [0, 2.5], "batch_size": [0, 1.5], "sparsity_cap": [-1, 2.5],
     "cap": [-1, 2.5], "replicates": [0, 1.5], "n_workers": [0, 1.5],
-    "m": [0, 2.5, 20.5],
+    "m": [0, 2.5, 20.5], "u": [-0.1],
+    "entity_hits[1]": [0, 2.5], "relation_hits[0]": [0, 2.5],
     # a seed has no floor (-1 runs), only the integer rule
     "seed": [1.5, 2.7, 3.2],
 }
 COUNTS = {"epochs", "batch_size", "sparsity_cap", "cap", "replicates",
-          "n_workers", "m"}
+          "n_workers", "m", "entity_hits[1]", "relation_hits[0]"}
+# where an entry's range differs from its field's elsewhere:
+# check_variance_inequality takes any sup_score >= 0 (below 2 it uses 2)
+OUTSIDE_AT = {("check_variance_inequality", "sup_score"): [-0.5]}
 # lipschitz_bound's radius may be 0, and LowerBoundInputs' lipschitz
 # must also be at least its kappa
 SPECIAL = {("lipschitz_bound", "radius"): 0.0,
            ("ModelParams.validate", "radius"): 7.08,  # PARAMS' row norm
-           ("LowerBoundInputs", "lipschitz"): LOWER["kappa"]}
+           ("LowerBoundInputs", "lipschitz"): LOWER["kappa"],
+           ("check_variance_inequality", "sup_score"): 0.0}
 # a value at each inclusive end, or just inside each open one
 EDGE = {"obs_rate": 1.0, "obs_rates[0]": 0.0, "rho1": 0.0, "rho2": 0.0,
         "sup_score": 2.0, "ratio": 0.0, "sparsity_cap": 0, "cap": 0,
         "m": 1, "epochs": 1, "batch_size": 1, "replicates": 1,
         "n_workers": 1, "b": 1 - 1e-9, "s": 4999.0, "q": 1 - 1e-9,
-        "seed": -1}
+        "seed": -1, "u": 0.0, "entity_hits[1]": 1, "relation_hits[0]": 1}
 
 
 def _cases():
     for entry, field, call in ENTRIES:
-        bad = list(OUTSIDE[field])
+        bad = list(OUTSIDE_AT.get((entry, field), OUTSIDE[field]))
         if field != "seed":
             bad += [NAN] if field in COUNTS else [NAN, INF, -INF]
         if (entry, field) == ("lipschitz_bound", "radius"):
