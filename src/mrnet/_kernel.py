@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from ._edges import check_columns
-from .models import MODEL_KINDS, ShapeError, _scores
+from .models import MODEL_KINDS, ModelParams, ShapeError, _scores
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _CACHE = _SOURCE.parent / "__pycache__"
@@ -116,6 +116,17 @@ def _addr(arr: np.ndarray, dtype) -> int:
     if arr.dtype != dtype or not arr.flags.c_contiguous:
         raise TypeError(f"kernel needs a C-contiguous {np.dtype(dtype)} array")
     return arr.ctypes.data
+
+
+def _readable(params: ModelParams) -> ModelParams:
+    """``params`` with C-contiguous float64 arrays, copied only where they
+    are not.  ``models.scores`` takes any real arrays in any memory order,
+    and so does every scorer of both engines, by scoring this copy, so the
+    two agree bit for bit on any parameters.  A fit writes its arrays in
+    place, so ``Fit`` takes them only as they are."""
+    return ModelParams(np.ascontiguousarray(params.entities, np.float64),
+                       np.ascontiguousarray(params.relations, np.float64),
+                       params.radius)
 
 
 class _Fit(ctypes.Structure):
@@ -203,6 +214,7 @@ class Kernel:
                 shape.n_relations > params.n_relations or start < 0 or \
                 start + len(out) > shape.n_edges:
             raise ShapeError("slots outside the parameters' network")
+        params = _readable(params)  # held until the call returns
         self._scores(_record(model, params), shape.n_entities,
                      shape.n_relations, start, len(out),
                      _addr(out, np.float64))
@@ -214,6 +226,7 @@ class Kernel:
         """
         if len(out) != len(heads):
             raise ShapeError("need one output per edge")
+        params = _readable(params)
         self._scores(_record(model, params, heads, tails, rels), 0, 0, 0,
                      len(out), _addr(out, np.float64))
 
@@ -233,6 +246,7 @@ class Kernel:
             raise ShapeError("rank mask does not fit the edges and params")
         above = np.empty(rows, dtype=np.int64)
         tied = np.empty(rows, dtype=np.int64)
+        params = _readable(params)
         self._ranks(_record(model, params, heads, tails, rels), slot, width,
                     _addr(mask, np.bool_), _addr(above, np.int64),
                     _addr(tied, np.int64))
@@ -305,6 +319,7 @@ class Numpy:
 
     @staticmethod
     def slot_scores(model, params, shape, start, out) -> None:
+        params = _readable(params)
         # one broadcast (heads, N, K) grid over the heads the slots span
         per_head = shape.n_entities * shape.n_relations
         h0, first = divmod(start, per_head)
@@ -316,10 +331,11 @@ class Numpy:
 
     @staticmethod
     def edge_scores(model, params, heads, tails, rels, out) -> None:
-        out[:] = _scores(model, params, heads, tails, rels)
+        out[:] = _scores(model, _readable(params), heads, tails, rels)
 
     @staticmethod
     def rank_counts(model, params, slot, heads, tails, rels, mask):
+        params = _readable(params)
         # one broadcast (rows, width) score array
         cols = [heads[:, None], tails[:, None], rels[:, None]]
         target, cols[slot] = cols[slot], np.arange(mask.shape[1])

@@ -151,10 +151,13 @@ def log_likelihood(model: ScoreModel, params: ModelParams,
 
 
 def _log_likelihood(phi: np.ndarray, labels: np.ndarray) -> float:
-    """``log_likelihood`` of the labels from their edges' scores ``phi``."""
+    """``log_likelihood`` of the 0/1 int8 labels from their edges' float64
+    scores ``phi``, computed in ``phi``, which it overwrites: callers pass
+    scores they own, and no temporary of their size is made."""
     # y=1 -> -log(1+e^-phi), y=0 -> -log(1+e^phi); stable via logaddexp
-    signed = np.where(labels == 1, -phi, phi)
-    return float(-np.logaddexp(0.0, signed).sum())
+    np.negative(phi, out=phi, where=labels.view(np.bool_))
+    np.logaddexp(0.0, phi, out=phi)
+    return float(-phi.sum())
 
 
 def _penalty(params: ModelParams, rho1: float, rho2: float) -> float:

@@ -44,7 +44,10 @@ __all__ = [
 # instead of infinity.
 KL_CLAMP = 1e-12
 
+# Each loss total adds the pairwise sums of _CHUNK slots' terms, which
+# are computed _LEAF slots at a time (see evaluate_losses).
 _CHUNK = 1 << 18
+_LEAF = 1 << 14
 
 
 def _rel_entr(x, y):
@@ -113,6 +116,20 @@ def _check_fits(params: ModelParams, shape: NetworkShape) -> None:
     check_indices(params.n_entities, params.n_relations, n, n, k)
 
 
+def _pairwise(leaf: Callable, s: int, n: int):
+    """``leaf(s', n')``'s sums over the n terms from s, added as numpy's
+    pairwise sum of those terms adds them.  Its tree splits a node of
+    n > 128 terms (its unrolled base case) at h = n // 2 rounded down to
+    a multiple of 8.  Nodes of at most ``max(_LEAF, 128)`` terms go to
+    ``leaf``, so each leaf is a subtree, and a leaf that sums its terms
+    with ``ndarray.sum`` gives that subtree's sum bit for bit."""
+    if n <= max(_LEAF, 128):
+        return leaf(s, n)
+    h = n // 2
+    h -= h % 8
+    return _pairwise(leaf, s, h) + _pairwise(leaf, s + h, n - h)
+
+
 def evaluate_losses(model: ScoreModel, fitted: ModelParams,
                     truth: ModelParams, edges=None,
                     shape: Optional[NetworkShape] = None) -> EvalReport:
@@ -120,12 +137,16 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     ``edges`` is a (heads, tails, rels) triple of index arrays; pass
     ``None`` with a ``shape`` to scan every slot of the edge universe.
-    Either way the engine that ``_kernel.engine()`` gives scores the
-    slots ``_CHUNK`` at a time, on the calling thread, and each chunk's
-    terms go to four float rows and two flag rows allocated once per
-    scan, so memory stays bounded; both engines give the same scores bit
-    for bit.  Each total adds the pairwise sums of whole chunks' terms,
-    in chunk order.
+    Each total adds, in chunk order, the pairwise sum (``ndarray.sum``)
+    of each ``_CHUNK`` slots' terms.  A chunk's terms are computed
+    ``_LEAF`` (2^14) slots at a time, in four float rows and two flag
+    rows allocated once per scan (544 KiB, which fits in L2), and their
+    leaf sums are added in the order of numpy's own pairwise tree, so
+    each chunk's sum is bit for bit the one a whole chunk of terms gives.
+    The tree splits only nodes above 128 slots, numpy's unrolled base
+    case, whatever ``_LEAF`` is.  The engine that ``_kernel.engine()``
+    gives scores each leaf on the calling thread; both engines give the
+    same scores bit for bit.
     The link prediction for a slot is "present" iff the fitted
     probability is >= 1/2, and the link error is the fraction of slots
     where that disagrees with the truth.
@@ -155,38 +176,43 @@ def evaluate_losses(model: ScoreModel, fitted: ModelParams,
 
     from . import _kernel  # builds the C kernel on first use
     engine = _kernel.engine()
-    size = min(total, _CHUNK)
-    # per slot of a chunk: the two scores, which become the true and the
+    size = min(total, _LEAF)
+    # per slot of a leaf: the two scores, which become the true and the
     # fitted probabilities, a work value, and the squared error, summed
     # before the KL term overwrites it; then a work flag and the link
     # mismatch
     real = np.empty((4, size))
     flags = np.empty((2, size), dtype=bool)
+    err_sum = 0
 
-    def score(params: ModelParams, out: np.ndarray, s: int, e: int) -> None:
-        if edges is None:
-            engine.slot_scores(model, params, shape, s, out)
-        else:
-            engine.edge_scores(model, params, *(c[s:e] for c in edges), out)
-
-    kl_sum = mse_sum = err_sum = 0.0
-    for s in range(0, total, _CHUNK):
-        e = min(s + _CHUNK, total)
-        p, q, work, kl = real[:, :e - s]
-        flag, mismatch = flags[:, :e - s]
-        score(truth, p, s, e)
-        score(fitted, q, s, e)
+    def leaf(s: int, n: int) -> np.ndarray:
+        """The (squared error, KL) sums of slots s, ..., s + n - 1."""
+        nonlocal err_sum
+        p, q, work, kl = real[:, :n]
+        flag, mismatch = flags[:, :n]
+        for params, out in ((truth, p), (fitted, q)):
+            if edges is None:
+                engine.slot_scores(model, params, shape, s, out)
+            else:
+                engine.edge_scores(model, params,
+                                   *(c[s:s + n] for c in edges), out)
         np.subtract(q, p, out=kl)
         np.multiply(kl, kl, out=kl)
-        mse_sum += kl.sum()
+        mse = kl.sum()
         _sigmoid_into(p, work, flag)
         _sigmoid_into(q, work, flag)
         np.greater_equal(q, 0.5, out=mismatch)
         np.greater_equal(p, 0.5, out=flag)
         np.not_equal(mismatch, flag, out=mismatch)
         _kl_into(p, q, kl, work)  # sigmoids of checked params
-        kl_sum += kl.sum()
         err_sum += np.count_nonzero(mismatch)
+        return np.array([mse, kl.sum()])
+
+    mse_sum, kl_sum = 0.0, 0.0
+    for s in range(0, total, _CHUNK):
+        chunk_mse, chunk_kl = _pairwise(leaf, s, min(_CHUNK, total - s))
+        mse_sum += chunk_mse
+        kl_sum += chunk_kl
     return EvalReport(kl_sum / total, mse_sum / total, err_sum / total, total)
 
 

@@ -25,7 +25,7 @@ from ._rng import (TAG_EVAL, TAG_LABELS, TAG_MASK, TAG_TRAIN, TAG_TRUTH,
 from .estimation import ObservationSet, TrainConfig, train
 from .evaluation import evaluate_losses
 from .models import (ModelParams, NetworkShape, ScoreModel, _require_int,
-                     _require_real, _scores, edge_probabilities, sigmoid)
+                     _require_real, _sigmoid_into, edge_probabilities)
 
 __all__ = [
     "GenSpec",
@@ -125,8 +125,14 @@ class LabelSampler:
         """The int8 labels of the edges, of the indices' broadcast shape
         (``(1,)`` for scalars): 1 where the edge's counter uniform falls
         below its probability.  The indices are converted and range-checked
-        once; then ``BLOCK`` edges at a time are scored, their uniforms
-        drawn and compared, so the temporaries stay bounded."""
+        once; then ``BLOCK`` edges at a time are scored by the engine that
+        ``_kernel.engine()`` gives into one preallocated row, turned into
+        probabilities there by ``_sigmoid_into``, and compared with their
+        uniforms, so the temporaries stay a few blocks, whatever the latent
+        dimension.  Both engines give ``sigmoid`` of ``models.scores``
+        bit for bit on float64 parameters."""
+        from . import _kernel  # builds the C kernel on first use
+        engine = _kernel.engine()
         cols = index_columns(heads, tails, rels)
         n, k = self.shape.n_entities, self.shape.n_relations
         check_indices(n, k, *cols)
@@ -134,9 +140,14 @@ class LabelSampler:
         # a view for 1-d columns of one length; broadcast ones are copied
         cols = [np.broadcast_to(c, shape).ravel() for c in cols]
         out = np.empty(len(cols[0]), dtype=np.int8)
+        size = min(len(out), BLOCK)
+        row, work = np.empty((2, size))
+        flag = np.empty(size, dtype=bool)
         for s in range(0, len(out), BLOCK):
             h, t, r = (c[s:s + BLOCK] for c in cols)
-            p = sigmoid(_scores(self.model, self.truth, h, t, r))
+            p = row[:len(h)]
+            engine.edge_scores(self.model, self.truth, h, t, r, p)
+            _sigmoid_into(p, work[:len(h)], flag[:len(h)])
             u = counter_uniforms(self._key, edge_key(h, t, r, n, k))
             np.less(u, p, out=out[s:s + BLOCK])
         return out.reshape(shape)

@@ -11,6 +11,7 @@ from mrnet.estimation import (
     ObservationSet,
     TrainConfig,
     _init_params,
+    _log_likelihood,
     _nnz,
     log_likelihood,
     objective_gradient,
@@ -122,6 +123,40 @@ def test_log_likelihood_matches_brute_force():
         expected += math.log(p) if y else math.log1p(-p)
     assert log_likelihood(model, params, oset) == pytest.approx(expected,
                                                                 rel=1e-12)
+
+
+def test_log_likelihood_in_place_is_the_where_formula_bit_for_bit():
+    # the formula the in-place form replaced, with its temporaries
+    rng = np.random.default_rng(12)
+    phi = np.concatenate([rng.normal(0, 8, 4000),
+                          [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300]])
+    labels = rng.integers(0, 2, len(phi)).astype(np.int8)
+    want = float(-np.logaddexp(0.0, np.where(labels == 1, -phi, phi)).sum())
+    owned, kept = phi.copy(), labels.copy()
+    got = _log_likelihood(owned, labels)
+    assert got.hex() == want.hex()
+    # the scores were the caller's to give up; the labels are untouched
+    assert not np.array_equal(owned, phi)
+    assert_same_bits(labels, kept)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_log_likelihood_leaves_its_inputs_unchanged(kind):
+    rng = np.random.default_rng(13)
+    model = ScoreModel(kind, 3)
+    shape = NetworkShape(6, 2)
+    params = make_params(model, 6, 2, rng)
+    oset = full_observation_set(shape, rng)
+    before = [a.copy() for a in (params.entities, params.relations,
+                                 oset.heads, oset.tails, oset.rels,
+                                 oset.labels)]
+    first = log_likelihood(model, params, oset)
+    penalized_objective(model, params, oset, rho1=0.1, rho2=0.2)
+    for old, new in zip(before, (params.entities, params.relations,
+                                 oset.heads, oset.tails, oset.rels,
+                                 oset.labels)):
+        assert_same_bits(new, old)
+    assert log_likelihood(model, params, oset) == first
 
 
 def test_log_likelihood_empty_is_zero():

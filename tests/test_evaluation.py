@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -243,6 +244,33 @@ def test_rank_edge_matches_brute_force(slot):
         got = rank_edge(model, params, target, slot, valid, shape)
         want = brute_rank(model, params, target, slot, valid, shape)
         assert got == want
+
+
+@pytest.mark.parametrize("layout", ["fortran", "float32"])
+def test_scoring_takes_params_in_any_memory_order(layout, monkeypatch):
+    # the kernel reads C-contiguous float64 rows, so both engines' scorers
+    # copy other params to that layout, as models.scores takes any
+    model, shape, params, valid = random_kb(5, n=9)
+    if layout == "fortran":
+        other = ModelParams(np.asfortranarray(params.entities),
+                            np.asfortranarray(params.relations), 50.0)
+    else:  # the float64 params are the float32 ones, widened
+        other = ModelParams(params.entities.astype(np.float32),
+                            params.relations.astype(np.float32), 50.0)
+        params = ModelParams(other.entities.astype(float),
+                             other.relations.astype(float), 50.0)
+    truth = make_params(model, 9, 3, np.random.default_rng(6))
+    tests = [Triple(*tr) for tr in sorted(valid)[:8]]
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        for fit, fit_other in ((params, other), (truth, truth)):
+            assert evaluate_losses(model, fit_other, other, shape=shape) == \
+                evaluate_losses(model, fit, params, shape=shape)
+        assert rank_report(model, other, tests, valid, shape) == \
+            rank_report(model, params, tests, valid, shape)
+        for slot in ("head", "tail", "relation"):
+            assert rank_edge(model, other, tests[0], slot, valid, shape) \
+                == rank_edge(model, params, tests[0], slot, valid, shape)
 
 
 def test_rank_edge_interface_errors():
@@ -904,20 +932,29 @@ def sequential_losses(model, fitted, truth, heads, tails, rels, chunk):
     return kl / total, mse / total, err / total
 
 
-@pytest.mark.parametrize("chunk", [evaluation._CHUNK, 101, 64])
+@pytest.mark.parametrize("chunk, leaf", [
+    (evaluation._CHUNK, evaluation._LEAF), (101, evaluation._LEAF),
+    (64, evaluation._LEAF), (1000, 128), (1000, 300), (777, 200)],
+    ids=[str(evaluation._CHUNK), "101", "64", "1000-128", "1000-300",
+         "777-200"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_chunked_scan_is_bit_identical(monkeypatch, kind, chunk):
-    # 7 * 7 * 3 = 147 slots: below the default chunk, in chunks of the
-    # odd length 101, and in chunks of 64 with an odd remainder of 19
+def test_chunked_scan_is_bit_identical(monkeypatch, kind, chunk, leaf):
+    # 13 * 13 * 3 = 507 slots: below the default chunk, in chunks of the
+    # odd length 101 and of 64 with odd remainders, and in chunks of 1000
+    # or 777 cut into leaves of at most 128, 300 or 200 slots: ragged
+    # chunks and leaves of lengths that are not powers of two
     rng = np.random.default_rng(30)
-    n, k = 7, 3
+    n, k = 13, 3
     model = ScoreModel(kind, 3)
     truth = make_params(model, n, k, rng, scale=1.5)
     fitted = make_params(model, n, k, rng, scale=1.5)
     hs, ts, rs = (c.ravel() for c in np.meshgrid(
         np.arange(n), np.arange(n), np.arange(k), indexing="ij"))
     order = rng.permutation(len(hs))
+    # explicit edges repeat the universe, for chunks of 1000 and 777
+    order = np.concatenate([order, rng.permutation(len(hs))])
     monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+    monkeypatch.setattr(evaluation, "_LEAF", leaf)
     for heads, tails, rels, shape in (
             (hs, ts, rs, NetworkShape(n, k)),  # the universe, in slot order
             (hs[order], ts[order], rs[order], None)):  # explicit edges
@@ -925,15 +962,97 @@ def test_chunked_scan_is_bit_identical(monkeypatch, kind, chunk):
                                  chunk)
         for loaded in scoring_paths():
             monkeypatch.setattr(_kernel, "_loaded", loaded)
-            if shape is None:
-                got = evaluate_losses(model, fitted, truth,
-                                      edges=(heads, tails, rels))
-            else:
-                got = evaluate_losses(model, fitted, truth, shape=shape)
+            engine = _kernel.engine()
+            sizes = []
+            with monkeypatch.context() as patch:
+                for name in ("slot_scores", "edge_scores"):
+                    def spy(*args, real=getattr(engine, name)):
+                        sizes.append(len(args[-1]))
+                        return real(*args)
+
+                    patch.setattr(engine, name, spy)
+                if shape is None:
+                    got = evaluate_losses(model, fitted, truth,
+                                          edges=(heads, tails, rels))
+                else:
+                    got = evaluate_losses(model, fitted, truth, shape=shape)
             assert [v.hex() for v in want] == [
                 float(got.avg_kl).hex(), float(got.mse_phi).hex(),
                 float(got.link_err).hex()]
             assert got.n_evaluated == len(heads)
+            # truth and fit score every slot once, a leaf at a time
+            assert sum(sizes) == 2 * len(heads)
+            assert max(sizes) <= max(leaf, 128)
+
+
+def pairwise_leaves(n):
+    """The leaf lengths ``evaluation._pairwise`` makes of n terms, in
+    order, and its sum of n terms of ``values``' pattern."""
+    leaves, terms = [], values(n)
+
+    def leaf(s, m):
+        leaves.append(m)
+        return terms[s:s + m].sum()
+
+    return leaves, evaluation._pairwise(leaf, 0, n)
+
+
+def values(n):
+    # magnitudes over twelve decades, so the order of the additions shows
+    rng = np.random.default_rng(n)
+    return rng.random(n) * 10.0 ** rng.uniform(-6, 6, n)
+
+
+@pytest.mark.parametrize("leaf", [128, 300, 1000, evaluation._LEAF])
+def test_pairwise_leaves_reproduce_numpys_sum(monkeypatch, leaf):
+    monkeypatch.setattr(evaluation, "_LEAF", leaf)
+    rng = np.random.default_rng(leaf)
+    lengths = [129, 130, 136, 255, 1001, evaluation._LEAF + 1, 11_656,
+               54_272, *rng.integers(129, 54_273, 40)]
+    for n in lengths:
+        leaves, total = pairwise_leaves(int(n))
+        assert sum(leaves) == n and max(leaves) <= max(leaf, 128)
+        assert total.hex() == np.add.reduce(values(int(n))).hex()
+
+
+@pytest.mark.parametrize("leaf", [16, 64, 127])
+def test_pairwise_never_splits_numpys_base_case(monkeypatch, leaf):
+    # numpy sums up to 128 terms in one unrolled loop; split below that,
+    # leaves of 16, 64 and 127 gave other bits than numpy's on 18, 16
+    # and 1 of 120 random lengths, so the leaves themselves are compared
+    rng = np.random.default_rng(leaf)
+    lengths = [100, 128, 129, 130, 4099, *rng.integers(129, 54_273, 20)]
+    monkeypatch.setattr(evaluation, "_LEAF", 128)
+    floor = [pairwise_leaves(int(n)) for n in lengths]
+    monkeypatch.setattr(evaluation, "_LEAF", leaf)
+    for n, (leaves, total) in zip(lengths, floor):
+        got_leaves, got = pairwise_leaves(int(n))
+        assert got_leaves == leaves
+        assert got.hex() == total.hex() == np.add.reduce(values(int(n))).hex()
+
+
+@pytest.mark.parametrize("n", [420, 600])
+def test_full_scan_memory_is_a_few_leaf_rows(n):
+    # 529,200 and 1,080,000 slots, 33 and 66 leaves: the scan used to hold
+    # four float rows and two flag rows of a whole 2^18-slot chunk
+    k = 3
+    model = ScoreModel("combined", 2)
+    rng = np.random.default_rng(n)
+    truth = make_params(model, n, k, rng)
+    fitted = make_params(model, n, k, rng)
+    shape = NetworkShape(n, k)
+    assert shape.n_edges >= 32 * evaluation._LEAF
+    row_bytes = evaluation._LEAF * 8
+    for loaded in scoring_paths():
+        with mock.patch.object(_kernel, "_loaded", loaded):
+            tracemalloc.start()
+            try:
+                evaluate_losses(model, fitted, truth, shape=shape)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the kernel's scan held 4.3 rows, the numpy engine's up to 8.0
+        assert peak < 10 * row_bytes
 
 
 def test_sigmoid_into_is_sigmoid_bit_for_bit():

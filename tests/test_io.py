@@ -317,6 +317,49 @@ def test_parser_refuses_a_vocabulary_past_int64_keys(tmp_path):
     assert triples.tolist() == [[0, 1, 0], [1, 2, 0]] and dups == 1
 
 
+@pytest.mark.parametrize("repeats", [0, 1, 300])
+def test_parse_keeps_each_triples_first_line(tmp_path, repeats):
+    # each distinct triple keeps its first line, whether none, one or
+    # many repeat
+    rng = np.random.default_rng(repeats)
+    rows = rng.integers(0, 40, (2000, 3))
+    lin = np.unique(edge_key(*rows.T, 40, 40), return_index=True)[1]
+    rows = rows[np.sort(lin)]  # distinct, in random order
+    rows = np.concatenate([rows, rows[rng.integers(0, len(rows), repeats)]])
+    rows = rows[rng.permutation(len(rows))]
+    path = write(tmp_path, "t.tsv", "".join(
+        f"e{h}\tr{r}\te{t}\n" for h, r, t in rows))
+    triples, dups = _parse_lines(path, COLUMN_ORDERS["hrt"], {}, {})
+    named = np.column_stack([rows[:, 0], rows[:, 2], rows[:, 1]])
+    _, first = np.unique(edge_key(*named.T, 40, 40), return_index=True)
+    first.sort()
+    assert dups == repeats == len(rows) - len(first)
+    ds = load_triples(path)
+    ents = {v: int(k[1:]) for k, v in ds.entity_vocab.items()}
+    rels = {v: int(k[1:]) for k, v in ds.relation_vocab.items()}
+    got = np.column_stack([[ents[i] for i in triples[:, 0]],
+                           [ents[i] for i in triples[:, 1]],
+                           [rels[i] for i in triples[:, 2]]])
+    assert triples.dtype == np.int64 and triples.flags.c_contiguous
+    assert_array_equal(got, named[first])
+
+
+def test_sample_negatives_ignores_repeated_positives():
+    shape = NetworkShape(30, 4)
+    ds = dataset_with_random_positives(shape, 500)
+    # 750 rows, 250 of them repeats: ratio 2.0 asks for 1,500 negatives
+    twice = TripleDataset({}, {}, np.concatenate([ds.positives,
+                                                  ds.positives[::2]]))
+    for seed in (0, 7):
+        want = sample_negatives(ds, 3.0, shape, seed)
+        assert_array_equal(sample_negatives(twice, 2.0, shape, seed), want)
+    # 4 positives, each twice, leave 5 of 9 slots free, not 1
+    rows = np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0], [1, 1, 0]] * 2)
+    negs = sample_negatives(TripleDataset({}, {}, rows), 0.5,
+                            NetworkShape(3, 1), seed=0)
+    assert negs.shape == (4, 3)
+
+
 def test_distinct_uniform_rejects_negative_count():
     rng = np.random.default_rng(0)
     for total in (72, 1 << 23):

@@ -36,6 +36,8 @@ from mrnet.simulation import (
 )
 from mrnet.estimation import TrainConfig
 
+from test_evaluation import scoring_paths
+
 
 def linear(obs):
     """Linear edge indices (h*N + t)*K + r of an ObservationSet."""
@@ -275,11 +277,27 @@ def test_blocked_labels_match_the_one_shot_labels(block, monkeypatch):
         (np.arange(n)[:, None], np.arange(n), 1),
         (h.astype(np.int32), t.astype(float), r.tolist()),
     ]
-    for cols in cases:
-        want = one_shot_labels(spec, truth, 8, *cols)
-        got = sampler.labels(*cols)
-        assert got.dtype == np.int8 and got.shape == want.shape
-        assert_array_equal(got, want)
+    for loaded in scoring_paths():  # the kernel's scores and numpy's
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        for cols in cases:
+            want = one_shot_labels(spec, truth, 8, *cols)
+            got = sampler.labels(*cols)
+            assert got.dtype == np.int8 and got.shape == want.shape
+            assert_array_equal(got, want)
+
+
+def test_labels_of_a_truth_in_any_memory_order():
+    # the kernel reads C-contiguous float64 rows; a column-major truth
+    # gets the labels of its C-ordered copy
+    spec = tiny_spec(n=12, k=3, d=3, seed=5)
+    truth = generate_truth(spec)
+    fortran = dataclasses.replace(
+        truth, entities=np.asfortranarray(truth.entities),
+        relations=np.asfortranarray(truth.relations))
+    cols = [np.arange(12).repeat(12), np.tile(np.arange(12), 12), 1]
+    want = sample_network(spec.model, truth, spec.shape, 8).labels(*cols)
+    got = sample_network(spec.model, fortran, spec.shape, 8).labels(*cols)
+    assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", [7, 64])
@@ -307,23 +325,30 @@ def test_blocked_sample_observations_match_one_shot(block, path, monkeypatch):
         assert_array_equal(got, want)
 
 
-def test_sample_observations_memory_is_bounded_by_the_block():
+def test_sample_observations_memory_is_bounded_by_the_block(monkeypatch):
     # 800,000 slots are 48 blocks: one-shot flips held 6.4 MB of
-    # uniforms and a 0.8 MB mask at once
-    spec = tiny_spec(n=400, k=5, d=2, rate=0.02, seed=7)
-    truth = generate_truth(spec)
-    sampler = sample_network(spec.model, truth, spec.shape, seed=1)
-    block_bytes = simulation.BLOCK * 8
-    assert spec.shape.n_edges >= 32 * simulation.BLOCK
-    tracemalloc.start()
-    try:
-        obs = sample_observations(spec.shape, sampler, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out_bytes = sum(c.nbytes for c in (obs.heads, obs.tails, obs.rels,
-                                       obs.labels))
-    assert peak < 16 * block_bytes + 2 * out_bytes
+    # uniforms and a 0.8 MB mask at once.  At d = 5 the labels' gathered
+    # score rows (two entity rows and a relation row of 10 per edge, and
+    # the einsum's operands) peaked at 29.5 blocks; scored by the kernel
+    # into one row, the whole call peaks at 11 blocks.  The numpy engine
+    # still gathers rows, so it is held to 16 blocks at d = 2
+    for loaded in scoring_paths():
+        monkeypatch.setattr(_kernel, "_loaded", loaded)
+        d, blocks = (2, 16) if loaded is None else (5, 8)
+        spec = tiny_spec(n=400, k=5, d=d, rate=0.02, seed=7)
+        truth = generate_truth(spec)
+        sampler = sample_network(spec.model, truth, spec.shape, seed=1)
+        block_bytes = simulation.BLOCK * 8
+        assert spec.shape.n_edges >= 32 * simulation.BLOCK
+        tracemalloc.start()
+        try:
+            obs = sample_observations(spec.shape, sampler, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(c.nbytes for c in (obs.heads, obs.tails, obs.rels,
+                                           obs.labels))
+        assert peak < blocks * block_bytes + 2 * out_bytes
 
 
 def grid_for_test(**overrides):
